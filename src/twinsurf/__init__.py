@@ -50,6 +50,6 @@ from .systems import (
 )
 from .twin import TwinDiagnostics, TwinPair, twin_backward, twin_forward, verify_twin
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -115,6 +115,11 @@ def _cmd_twin(args):
     else:  # verify: recompute diagnostics from two saved sides
         f = read_heightmap(args.inp)
         g = read_heightmap(args.twin)
+        if f.domain != g.domain or f.n != g.n:
+            raise ValidationError(
+                f"twin sides differ: {f.n} component(s) on {f.domain} "
+                f"and {g.n} on {g.domain}"
+            )
         from .fields import first_fundamental_form
 
         pair = twin.TwinPair(
@@ -238,7 +243,7 @@ def _cmd_chart(args):
 def _cmd_solve(args):
     domain, comps = read_gfield(args.boundary)
     opts = solver.SolveOptions()
-    if args.max_outer:
+    if args.max_outer is not None:
         opts.max_outer = args.max_outer
     fn = solver.solve_minimal if args.system == "minimal" else solver.solve_maximal
     result = fn(domain, comps, opts)

@@ -57,15 +57,16 @@ def read_gfield(path):
             f"{path}: expected {expected} lines, found {len(lines)}"
         )
     comps = []
-    pos = 3
-    for _ in range(ncomp):
-        block = np.array(
-            [[float(t) for t in lines[pos + j].split()] for j in range(ny)]
-        )
-        if block.shape != (ny, nx):
-            raise ValidationError(f"{path}: block shape mismatch")
-        comps.append(block)
-        pos += ny
+    for k in range(ncomp):
+        rows = [ln.split() for ln in lines[3 + k * ny : 3 + (k + 1) * ny]]
+        if any(len(r) != nx for r in rows):
+            raise ValidationError(
+                f"{path}: component {k + 1}: every row needs {nx} values"
+            )
+        try:
+            comps.append(np.array(rows, dtype=float))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: component {k + 1}: {exc}") from exc
     return domain, comps
 
 

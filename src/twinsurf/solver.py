@@ -1,12 +1,15 @@
 """Dirichlet solvers for the minimal and maximal graph systems.
 
 Both systems are quasilinear: at fixed coefficients E, F, G each component
-satisfies a linear second-order equation.  We therefore iterate Picard
-(freeze coefficients, relax the linear problem, refresh coefficients).
-The inner linear solve is point red-black SOR on the standard 9-point
-stencil of G f_xx - 2 F f_xy + E f_yy with the mixed term handled by the
-four diagonal neighbors.  The maximal variant damps each Picard update by
-bisection so the iterate stays strictly spacelike.
+satisfies the linear equation G u_xx - 2 F u_xy + E u_yy = 0.  We therefore
+iterate Picard: freeze the coefficients of the current iterate, solve the
+linear problem exactly, refresh the coefficients.  The linear problem is the
+standard 9-point stencil (the mixed term on the four diagonal neighbors)
+assembled over the interior nodes as one sparse matrix; it is LU-factored
+once per Picard step and every component is solved against that factor.
+The maximal system uses the hatted (split-signature) coefficients in the
+same stencil and halves each Picard step until the iterate stays strictly
+spacelike.
 """
 
 from __future__ import annotations
@@ -14,13 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from .errors import (
-    Diverged,
-    MaxIterations,
-    SpacelikeUnreachable,
-    ValidationError,
-)
+from .errors import Diverged, MaxIterations, SpacelikeUnreachable, ValidationError
 from .fields import GridDomain, HeightMap, first_fundamental_form
 from .systems import maximal_residual, minimal_residual
 
@@ -28,10 +28,7 @@ from .systems import maximal_residual, minimal_residual
 @dataclass
 class SolveOptions:
     max_outer: int = 200
-    max_inner: int = 500
-    inner_tol: float = 1e-10
     outer_tol: float = 1e-9
-    relaxation: float = 1.5
     spacelike_margin: float = 0.05
 
 
@@ -56,48 +53,117 @@ def _transfinite(domain: GridDomain, bc: np.ndarray) -> np.ndarray:
     return u
 
 
-def _sor_sweep(u, E, F, G, dx, dy, omega_relax, color):
-    """One red-black half sweep of G u_xx - 2 F u_xy + E u_yy = 0."""
-    ny, nx = u.shape
-    cx = G / dx**2
-    cy = E / dy**2
-    cxy = F / (2.0 * dx * dy)
-    jj, ii = np.meshgrid(
-        np.arange(1, ny - 1), np.arange(1, nx - 1), indexing="ij"
-    )
-    mask = ((jj + ii) % 2) == color
-    j, i = jj[mask], ii[mask]
-    rhs = (
-        cx[j, i] * (u[j, i + 1] + u[j, i - 1])
-        + cy[j, i] * (u[j + 1, i] + u[j - 1, i])
-        - cxy[j, i]
-        * (u[j + 1, i + 1] + u[j - 1, i - 1] - u[j + 1, i - 1] - u[j - 1, i + 1])
-    )
-    diag = 2.0 * (cx[j, i] + cy[j, i])
-    gs = rhs / diag
-    u[j, i] = (1.0 - omega_relax) * u[j, i] + omega_relax * gs
+def _frozen_solve(us, met, domain):
+    """Solve G u_xx - 2 F u_xy + E u_yy = 0 for every component at `met`.
+
+    Interior unknowns are numbered row by row, so the neighbor at (dj, di)
+    sits on diagonal dj * (nx - 2) + di of the 9-point matrix; entries that
+    would wrap from the last column of one row to the first of the next are
+    zeroed.  The right-hand side is minus the same stencil applied to the
+    boundary-only field, so each solution keeps its Dirichlet edges.
+    """
+    ny, nx = domain.shape
+    inner = (slice(1, -1), slice(1, -1))
+    cx = met.G[inner] / domain.dx**2
+    cy = met.E[inner] / domain.dy**2
+    cxy = met.F[inner] / (2.0 * domain.dx * domain.dy)
+    n = cx.size
+    edges = np.stack(us)
+    edges[(slice(None),) + inner] = 0.0
+    rhs = np.zeros((len(us), n))
+    offsets, diagonals = [], []
+    for (dj, di), w in {
+        (0, 0): -2.0 * (cx + cy),
+        (0, -1): cx, (0, 1): cx, (-1, 0): cy, (1, 0): cy,
+        (-1, -1): -cxy, (1, 1): -cxy, (-1, 1): cxy, (1, -1): cxy,
+    }.items():
+        rhs -= (w * edges[:, 1 + dj:ny - 1 + dj, 1 + di:nx - 1 + di]).reshape(rhs.shape)
+        d = w.copy()
+        if di:
+            d[:, 0 if di < 0 else -1] = 0.0
+        k = dj * (nx - 2) + di
+        offsets.append(k)
+        diagonals.append(d.ravel()[:n - k] if k >= 0 else d.ravel()[-k:])
+    A = sp.diags(diagonals, offsets, shape=(n, n), format="csc")
+    try:
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", panel_size=4, relax=4)
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise Diverged(f"frozen-coefficient operator is singular: {exc}") from exc
+    interior = lu.solve(rhs.T)
+    solved = [u.copy() for u in us]
+    for c, v in enumerate(solved):
+        v[inner] = interior[:, c].reshape(cx.shape)
+    return solved
 
 
-def _linear_relax(u, E, F, G, dx, dy, opts: SolveOptions):
-    for sweep in range(opts.max_inner):
-        before = u.copy()
-        _sor_sweep(u, E, F, G, dx, dy, opts.relaxation, 0)
-        _sor_sweep(u, E, F, G, dx, dy, opts.relaxation, 1)
-        if np.max(np.abs(u - before)) < opts.inner_tol:
-            break
-    return u
-
-
-def _check_boundary(boundary, domain, ncomp):
+def _check_boundary(boundary, domain):
     bcs = [np.asarray(b, dtype=float) for b in boundary]
-    if len(bcs) != ncomp:
-        raise ValidationError("one boundary array per component required")
     for b in bcs:
         if b.shape != domain.shape:
             raise ValidationError(
                 f"boundary shape {b.shape} != domain shape {domain.shape}"
             )
     return bcs
+
+
+def _picard(domain, boundary, options, initial, signature):
+    """Picard iteration shared by both systems.
+
+    Each step moves toward the frozen-coefficient solution, halving the
+    step until the discriminant E G - F^2 stays above `floor`.  Only the
+    split signature can fail that test; for it the floor is
+    `spacelike_margin` times the discriminant of the initial guess.
+    """
+    opts = options or SolveOptions()
+    if opts.max_outer < 1:
+        raise ValidationError(f"max_outer must be at least 1, got {opts.max_outer}")
+    bcs = _check_boundary(boundary, domain)
+    if initial is not None:
+        if initial.n != len(bcs):
+            raise ValidationError("initial guess needs one component per boundary")
+        us = [c.copy() for c in initial.components]
+    else:
+        us = [_transfinite(domain, b) for b in bcs]
+    for u, b in zip(us, bcs):
+        u[0, :], u[-1, :] = b[0, :], b[-1, :]
+        u[:, 0], u[:, -1] = b[:, 0], b[:, -1]
+
+    def metric(comps):
+        met = first_fundamental_form(HeightMap(domain, comps), signature)
+        return met, float(np.min(met.E * met.G - met.F**2))
+
+    met, m0 = metric(us)
+    if m0 <= 0.0:
+        raise SpacelikeUnreachable(
+            f"initial guess is not spacelike (min discriminant {m0:.3e})"
+        )
+    floor = opts.spacelike_margin * m0 if signature == "split" else 0.0
+
+    history = []
+    for outer in range(1, opts.max_outer + 1):
+        proposals = _frozen_solve(us, met, domain)
+        step = 1.0
+        for _ in range(40):
+            trial = [u + step * (v - u) for u, v in zip(us, proposals)]
+            met, m = metric(trial)
+            if m > floor:
+                break
+            step *= 0.5
+        else:
+            raise SpacelikeUnreachable(
+                "could not keep the iterate spacelike at any step size"
+            )
+        delta = max(float(np.max(np.abs(t - u))) for t, u in zip(trial, us))
+        us = trial
+        history.append(delta)
+        if delta > 1e6:
+            raise Diverged(f"Picard update grew to {delta:.3e}")
+        if delta < opts.outer_tol:
+            return HeightMap(domain, us), outer, history
+    raise MaxIterations(
+        f"no convergence in {opts.max_outer} Picard iterations "
+        f"(last update {history[-1]:.3e})"
+    )
 
 
 def solve_minimal(
@@ -112,35 +178,8 @@ def solve_minimal(
     values are used.  Interior values of `initial`, when given, seed the
     Picard iteration; otherwise transfinite interpolation of the edges.
     """
-    opts = options or SolveOptions()
-    bcs = _check_boundary(boundary, domain, len(boundary))
-    if initial is not None:
-        us = [c.copy() for c in initial.components]
-    else:
-        us = [_transfinite(domain, b) for b in bcs]
-    for u, b in zip(us, bcs):
-        u[0, :], u[-1, :] = b[0, :], b[-1, :]
-        u[:, 0], u[:, -1] = b[:, 0], b[:, -1]
-
-    history = []
-    for outer in range(1, opts.max_outer + 1):
-        f = HeightMap(domain, [u.copy() for u in us])
-        met = first_fundamental_form(f, "euclidean")
-        delta = 0.0
-        for u in us:
-            before = u.copy()
-            _linear_relax(u, met.E, met.F, met.G, domain.dx, domain.dy, opts)
-            delta = max(delta, float(np.max(np.abs(u - before))))
-        history.append(delta)
-        if delta > 1e6:
-            raise Diverged(f"Picard update grew to {delta:.3e}")
-        if delta < opts.outer_tol:
-            f = HeightMap(domain, us)
-            return SolveResult(f, outer, minimal_residual(f), history)
-    raise MaxIterations(
-        f"no convergence in {opts.max_outer} Picard iterations "
-        f"(last update {history[-1]:.3e})"
-    )
+    f, outer, history = _picard(domain, boundary, options, initial, "euclidean")
+    return SolveResult(f, outer, minimal_residual(f), history)
 
 
 def solve_maximal(
@@ -155,59 +194,5 @@ def solve_maximal(
     spacelike discriminant keeps a relative margin of
     `options.spacelike_margin`.
     """
-    opts = options or SolveOptions()
-    bcs = _check_boundary(boundary, domain, len(boundary))
-    if initial is not None:
-        us = [c.copy() for c in initial.components]
-    else:
-        us = [_transfinite(domain, b) for b in bcs]
-    for u, b in zip(us, bcs):
-        u[0, :], u[-1, :] = b[0, :], b[-1, :]
-        u[:, 0], u[:, -1] = b[:, 0], b[:, -1]
-
-    def margin(comps):
-        g = HeightMap(domain, comps)
-        met = first_fundamental_form(g, "split")
-        return float(np.min(met.E * met.G - met.F**2)), met
-
-    m0, met = margin(us)
-    if m0 <= 0.0:
-        raise SpacelikeUnreachable(
-            f"initial guess is not spacelike (min discriminant {m0:.3e})"
-        )
-
-    history = []
-    for outer in range(1, opts.max_outer + 1):
-        # maximal operator is G_hat g_xx - 2 F_hat g_xy + E_hat g_yy: same
-        # stencil as the minimal one with hatted coefficients
-        proposals = []
-        for u in us:
-            v = u.copy()
-            _linear_relax(v, met.E, met.F, met.G, domain.dx, domain.dy, opts)
-            proposals.append(v)
-        step = 1.0
-        for _ in range(40):
-            trial = [u + step * (v - u) for u, v in zip(us, proposals)]
-            m, _ = margin(trial)
-            if m > opts.spacelike_margin * m0:
-                break
-            step *= 0.5
-        else:
-            raise SpacelikeUnreachable(
-                "could not keep the iterate spacelike at any step size"
-            )
-        delta = max(
-            float(np.max(np.abs(step * (v - u)))) for u, v in zip(us, proposals)
-        )
-        us = trial
-        _, met = margin(us)
-        history.append(delta)
-        if delta > 1e6:
-            raise Diverged(f"Picard update grew to {delta:.3e}")
-        if delta < opts.outer_tol:
-            g = HeightMap(domain, us)
-            return SolveResult(g, outer, maximal_residual(g), history)
-    raise MaxIterations(
-        f"no convergence in {opts.max_outer} Picard iterations "
-        f"(last update {history[-1]:.3e})"
-    )
+    g, outer, history = _picard(domain, boundary, options, initial, "split")
+    return SolveResult(g, outer, maximal_residual(g), history)

@@ -150,3 +150,45 @@ def test_unicode_minus_accepted_in_domain(tmp_path):
         ]
     )
     assert code == 0
+
+
+def _sample(path, grid):
+    code = run(
+        [
+            "catalog", "sample", "--name", "catenoid",
+            "--domain", "1.5,-0.75,3,0.75", "--grid", grid, "--out", path,
+        ]
+    )
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("damage", ["token", "short_row"])
+def test_solve_malformed_boundary_exits_1(tmp_path, capsys, damage):
+    path = _sample(str(tmp_path / "cat17.gf"), "17,17")
+    lines = open(path).read().splitlines()
+    tokens = lines[10].split()
+    if damage == "token":
+        tokens[4] = "nanx"
+    else:
+        tokens.pop()
+    lines[10] = " ".join(tokens)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert run(["solve", "minimal", "--boundary", path]) == 1
+    assert "VALIDATION" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_outer", ["0", "-1"])
+def test_solve_rejects_non_positive_max_outer(tmp_path, capsys, max_outer):
+    path = _sample(str(tmp_path / "cat17.gf"), "17,17")
+    code = run(["solve", "minimal", "--boundary", path, "--max-outer", max_outer])
+    assert code == 1
+    assert "max_outer" in capsys.readouterr().err
+
+
+def test_twin_verify_rejects_mismatched_grids(tmp_path, capsys):
+    coarse = _sample(str(tmp_path / "cat17.gf"), "17,17")
+    fine = _sample(str(tmp_path / "cat33.gf"), "33,33")
+    assert run(["twin", "verify", "--in", coarse, "--twin", fine]) == 1
+    assert "VALIDATION" in capsys.readouterr().err

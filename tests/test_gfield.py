@@ -74,3 +74,29 @@ def test_read_rejects_malformed_header(tmp_path):
     p.write_text("GFIELD 1\nfive 5 1\n0 0 1 1\n")
     with pytest.raises(ValidationError):
         read_gfield(p)
+
+
+def _catenoid_lines(tmp_path):
+    dom = GridDomain.from_bounds(1.5, -0.75, 3.0, 0.75, 17, 17)
+    X, Y = dom.meshgrid()
+    p = tmp_path / "cat.gf"
+    write_gfield(p, dom, [np.arccosh(np.sqrt(X**2 + Y**2))])
+    return p, p.read_text().splitlines()
+
+
+def test_read_rejects_non_numeric_token(tmp_path):
+    p, lines = _catenoid_lines(tmp_path)
+    tokens = lines[10].split()
+    tokens[4] = "nanx"
+    lines[10] = " ".join(tokens)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="nanx"):
+        read_gfield(p)
+
+
+def test_read_rejects_short_row(tmp_path):
+    p, lines = _catenoid_lines(tmp_path)
+    lines[10] = " ".join(lines[10].split()[:-1])
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="every row needs 17 values"):
+        read_gfield(p)

@@ -60,6 +60,25 @@ def test_maximal_twin_of_catenoid():
     assert err <= 2e-3
 
 
+@pytest.mark.parametrize(
+    "system, name",
+    [("minimal", "catenoid"), ("minimal", "helicoid"), ("maximal", "catenoid")],
+)
+def test_dirichlet_recovery_is_second_order(system, name):
+    # unlike Scherk, these are not separable, so the Coons-patch initial
+    # guess is far from the solution and Picard has to do the work
+    errors = []
+    for n in (33, 65, 129):
+        f = surface(name, n, n)
+        exact = f if system == "minimal" else twin_forward(f).g
+        solve = solve_minimal if system == "minimal" else solve_maximal
+        res = solve(exact.domain, [c.copy() for c in exact.components])
+        diff = res.surface.components[0] - exact.components[0]
+        errors.append(float(np.abs(diff[1:-1, 1:-1]).max()))
+    assert errors[0] / errors[1] >= 3.5
+    assert errors[1] / errors[2] >= 3.5
+
+
 def test_maximal_rejects_non_spacelike_boundary():
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 33, 33)
     X, _ = dom.meshgrid()
@@ -81,10 +100,18 @@ def test_initial_guess_seeds_iteration():
     assert err <= 1e-3
 
 
+def test_initial_guess_component_count_validated():
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
+    X, Y = dom.meshgrid()
+    initial = HeightMap(dom, [0.3 * X, 0.1 * Y])
+    with pytest.raises(ValidationError):
+        solve_minimal(dom, [0.3 * X], initial=initial)
+
+
 def test_options_respected():
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
     X, Y = dom.meshgrid()
-    opts = SolveOptions(max_outer=1, max_inner=2, inner_tol=0.0)
+    opts = SolveOptions(max_outer=1)
     from twinsurf.errors import MaxIterations
 
     with pytest.raises(MaxIterations):
