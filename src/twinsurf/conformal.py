@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     JacobianBoundViolation,
     NewtonDiverged,
-    NotMinimal,
     TargetOutsideImage,
     ValidationError,
 )
@@ -27,10 +26,9 @@ from .fields import (
     diff_x,
     diff_y,
     first_fundamental_form,
-    integrate_exact_form,
 )
-from .systems import minimal_residual
-from .twin import TwinPair, default_tol, integrate_scaled
+from .slag import _lift_potentials
+from .twin import TwinPair, default_tol
 
 
 @dataclass
@@ -59,18 +57,11 @@ def build_chart(
 ) -> ConformalChart:
     if tol is None:
         tol = default_tol(f.domain)
-    res = minimal_residual(f)
-    if res.max_abs("scaled") > tol:
-        raise NotMinimal(
-            f"scaled minimal residual {res.max_abs('scaled'):.3e} > tol {tol:.3e}"
-        )
     dom = f.domain
-    metric = first_fundamental_form(f, "euclidean")
-    E, F, G, w = metric.E, metric.F, metric.G, metric.omega
-    M = integrate_scaled(E / w, F / w, dom, basepoint, tol, res.scale).potential
-    N = integrate_scaled(F / w, G / w, dom, basepoint, tol, res.scale).potential
+    M, N, metric, _ = _lift_potentials(f, basepoint, tol)
+    w = metric.omega
     X, Y = dom.meshgrid()
-    jpsi = 2.0 + (E + G) / w
+    jpsi = 2.0 + (metric.E + metric.G) / w
     if jpsi.min() <= 2.0 - 1e-9:
         raise JacobianBoundViolation(
             f"J_psi min {jpsi.min():.6f} <= 2", nodes=np.argwhere(jpsi <= 2.0 - 1e-9)
@@ -244,10 +235,6 @@ def verify_weierstrass_twin(
 ) -> dict:
     """Residuals of phi_1 = phihat_1, phi_2 = phihat_2 and
     phihat_{k+2} = -i phi_{k+2} on a shared xi-grid."""
-    if chart.source is not pair.f and chart.source.components is not pair.f.components:
-        # charts are expected to come from the pair's minimal side
-        if chart.source.domain != pair.f.domain:
-            raise ValidationError("chart must be built from the pair's minimal side")
     Xf = resample_to_chart(chart, pair.f, target)
     Xg = resample_to_chart(chart, pair.g, Xf.domain)
     nf = null_curve(Xf, "euclidean")

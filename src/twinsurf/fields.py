@@ -195,9 +195,9 @@ class HeightMap:
 class MetricData:
     """First fundamental form coefficients; hatted flavor under 'split'.
 
-    In the split signature the data is only meaningful where the spacelike
-    condition E*G - F^2 > 0 holds; ``mask`` records validity and ``omega``
-    is NaN-free (zeroed) outside it.
+    In the split signature the data is only meaningful where the metric is
+    positive definite (spacelike): E > 0 and E*G - F^2 > 0.  ``mask``
+    records validity and ``omega`` is NaN-free (zeroed) outside it.
     """
 
     signature: str
@@ -229,7 +229,6 @@ class JacobianData:
 @dataclass
 class PotentialResult:
     potential: ScalarField
-    closedness_residual: ScalarField
     basepoint: tuple  # (ix, iy)
 
 
@@ -246,7 +245,7 @@ def first_fundamental_form(h: HeightMap, signature: str = "euclidean") -> Metric
     else:
         E, F, G = 1.0 - sa2, -sab, 1.0 - sb2
     disc = E * G - F * F
-    mask = disc > 0
+    mask = (E > 0) & (disc > 0)
     omega = np.sqrt(np.where(mask, disc, 0.0))
     if signature == "euclidean" and not mask.all():
         # cannot happen analytically (EG - F^2 >= 1); numerical garbage in
@@ -301,11 +300,10 @@ def integrate_exact_form(
     if not (0 <= ix < dom.nx and 0 <= iy < dom.ny):
         raise ValidationError(f"basepoint {basepoint} outside grid")
 
-    res = closedness_residual_field(P.values, Q.values, dom)
-    if tol is not None and res[1:-1, 1:-1].max() > tol:
-        raise NotClosed(
-            f"max closedness residual {res[1:-1, 1:-1].max():.3e} > tol {tol:.3e}"
-        )
+    if tol is not None:
+        worst = closedness_residual_field(P.values, Q.values, dom)[1:-1, 1:-1].max()
+        if worst > tol:
+            raise NotClosed(f"max closedness residual {worst:.3e} > tol {tol:.3e}")
 
     cumx = cumulative_trapezoid(P.values, dx=dom.dx, axis=1, initial=0.0)
     cumx -= cumx[:, ix][:, None]
@@ -316,6 +314,4 @@ def integrate_exact_form(
     u_yfirst = cumy[:, ix][:, None] + cumx
     u = 0.5 * (u_xfirst + u_yfirst)
     u[iy, ix] = 0.0  # exact by construction; enforce against rounding
-    return PotentialResult(
-        ScalarField(dom, u), ScalarField(dom, res), (ix, iy)
-    )
+    return PotentialResult(ScalarField(dom, u), (ix, iy))

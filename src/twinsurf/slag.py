@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import (
     DenominatorVanishes,
-    NotMinimal,
     NotSpacelike,
     ParamConstraintViolation,
     PhiOutOfRange,
@@ -27,10 +26,9 @@ from .fields import (
     diff_xy,
     diff_y,
     first_fundamental_form,
-    integrate_exact_form,
 )
 from .systems import ResidualReport, minimal_residual
-from .twin import default_tol, integrate_scaled
+from .twin import _interior_max, default_tol, integrate_scaled, require_residual
 
 PARAM_TOL = 1e-12
 
@@ -95,8 +93,20 @@ def _hessian(values: np.ndarray, dom: GridDomain):
     )
 
 
-def _interior_max(arr):
-    return float(np.abs(arr[1:-1, 1:-1]).max())
+def _lift_potentials(f: HeightMap, basepoint, tol):
+    """Minimality precondition and the potentials M, N of (E/w, F/w) and
+    (F/w, G/w), shared by the lift and the conformal chart.
+
+    Returns M, N, the metric of ``f`` and the residual scale that budgets
+    the closedness of every further lift field."""
+    res = minimal_residual(f)
+    require_residual(res, tol)
+    dom = f.domain
+    metric = first_fundamental_form(f, "euclidean")
+    E, F, G, w = metric.E, metric.F, metric.G, metric.omega
+    M = integrate_scaled(E / w, F / w, dom, basepoint, tol, res.scale).potential
+    N = integrate_scaled(F / w, G / w, dom, basepoint, tol, res.scale).potential
+    return M, N, metric, res.scale
 
 
 def sl_lift(f: HeightMap, basepoint=(0, 0), tol: float | None = None) -> SLLift:
@@ -104,19 +114,9 @@ def sl_lift(f: HeightMap, basepoint=(0, 0), tol: float | None = None) -> SLLift:
     and the unimodular-Hessian potential h."""
     if tol is None:
         tol = default_tol(f.domain)
-    res = minimal_residual(f)
-    if res.max_abs("scaled") > tol:
-        raise NotMinimal(
-            f"scaled minimal residual {res.max_abs('scaled'):.3e} > tol {tol:.3e}"
-        )
     dom = f.domain
-    metric = first_fundamental_form(f, "euclidean")
-    E, F, G, w = metric.E, metric.F, metric.G, metric.omega
-    M = integrate_scaled(E / w, F / w, dom, basepoint, tol, res.scale).potential
-    N = integrate_scaled(F / w, G / w, dom, basepoint, tol, res.scale).potential
-    h = integrate_scaled(
-        M.values, N.values, dom, basepoint, tol, res.scale
-    ).potential
+    M, N, _, scale = _lift_potentials(f, basepoint, tol)
+    h = integrate_scaled(M.values, N.values, dom, basepoint, tol, scale).potential
 
     Mx, My = diff_x(M.values, dom.dx), diff_y(M.values, dom.dy)
     Nx, Ny = diff_x(N.values, dom.dx), diff_y(N.values, dom.dy)
@@ -145,40 +145,43 @@ def graph_rotate(F: ScalarField, params: SLParams, mode: str = "standard") -> Sc
     return ScalarField(F.domain, h)
 
 
-def sl_residual(h: ScalarField, theta: float) -> ResidualReport:
-    """cos(theta)(h_xx + h_yy) + sin(theta)(1 - h_xx h_yy + h_xy^2)."""
-    dom = h.domain
-    hxx, hxy, hyy = _hessian(h.values, dom)
-    res = np.cos(theta) * (hxx + hyy) + np.sin(theta) * (
-        1.0 - hxx * hyy + hxy * hxy
-    )
+def _sl_terms(h: ScalarField, signature):
+    """Hessian of h, its trace and 1 - s h_xx h_yy + s h_xy^2 with s = +1
+    (euclidean) or -1 (split)."""
+    if signature not in ("euclidean", "split"):
+        raise ValidationError(f"unknown mode {signature!r}")
+    s = 1.0 if signature == "euclidean" else -1.0
+    hxx, hxy, hyy = _hessian(h.values, h.domain)
+    return hxx, hxy, hyy, hxx + hyy, 1.0 - s * hxx * hyy + s * hxy * hxy
+
+
+def _sl_residual(h: ScalarField, theta: float, signature) -> ResidualReport:
+    hxx, hxy, hyy, trace, det = _sl_terms(h, signature)
+    if signature == "euclidean":
+        c, s, op = np.cos(theta), np.sin(theta), "sl_residual"
+    else:
+        space = det**2 - trace**2
+        if space[1:-1, 1:-1].min() <= 0:
+            raise NotSpacelike(
+                "split spacelike condition fails", nodes=np.argwhere(space <= 0)
+            )
+        c, s, op = np.cosh(theta), np.sinh(theta), "split_sl_residual"
+    res = c * trace + s * det
     scale = np.maximum(
         1.0, np.maximum(np.abs(hxx), np.maximum(np.abs(hxy), np.abs(hyy)))
     ) ** 2
-    return ResidualReport("sl_residual", "euclidean", [res], scale, dom, "raw")
+    return ResidualReport(op, signature, [res], scale, h.domain, "raw")
 
 
-def _split_spacelike(hxx, hxy, hyy):
-    return (1.0 + hxx * hyy - hxy * hxy) ** 2 - (hxx + hyy) ** 2
+def sl_residual(h: ScalarField, theta: float) -> ResidualReport:
+    """cos(theta)(h_xx + h_yy) + sin(theta)(1 - h_xx h_yy + h_xy^2)."""
+    return _sl_residual(h, theta, "euclidean")
 
 
 def split_sl_residual(h: ScalarField, theta: float) -> ResidualReport:
-    """cosh(theta)(h_xx + h_yy) + sinh(theta)(1 + h_xx h_yy - h_xy^2)."""
-    dom = h.domain
-    hxx, hxy, hyy = _hessian(h.values, dom)
-    space = _split_spacelike(hxx, hxy, hyy)[1:-1, 1:-1]
-    if space.min() <= 0:
-        raise NotSpacelike(
-            "split spacelike condition fails",
-            nodes=np.argwhere(_split_spacelike(hxx, hxy, hyy) <= 0),
-        )
-    res = np.cosh(theta) * (hxx + hyy) + np.sinh(theta) * (
-        1.0 + hxx * hyy - hxy * hxy
-    )
-    scale = np.maximum(
-        1.0, np.maximum(np.abs(hxx), np.maximum(np.abs(hxy), np.abs(hyy)))
-    ) ** 2
-    return ResidualReport("split_sl_residual", "split", [res], scale, dom, "raw")
+    """cosh(theta)(h_xx + h_yy) + sinh(theta)(1 + h_xx h_yy - h_xy^2);
+    raises NOT_SPACELIKE where (1 + det)^2 <= trace^2 in the interior."""
+    return _sl_residual(h, theta, "split")
 
 
 def detect_angle(h: ScalarField, mode: str = "euclidean"):
@@ -196,12 +199,10 @@ def detect_angle(h: ScalarField, mode: str = "euclidean"):
     spread mod pi.  theta = pi/2 (not -pi/2) is the reported representative
     for lifted potentials.
     """
-    dom = h.domain
-    hxx, hxy, hyy = _hessian(h.values, dom)
+    _, _, _, trace, den = _sl_terms(h, mode)
     sl = slice(1, -1)
-    trace = (hxx + hyy)[sl, sl]
+    trace, den = trace[sl, sl], den[sl, sl]
     if mode == "split":
-        den = (1.0 + hxx * hyy - hxy * hxy)[sl, sl]
         if np.abs(den).min() < 1e-8:
             raise DenominatorVanishes("1 + det D^2 h vanishes on the grid")
         phi = trace / den
@@ -209,9 +210,6 @@ def detect_angle(h: ScalarField, mode: str = "euclidean"):
             raise PhiOutOfRange("|phi| >= 1 somewhere", nodes=np.argwhere(np.abs(phi) >= 1))
         mean = float(phi.mean())
         return -float(np.arctanh(mean)), float(np.abs(phi - mean).max())
-    if mode != "euclidean":
-        raise ValidationError(f"unknown mode {mode!r}")
-    den = (1.0 - hxx * hyy + hxy * hxy)[sl, sl]
     vec = np.hypot(trace, den)
     if vec.min() < 1e-8:
         raise DenominatorVanishes("(trace, 1 - det) vanishes on the grid")

@@ -110,9 +110,11 @@ def _picard(domain, boundary, options, initial, signature):
     """Picard iteration shared by both systems.
 
     Each step moves toward the frozen-coefficient solution, halving the
-    step until the discriminant E G - F^2 stays above `floor`.  Only the
-    split signature can fail that test; for it the floor is
-    `spacelike_margin` times the discriminant of the initial guess.
+    step until the spacelike margin stays above `floor`.  The margin is
+    the smallest discriminant E G - F^2, counted as at most 0 at nodes
+    outside the metric's mask (E <= 0: a negative-definite metric is not
+    spacelike).  Only the split signature can fail that test; for it the
+    floor is `spacelike_margin` times the margin of the initial guess.
     """
     opts = options or SolveOptions()
     if opts.max_outer < 1:
@@ -130,12 +132,13 @@ def _picard(domain, boundary, options, initial, signature):
 
     def metric(comps):
         met = first_fundamental_form(HeightMap(domain, comps), signature)
-        return met, float(np.min(met.E * met.G - met.F**2))
+        disc = met.E * met.G - met.F**2
+        return met, float(np.min(np.where(met.mask, disc, np.minimum(disc, 0.0))))
 
     met, m0 = metric(us)
     if m0 <= 0.0:
         raise SpacelikeUnreachable(
-            f"initial guess is not spacelike (min discriminant {m0:.3e})"
+            f"initial guess is not spacelike (spacelike margin {m0:.3e})"
         )
     floor = opts.spacelike_margin * m0 if signature == "split" else 0.0
 

@@ -100,42 +100,36 @@ def _residual_scale(metric: MetricData, seconds):
     return np.maximum(np.abs(metric.E + metric.G), 1e-12) * m
 
 
-def minimal_residual(f: HeightMap, normalization="scaled") -> ResidualReport:
-    """G f_xx - 2 F f_xy + E f_yy per component."""
-    metric = first_fundamental_form(f, "euclidean")
-    seconds = [_second_derivatives(f, k) for k in range(f.n)]
+def _quasilinear_residual(h: HeightMap, signature, normalization) -> ResidualReport:
+    """G h_xx - 2 F h_xy + E h_yy per component, with the coefficients of
+    ``signature``; nodes outside the metric's mask (only split data can
+    have any) are left out of the aggregates instead of raising."""
+    metric = first_fundamental_form(h, signature)
+    seconds = [_second_derivatives(h, k) for k in range(h.n)]
     fields = [
-        metric.G * fxx - 2.0 * metric.F * fxy + metric.E * fyy
-        for fxx, fxy, fyy in seconds
+        metric.G * hxx - 2.0 * metric.F * hxy + metric.E * hyy
+        for hxx, hxy, hyy in seconds
     ]
     return ResidualReport(
-        "minimal_residual",
-        "euclidean",
+        "minimal_residual" if signature == "euclidean" else "maximal_residual",
+        signature,
         fields,
         _residual_scale(metric, seconds),
-        f.domain,
+        h.domain,
         normalization,
+        mask=metric.mask,
     )
+
+
+def minimal_residual(f: HeightMap, normalization="scaled") -> ResidualReport:
+    """G f_xx - 2 F f_xy + E f_yy per component."""
+    return _quasilinear_residual(f, "euclidean", normalization)
 
 
 def maximal_residual(g: HeightMap, normalization="scaled") -> ResidualReport:
     """Hatted quasilinear form; non-spacelike nodes are masked out of the
     aggregates instead of raising."""
-    metric = first_fundamental_form(g, "split")
-    seconds = [_second_derivatives(g, k) for k in range(g.n)]
-    fields = [
-        metric.G * gxx - 2.0 * metric.F * gxy + metric.E * gyy
-        for gxx, gxy, gyy in seconds
-    ]
-    return ResidualReport(
-        "maximal_residual",
-        "split",
-        fields,
-        _residual_scale(metric, seconds),
-        g.domain,
-        normalization,
-        mask=metric.mask,
-    )
+    return _quasilinear_residual(g, "split", normalization)
 
 
 def divergence_residual(f: HeightMap, normalization="scaled") -> ResidualReport:

@@ -1,14 +1,16 @@
 """Twin correspondence between minimal graphs in R^{n+2} and maximal
 graphs in R^{n+2}_n with the same positive area-angle.
 
-Forward direction: for each height component f_k with (a_k, b_k) =
-(df_k/dx, df_k/dy) the twin gradient
+For each height component h_k with (a_k, b_k) = (dh_k/dx, dh_k/dy) the
+twin gradient on a euclidean source is
 
-    (dg_k/dx, dg_k/dy) = (-(E/w) b_k + (F/w) a_k, (G/w) a_k - (F/w) b_k)
+    (dg_k/dx, dg_k/dy) = (-(E/w) b_k + (F/w) a_k, (G/w) a_k - (F/w) b_k),
 
-is a closed 1-form exactly when the minimal surface system holds in
-divergence form; it is integrated to g_k anchored at the basepoint.
-The backward direction inverts with the hatted coefficients.
+a closed 1-form exactly when the minimal surface system holds in
+divergence form; it is integrated to g_k anchored at the basepoint.  The
+backward direction is the same relation read with the hatted (split)
+coefficients and the opposite sign, so one routine, parameterised by the
+signature of its source, serves both directions and their involution.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AreaAngleViolation, NotClosed, NotMinimal, NotSpacelike
+from .errors import (
+    AreaAngleViolation,
+    NotClosed,
+    NotMinimal,
+    NotSpacelike,
+    ValidationError,
+)
 from .fields import (
     HeightMap,
-    JacobianData,
     MetricData,
     ScalarField,
+    closedness_residual_field,
     first_fundamental_form,
     integrate_exact_form,
     jacobian_data,
@@ -57,53 +65,48 @@ class TwinDiagnostics:
 class TwinPair:
     f: HeightMap
     g: HeightMap
-    metric_f: MetricData
-    metric_g: MetricData
-    jac_f: JacobianData
-    jac_g: JacobianData
     diagnostics: TwinDiagnostics
     basepoint: tuple
     tol: float
 
 
-def _twin_gradient_forward(f: HeightMap, metric: MetricData, k: int):
+def _twin_gradient(h: HeightMap, metric: MetricData, k: int):
+    """Twin gradient of component k; the split (backward) relation is the
+    euclidean one negated.  The sign multiplies each product, which keeps
+    the rounding of both directions exact, signed zeros included."""
     E, F, G, w = metric.E, metric.F, metric.G, metric.omega
-    a, b = f.alpha(k), f.beta(k)
-    return (-(E / w) * b + (F / w) * a, (G / w) * a - (F / w) * b)
-
-
-def _twin_gradient_backward(g: HeightMap, metric: MetricData, k: int):
-    E, F, G, w = metric.E, metric.F, metric.G, metric.omega
-    a, b = g.alpha(k), g.beta(k)
-    return ((E / w) * b - (F / w) * a, -(G / w) * a + (F / w) * b)
+    a, b = h.alpha(k), h.beta(k)
+    s = -1.0 if metric.signature == "euclidean" else 1.0
+    return (s * (E / w) * b - s * (F / w) * a, s * (F / w) * b - s * (G / w) * a)
 
 
 def _interior_max(arr):
     return float(np.abs(arr[1:-1, 1:-1]).max())
 
 
-def check_closed_scaled(P, Q, domain, tol, scale):
-    """Closedness guard in scaled form: for twin/lift gradient fields the
-    closedness defect is the surface system in divergence form, so it is
-    budgeted with the same nodewise scale as the residual evaluators."""
-    from .fields import closedness_residual_field
-
-    res = closedness_residual_field(P, Q, domain) / scale
-    worst = _interior_max(res)
+def require_residual(res, tol):
+    """Residual precondition: NOT_MINIMAL when the scaled residual of the
+    minimal (or maximal) system exceeds ``tol``."""
+    worst = res.max_abs("scaled")
     if worst > tol:
-        raise NotClosed(
-            f"scaled closedness residual {worst:.3e} > tol {tol:.3e}"
-        )
+        kind = res.op.split("_")[0]
+        raise NotMinimal(f"scaled {kind} residual {worst:.3e} > tol {tol:.3e}")
 
 
 def integrate_scaled(P, Q, domain, basepoint, tol, scale):
-    check_closed_scaled(P, Q, domain, tol, scale)
+    """Potential of P dx + Q dy behind a closedness guard in scaled form:
+    for twin/lift gradient fields the closedness defect is the surface
+    system in divergence form, so it is budgeted with the same nodewise
+    scale as the residual evaluators."""
+    worst = _interior_max(closedness_residual_field(P, Q, domain) / scale)
+    if worst > tol:
+        raise NotClosed(f"scaled closedness residual {worst:.3e} > tol {tol:.3e}")
     return integrate_exact_form(
-        ScalarField(domain, P), ScalarField(domain, Q), basepoint, tol=None
+        ScalarField(domain, P), ScalarField(domain, Q), basepoint
     )
 
 
-def _diagnostics(f, g, metric_f, metric_g, jac_f, jac_g):
+def _diagnostics(metric_f, metric_g, jac_f, jac_g):
     wf, wg = metric_f.omega, metric_g.omega
     c2 = 0.0
     for key in jac_f.pairs:
@@ -128,131 +131,94 @@ def _anchored_difference(a: HeightMap, b: HeightMap, basepoint):
     return out
 
 
-def twin_forward(
-    f: HeightMap,
-    basepoint: tuple = (0, 0),
-    tol: float | None = None,
-    _with_involution: bool = True,
-) -> TwinPair:
-    """Build the twin maximal graph of the minimal graph ``f``."""
+def _twin(src: HeightMap, signature, basepoint, tol, with_involution) -> TwinPair:
+    """Twin of ``src``: its maximal twin when ``signature`` is euclidean,
+    the minimal graph it is the twin of when split."""
     if tol is None:
-        tol = default_tol(f.domain)
-    res = minimal_residual(f)
-    jac_f = jacobian_data(f)
-    if not jac_f.has_positive_area_angle:
-        raise AreaAngleViolation("||J|| >= 1", nodes=jac_f.violations)
-    metric_f = first_fundamental_form(f, "euclidean")
+        tol = default_tol(src.domain)
+    dom = src.domain
+    minimal = signature == "euclidean"
+    metric_src = first_fundamental_form(src, signature)
+    if not metric_src.mask.all():
+        raise NotSpacelike("input not spacelike", nodes=metric_src.invalid_nodes)
+    jac_src = jacobian_data(src)
+    if not jac_src.has_positive_area_angle:
+        raise AreaAngleViolation("||J|| >= 1", nodes=jac_src.violations)
+    res = minimal_residual(src) if minimal else maximal_residual(src)
 
     # closedness of the twin gradient fields is the primary garbage-in
-    # guard (it is the minimal system in divergence form), so it is
-    # checked before the residual precondition
-    twin_grads = [_twin_gradient_forward(f, metric_f, k) for k in range(f.n)]
-    for P, Q in twin_grads:
-        check_closed_scaled(P, Q, f.domain, tol, res.scale)
-    if res.max_abs("scaled") > tol:
-        raise NotMinimal(
-            f"scaled minimal residual {res.max_abs('scaled'):.3e} > tol {tol:.3e}"
-        )
-
-    comps, grads, c1 = [], [], 0.0
-    for k in range(f.n):
-        P, Q = twin_grads[k]
-        pot = integrate_scaled(P, Q, f.domain, basepoint, tol, res.scale)
-        comps.append(pot.potential.values)
-        grads.append((P, Q))
+    # guard (it is the surface system in divergence form), so it is
+    # checked, by the integration, before the residual precondition
+    grads = [_twin_gradient(src, metric_src, k) for k in range(src.n)]
+    comps = [
+        integrate_scaled(P, Q, dom, basepoint, tol, res.scale).potential.values
+        for P, Q in grads
+    ]
+    require_residual(res, tol)
     # diagnostics are computed from the raw node values (finite-difference
     # gradients), so the identities are checked honestly ...
-    g_raw = HeightMap(f.domain, comps)
-    for k in range(f.n):
+    out_raw = HeightMap(dom, comps)
+    c1 = 0.0
+    for k, (P, Q) in enumerate(grads):
         c1 = max(
             c1,
-            _interior_max(g_raw.alpha(k) - grads[k][0]),
-            _interior_max(g_raw.beta(k) - grads[k][1]),
+            _interior_max(out_raw.alpha(k) - P),
+            _interior_max(out_raw.beta(k) - Q),
         )
-
-    metric_g = first_fundamental_form(g_raw, "split")
-    if not metric_g.mask.all():
-        raise NotSpacelike(
-            "twin output not spacelike", nodes=metric_g.invalid_nodes
-        )
-    jac_g = jacobian_data(g_raw)
-    c2, c3, c4 = _diagnostics(f, g_raw, metric_f, metric_g, jac_f, jac_g)
+    metric_out = first_fundamental_form(out_raw, "split" if minimal else "euclidean")
+    if not metric_out.mask.all():
+        raise NotSpacelike("twin output not spacelike", nodes=metric_out.invalid_nodes)
+    jac_out = jacobian_data(out_raw)
+    if minimal:
+        c2, c3, c4 = _diagnostics(metric_src, metric_out, jac_src, jac_out)
+    else:
+        c2, c3, c4 = _diagnostics(metric_out, metric_src, jac_out, jac_src)
 
     # ... but the returned map carries the twin-relation gradients, which
-    # define g exactly; re-differencing the integrated values would stack
-    # one-sided stencils twice near the boundary
-    g = HeightMap(f.domain, comps, grads)
+    # define the twin exactly; re-differencing the integrated values would
+    # stack one-sided stencils twice near the boundary
+    out = HeightMap(dom, comps, grads)
 
     inv = float("nan")
-    if _with_involution:
-        back = twin_backward(g, basepoint, tol=tol, _with_involution=False)
-        inv = _anchored_difference(f, back.f, basepoint)
+    if with_involution:
+        back = _twin(out, metric_out.signature, basepoint, tol, False)
+        inv = _anchored_difference(src, back.f if minimal else back.g, basepoint)
 
     diag = TwinDiagnostics(c1, c2, c3, c4, inv)
-    return TwinPair(f, g, metric_f, metric_g, jac_f, jac_g, diag, basepoint, tol)
+    f, g = (src, out) if minimal else (out, src)
+    return TwinPair(f, g, diag, basepoint, tol)
+
+
+def twin_forward(
+    f: HeightMap, basepoint: tuple = (0, 0), tol: float | None = None
+) -> TwinPair:
+    """Build the twin maximal graph of the minimal graph ``f``."""
+    return _twin(f, "euclidean", basepoint, tol, True)
 
 
 def twin_backward(
-    g: HeightMap,
-    basepoint: tuple = (0, 0),
-    tol: float | None = None,
-    _with_involution: bool = True,
+    g: HeightMap, basepoint: tuple = (0, 0), tol: float | None = None
 ) -> TwinPair:
     """Recover the minimal graph whose twin is the maximal graph ``g``."""
-    if tol is None:
-        tol = default_tol(g.domain)
-    metric_g = first_fundamental_form(g, "split")
-    if not metric_g.mask.all():
-        raise NotSpacelike("input not spacelike", nodes=metric_g.invalid_nodes)
-    res = maximal_residual(g)
-    if res.max_abs("scaled") > tol:
-        raise NotMinimal(
-            f"scaled maximal residual {res.max_abs('scaled'):.3e} > tol {tol:.3e}"
-        )
-    jac_g = jacobian_data(g)
-    if not jac_g.has_positive_area_angle:
-        raise AreaAngleViolation("||J|| >= 1", nodes=jac_g.violations)
-
-    comps, grads, c1 = [], [], 0.0
-    for k in range(g.n):
-        P, Q = _twin_gradient_backward(g, metric_g, k)
-        pot = integrate_scaled(P, Q, g.domain, basepoint, tol, res.scale)
-        comps.append(pot.potential.values)
-        grads.append((P, Q))
-    f_raw = HeightMap(g.domain, comps)
-    for k in range(g.n):
-        c1 = max(
-            c1,
-            _interior_max(f_raw.alpha(k) - grads[k][0]),
-            _interior_max(f_raw.beta(k) - grads[k][1]),
-        )
-
-    metric_f = first_fundamental_form(f_raw, "euclidean")
-    jac_f = jacobian_data(f_raw)
-    c2, c3, c4 = _diagnostics(f_raw, g, metric_f, metric_g, jac_f, jac_g)
-    f = HeightMap(g.domain, comps, grads)
-
-    inv = float("nan")
-    if _with_involution:
-        fwd = twin_forward(f, basepoint, tol=tol, _with_involution=False)
-        inv = _anchored_difference(g, fwd.g, basepoint)
-
-    diag = TwinDiagnostics(c1, c2, c3, c4, inv)
-    return TwinPair(f, g, metric_f, metric_g, jac_f, jac_g, diag, basepoint, tol)
+    return _twin(g, "split", basepoint, tol, True)
 
 
 def verify_twin(pair: TwinPair) -> TwinDiagnostics:
     """Recompute every diagnostic from the raw node values of the pair."""
     f = HeightMap(pair.f.domain, pair.f.components)
     g = HeightMap(pair.g.domain, pair.g.components)
+    if f.domain != g.domain or f.n != g.n:
+        raise ValidationError(
+            f"twin sides differ: {f.n} component(s) on {f.domain} "
+            f"and {g.n} on {g.domain}"
+        )
     metric_f = first_fundamental_form(f, "euclidean")
     metric_g = first_fundamental_form(g, "split")
-    jac_f, jac_g = jacobian_data(f), jacobian_data(g)
     c1 = 0.0
     for k in range(f.n):
-        P, Q = _twin_gradient_forward(f, metric_f, k)
+        P, Q = _twin_gradient(f, metric_f, k)
         c1 = max(c1, _interior_max(g.alpha(k) - P), _interior_max(g.beta(k) - Q))
-    c2, c3, c4 = _diagnostics(f, g, metric_f, metric_g, jac_f, jac_g)
-    back = twin_backward(g, pair.basepoint, tol=pair.tol, _with_involution=False)
+    c2, c3, c4 = _diagnostics(metric_f, metric_g, jacobian_data(f), jacobian_data(g))
+    back = _twin(g, "split", pair.basepoint, pair.tol, False)
     inv = _anchored_difference(f, back.f, pair.basepoint)
     return TwinDiagnostics(c1, c2, c3, c4, inv)

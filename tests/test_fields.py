@@ -100,6 +100,15 @@ def test_split_metric_masks_non_spacelike(square_domain):
     assert len(m.invalid_nodes) == square_domain.nx * square_domain.ny
 
 
+def test_split_metric_masks_negative_definite(square_domain):
+    # (2x, 2y): E = G = -3 and F = 0, a positive discriminant (9) but no
+    # spacelike node
+    X, Y = square_domain.meshgrid()
+    m = first_fundamental_form(HeightMap(square_domain, [2.0 * X, 2.0 * Y]), "split")
+    assert np.all(m.E * m.G - m.F**2 > 0)
+    assert not m.mask.any()
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_lagrange_identity(seed):

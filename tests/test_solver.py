@@ -52,6 +52,15 @@ def test_maximal_affine_boundary():
     assert np.abs(res.surface.components[0] - exact).max() < 1e-8
 
 
+def test_maximal_rejects_negative_definite_boundary():
+    # boundary data (2x, 2y) has E = G = -3 with discriminant 9: the
+    # transfinite guess is negative definite, not spacelike
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
+    X, Y = dom.meshgrid()
+    with pytest.raises(SpacelikeUnreachable):
+        solve_maximal(dom, [2.0 * X, 2.0 * Y])
+
+
 def test_maximal_twin_of_catenoid():
     pair = twin_forward(surface("catenoid", 65, 33))
     g = pair.g

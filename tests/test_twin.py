@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from twinsurf.errors import AreaAngleViolation, NotClosed, NotSpacelike
+from twinsurf.errors import AreaAngleViolation, NotClosed, NotSpacelike, ValidationError
 from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
-from twinsurf.twin import default_tol, twin_backward, twin_forward, verify_twin
+from twinsurf.twin import TwinPair, default_tol, twin_backward, twin_forward, verify_twin
 
 from conftest import surface
 
@@ -67,11 +67,18 @@ def test_verify_twin_recomputes_from_node_values():
     assert max(d.c2_residual, d.c3_residual, d.c4_residual) <= tol
 
 
-def test_non_closed_input_rejected():
+@pytest.mark.parametrize(
+    "build, amplitude",
+    [(twin_forward, 1.0), (twin_backward, 0.3)],
+    ids=["forward", "backward"],
+)
+def test_non_closed_input_rejected(build, amplitude):
+    # both directions check closedness before the residual precondition,
+    # so an input that fails both is reported as NOT_CLOSED either way
     dom = GridDomain.from_bounds(-0.5, -0.5, 0.5, 0.5, 33, 33)
     X, _ = dom.meshgrid()
     with pytest.raises(NotClosed):
-        twin_forward(HeightMap(dom, [X**3]))
+        build(HeightMap(dom, [amplitude * X**3]))
 
 
 def test_unit_area_angle_rejected():
@@ -88,6 +95,25 @@ def test_backward_rejects_non_spacelike():
     X, _ = dom.meshgrid()
     with pytest.raises(NotSpacelike):
         twin_backward(HeightMap(dom, [2.0 * X]))
+
+
+def test_backward_rejects_negative_definite_metric():
+    # (2x, 2y): E = G = -3, F = 0, so E G - F^2 = 9 > 0 but the hatted
+    # metric is negative definite, not spacelike
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
+    X, Y = dom.meshgrid()
+    with pytest.raises(NotSpacelike):
+        twin_backward(HeightMap(dom, [2.0 * X, 2.0 * Y]))
+
+
+def test_verify_twin_rejects_mismatched_sides():
+    coarse = twin_forward(surface("catenoid", 17, 17))
+    fine = twin_forward(surface("catenoid", 33, 33))
+    with pytest.raises(ValidationError):
+        verify_twin(TwinPair(coarse.f, fine.g, None, (0, 0), coarse.tol))
+    two = HeightMap(coarse.g.domain, coarse.g.components * 2)
+    with pytest.raises(ValidationError):
+        verify_twin(TwinPair(coarse.f, two, None, (0, 0), coarse.tol))
 
 
 def test_holomorphic_twin_is_exact():
