@@ -114,7 +114,7 @@ def _cmd_twin(args):
             write_heightmap(args.out, pair.f)
     else:  # verify: recompute diagnostics from two saved sides
         f = read_heightmap(args.inp)
-        tol = args.tol or twin.default_tol(f.domain)
+        tol = args.tol if args.tol is not None else twin.default_tol(f.domain)
         pair = twin.TwinPair(f, read_heightmap(args.twin), None, bp, tol)
         _emit(twin.verify_twin(pair).to_report(), args.report)
         return 0

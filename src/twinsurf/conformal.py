@@ -4,7 +4,8 @@ xi-grid, holomorphic null curves, and the Weierstrass twin relation.
 The transformation is Psi(x, y) = (x + M, y + N) with M, N integrated from
 (E/w, F/w) and (F/w, G/w); its Jacobian 2 + (E+G)/w exceeds 2.  Resampled
 quantities only carry first-order accuracy: bilinear interpolation plus
-Newton inversion each cost one order.
+Newton inversion each cost one order.  The Weierstrass check inverts the
+chart once and resamples both twin sides from the same cell weights.
 """
 
 from __future__ import annotations
@@ -78,23 +79,27 @@ def build_chart(
     )
 
 
-def _bilinear(values: np.ndarray, dom: GridDomain, x: np.ndarray, y: np.ndarray):
-    """Bilinear interpolation at points (x, y), clamped to the grid."""
+def _cell(dom: GridDomain, x: np.ndarray, y: np.ndarray):
+    """Flat lower-left node index and weights tx, ty, 1-tx, 1-ty of the
+    cell holding each point (x, y), clamped to the grid."""
     fx = np.clip((x - dom.x0) / dom.dx, 0.0, dom.nx - 1.000001)
     fy = np.clip((y - dom.y0) / dom.dy, 0.0, dom.ny - 1.000001)
     i0 = fx.astype(int)
     j0 = fy.astype(int)
     tx = fx - i0
     ty = fy - j0
-    v00 = values[j0, i0]
-    v01 = values[j0, i0 + 1]
-    v10 = values[j0 + 1, i0]
-    v11 = values[j0 + 1, i0 + 1]
+    return j0 * dom.nx + i0, tx, ty, 1 - tx, 1 - ty
+
+
+def _bilinear(values: np.ndarray, cell):
+    """Bilinear interpolation of node ``values`` on a cell from ``_cell``."""
+    k, tx, ty, ux, uy = cell
+    v, nx = values.ravel(), values.shape[1]
     return (
-        v00 * (1 - tx) * (1 - ty)
-        + v01 * tx * (1 - ty)
-        + v10 * (1 - tx) * ty
-        + v11 * tx * ty
+        v.take(k) * ux * uy
+        + v.take(k + 1) * tx * uy
+        + v.take(k + nx) * ux * ty
+        + v.take(k + nx + 1) * tx * ty
     )
 
 
@@ -139,14 +144,15 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
 
     tol = 1e-12
     for _ in range(50):
-        r1 = x + _bilinear(chart.M.values, dom, x, y) - t1
-        r2 = y + _bilinear(chart.N.values, dom, x, y) - t2
+        cell = _cell(dom, x, y)
+        r1 = x + _bilinear(chart.M.values, cell) - t1
+        r2 = y + _bilinear(chart.N.values, cell) - t2
         rnorm = np.hypot(r1, r2)
         if rnorm.max() <= tol:
             break
-        a = 1.0 + _bilinear(Ew, dom, x, y)
-        b = _bilinear(Fw, dom, x, y)
-        d = 1.0 + _bilinear(Gw, dom, x, y)
+        a = 1.0 + _bilinear(Ew, cell)
+        b = _bilinear(Fw, cell)
+        d = 1.0 + _bilinear(Gw, cell)
         det = a * d - b * b
         sx = (d * r1 - b * r2) / det
         sy = (-b * r1 + a * r2) / det
@@ -154,16 +160,18 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
         lam = np.ones_like(x)
         for _damp in range(20):
             xn, yn = x - lam * sx, y - lam * sy
-            r1n = xn + _bilinear(chart.M.values, dom, xn, yn) - t1
-            r2n = yn + _bilinear(chart.N.values, dom, xn, yn) - t2
+            cell = _cell(dom, xn, yn)
+            r1n = xn + _bilinear(chart.M.values, cell) - t1
+            r2n = yn + _bilinear(chart.N.values, cell) - t2
             bad = np.hypot(r1n, r2n) > rnorm
             if not bad.any():
                 break
             lam = np.where(bad, lam / 2.0, lam)
         x, y = x - lam * sx, y - lam * sy
     else:
-        r1 = x + _bilinear(chart.M.values, dom, x, y) - t1
-        r2 = y + _bilinear(chart.N.values, dom, x, y) - t2
+        cell = _cell(dom, x, y)
+        r1 = x + _bilinear(chart.M.values, cell) - t1
+        r2 = y + _bilinear(chart.N.values, cell) - t2
         if np.hypot(r1, r2).max() > 1e-9:
             raise NewtonDiverged(
                 f"max residual {np.hypot(r1, r2).max():.3e} after 50 iterations"
@@ -188,7 +196,12 @@ def resample_to_chart(
     The output height map has n+2 components: ambient x(xi), y(xi) first,
     then the components of ``h`` evaluated at the preimage (bilinear).
     """
-    if h.domain != chart.source.domain:
+    return _resample(chart, [h], target)[0]
+
+
+def _resample(chart: ConformalChart, maps: list, target: GridDomain | None):
+    """``resample_to_chart`` of each of ``maps`` from one chart inversion."""
+    if any(h.domain != chart.source.domain for h in maps):
         raise ValidationError("height map and chart must share the source grid")
     if target is None:
         target = default_target_grid(chart)
@@ -202,10 +215,9 @@ def resample_to_chart(
         ):
             raise TargetOutsideImage("requested xi-rectangle leaves the safe image")
     x, y = _invert_chart(chart, target)
-    dom = chart.source.domain
-    comps = [x, y]
-    comps.extend(_bilinear(c, dom, x, y) for c in h.components)
-    return HeightMap(target, comps)
+    cell = _cell(chart.source.domain, x, y)
+    comps = [[x, y] + [_bilinear(c, cell) for c in h.components] for h in maps]
+    return [HeightMap(target, c) for c in comps]
 
 
 def null_curve(X: HeightMap, signature: str = "euclidean") -> NullCurveField:
@@ -235,8 +247,7 @@ def verify_weierstrass_twin(
 ) -> dict:
     """Residuals of phi_1 = phihat_1, phi_2 = phihat_2 and
     phihat_{k+2} = -i phi_{k+2} on a shared xi-grid."""
-    Xf = resample_to_chart(chart, pair.f, target)
-    Xg = resample_to_chart(chart, pair.g, Xf.domain)
+    Xf, Xg = _resample(chart, [pair.f, pair.g], target)
     nf = null_curve(Xf, "euclidean")
     ng = null_curve(Xg, "split")
     sl = slice(1, -1)

@@ -150,6 +150,11 @@ def planarity_score(g: ProjectivePointField, max_nodes: int = 4096) -> float:
     All node pairs when the grid has at most ``max_nodes`` nodes; otherwise
     a fixed-seed subsample of ``max_nodes`` nodes (all pairs among them),
     deterministic across runs and thread counts.
+
+    A BLAS Gram pass gives each row p its largest 1 - |<p,q>|^2; only rows
+    within 1e-12 of the overall largest get the exact rejection form below.
+    Both forms round to ~1e-15, so the extreme row is always among them.
+    On a (near-)constant map every row is, and all pairs are refined.
     """
     z = g.stack().reshape(-1, g.n_plus_2)
     if z.shape[0] > max_nodes:
@@ -157,15 +162,23 @@ def planarity_score(g: ProjectivePointField, max_nodes: int = 4096) -> float:
         idx = rng.choice(z.shape[0], size=max_nodes, replace=False)
         idx.sort()
         z = z[idx]
+    starts = range(0, z.shape[0], 512)
+    near = [np.abs(z[s : s + 512].conj() @ z.T).min(axis=1) for s in starts]
+    far = 1.0 - np.concatenate(near) ** 2
+    band = far >= far.max() - 1e-12
     worst = 0.0
     chunk = 128
     for start in range(0, z.shape[0], chunk):
+        rows = np.flatnonzero(band[start : start + chunk])
+        if rows.size == 0:
+            continue
         block = z[start : start + chunk]
-        inner = block.conj() @ z.T  # (chunk, m)
+        # the whole chunk's product, so each row rounds as in a full pass
+        inner = (block.conj() @ z.T)[rows]  # (rows, m)
         # sqrt(1 - |<p,q>|^2) == ||q - <p,q> p|| for unit vectors; the
         # rejection form stays accurate for nearly parallel points where
         # 1 - |<p,q>|^2 cancels catastrophically.
-        rej = z[None, :, :] - inner[:, :, None] * block[:, None, :]
+        rej = z[None, :, :] - inner[:, :, None] * block[rows, None, :]
         dist = np.linalg.norm(rej, axis=-1)
         worst = max(worst, float(dist.max()))
     return worst

@@ -192,3 +192,18 @@ def test_twin_verify_rejects_mismatched_grids(tmp_path, capsys):
     fine = _sample(str(tmp_path / "cat33.gf"), "33,33")
     assert run(["twin", "verify", "--in", coarse, "--twin", fine]) == 1
     assert "VALIDATION" in capsys.readouterr().err
+
+
+def test_twin_verify_honours_tol_zero(tmp_path, capsys):
+    # the holomorphic pair passes at the default tol; tol 0 must not fall
+    # back to it
+    path = str(tmp_path / "holo.gf")
+    twin_path = str(tmp_path / "holo_twin.gf")
+    args = ["catalog", "sample", "--name", "holomorphic", "--grid", "33,33"]
+    assert run(args + ["--out", path]) == 0
+    assert run(["twin", "forward", "--in", path, "--out", twin_path]) == 0
+    assert run(["twin", "verify", "--in", path, "--twin", twin_path]) == 0
+    capsys.readouterr()
+    code = run(["twin", "verify", "--in", path, "--twin", twin_path, "--tol", "0"])
+    assert code == 2
+    assert "tol 0.000e+00" in capsys.readouterr().err

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from twinsurf.conformal import (
+    _bilinear,
+    _cell,
     build_chart,
     default_target_grid,
     null_curve,
     resample_to_chart,
     verify_weierstrass_twin,
 )
-from twinsurf.errors import NotMinimal, ValidationError
+from twinsurf.errors import NotMinimal, TargetOutsideImage, ValidationError
 from twinsurf.fields import GridDomain, HeightMap
 from twinsurf.slag import sl_lift
-from twinsurf.twin import twin_forward
+from twinsurf.twin import TwinPair, default_tol, twin_forward
 
 from conftest import surface
 
@@ -131,3 +133,55 @@ def test_weierstrass_relation_on_holomorphic_pair():
     chart = build_chart(f)
     out = verify_weierstrass_twin(pair, chart)
     assert out["max_residual"] <= 0.02  # n = 2: four component relations
+
+
+def test_weierstrass_twin_matches_two_resamples():
+    f = surface("holomorphic", 65, 65)
+    pair = twin_forward(f)
+    chart = build_chart(f)
+    nf = null_curve(resample_to_chart(chart, pair.f), "euclidean")
+    ng = null_curve(resample_to_chart(chart, pair.g), "split")
+    sl = slice(1, -1)
+    r1 = float(np.abs((nf.phi[0] - ng.phi[0])[sl, sl]).max())
+    r2 = float(np.abs((nf.phi[1] - ng.phi[1])[sl, sl]).max())
+    r3 = max(
+        float(np.abs((ng.phi[k] + 1j * nf.phi[k])[sl, sl]).max())
+        for k in range(2, len(nf.phi))
+    )
+    assert verify_weierstrass_twin(pair, chart) == {
+        "phi1_residual": r1,
+        "phi2_residual": r2,
+        "height_residual": r3,
+        "max_residual": max(r1, r2, r3),
+        "holomorphy_residual_min_side": nf.holomorphy_residual,
+        "nullity_residual_min_side": nf.nullity_residual,
+        "nullity_residual_max_side": ng.nullity_residual,
+    }
+
+
+def test_weierstrass_twin_rejects_twin_on_other_grid():
+    f, chart = flat_chart(33)
+    g = HeightMap(GridDomain.from_bounds(0.0, 0.0, 1.0, 1.0, 17, 17), [np.zeros((17, 17))])
+    pair = TwinPair(f, g, None, (0, 0), default_tol(f.domain))
+    with pytest.raises(ValidationError):
+        verify_weierstrass_twin(pair, chart)
+
+
+def test_target_beyond_safe_image_rejected():
+    f = surface("catenoid", 33, 33)
+    chart = build_chart(f)
+    safe = default_target_grid(chart)
+    wide = GridDomain.from_bounds(safe.x0, safe.y0, safe.x1 + 0.1, safe.y1, 17, 17)
+    with pytest.raises(TargetOutsideImage):
+        resample_to_chart(chart, f, wide)
+
+
+def test_bilinear_exact_on_bilinear_functions():
+    dom = GridDomain.from_bounds(-1.0, 0.5, 2.0, 1.5, 31, 17)
+    X, Y = dom.meshgrid()
+    a, b, c, d = 0.3, -1.7, 2.2, 0.9
+    rng = np.random.default_rng(5)
+    x = rng.uniform(dom.x0, dom.x1, (40, 30))
+    y = rng.uniform(dom.y0, dom.y1, (40, 30))
+    v = _bilinear(a + b * X + c * Y + d * X * Y, _cell(dom, x, y))
+    assert np.abs(v - (a + b * x + c * y + d * x * y)).max() < 1e-13

@@ -4,6 +4,7 @@ import pytest
 from twinsurf.errors import DegenerateFit, NotUnimodular, ValidationError
 from twinsurf.fields import GridDomain, HeightMap, ScalarField
 from twinsurf.gauss import (
+    ProjectivePointField,
     gauss_map,
     gauss_map_alt,
     hyperplane_fit,
@@ -94,3 +95,43 @@ def test_component_indexing_is_one_based(square_domain):
     assert g.component(1) is g.components[0]
     with pytest.raises(ValidationError):
         hyperplane_fit(g, 0, 1)
+
+
+def _brute_planarity(z):
+    """Max of ||q - <p,q> p|| over all pairs of rows of z."""
+    worst = 0.0
+    for p in z:
+        rej = z - (z @ p.conj())[:, None] * p
+        worst = max(worst, float(np.linalg.norm(rej, axis=1).max()))
+    return worst
+
+
+def test_planarity_matches_brute_force_on_random_maps(square_domain):
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        g = gauss_map(random_heightmap(rng, square_domain, n=2, amplitude=0.8))
+        z = g.stack().reshape(-1, g.n_plus_2)
+        assert abs(planarity_score(g) - _brute_planarity(z)) <= 1e-15
+        # subsample path: planarity_score's fixed-seed node choice
+        idx = np.random.default_rng(2024).choice(z.shape[0], size=500, replace=False)
+        idx.sort()
+        assert abs(planarity_score(g, max_nodes=500) - _brute_planarity(z[idx])) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("eps", [1e-9, 1e-8])
+def test_planarity_of_nearly_constant_map_uses_rejection_form(square_domain, seed, eps):
+    # 1 - |<p,q>|^2 is quantised to ~1e-16 here, so the row holding the
+    # maximum need not hold the largest Gram value
+    rng = np.random.default_rng(seed)
+    shape = square_domain.shape
+    comps = [
+        c + eps * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for c in (1.0, 1j, 1.0, 1j)
+    ]
+    g = ProjectivePointField(square_domain, normalize_projective(comps))
+    z = g.stack().reshape(-1, 4)
+    ref = _brute_planarity(z)
+    gram = np.sqrt(np.max(1.0 - np.abs(z.conj() @ z.T) ** 2))
+    assert abs(gram - ref) > 1e-10  # the Gram form alone is off
+    assert abs(planarity_score(g) - ref) <= 1e-15
