@@ -1,32 +1,32 @@
 """Closed-form surfaces and potentials with analytic derivatives: the
 ground-truth corpus for the verification suite.
 
-Component expressions are written symbolically once; values, gradients and
-Hessians are lambdified from the same expression, so the analytic
-derivatives cannot drift from the evaluators.  Inverse hyperbolics are
-spelled as logarithms (arcosh x = log(x + sqrt(x^2 - 1)), arsinh x =
+Each family evaluates its components, their exact gradients and, where a
+closed form exists, its lift (M, N) in numpy; polynomial families
+differentiate coefficient vectors.  The tests compare every value, gradient
+and lift with a symbolic oracle.  Inverse hyperbolics are spelled as
+logarithms (arcosh x = log(x + sqrt(x^2 - 1)), arsinh x =
 log(x + sqrt(x^2 + 1))) for reproducible double-precision behavior.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
+from numpy.polynomial import polynomial as P
 
 from .errors import DomainNotAdmissible, ValidationError
 from .fields import GridDomain, HeightMap
 
-_x, _y = sp.symbols("x y", real=True)
-
 
 def _acosh(t):
-    return sp.log(t + sp.sqrt(t * t - 1))
+    return np.log(t + np.sqrt(t * t - 1))
 
 
 def _asinh(t):
-    return sp.log(t + sp.sqrt(t * t + 1))
+    return np.log(t + np.sqrt(t * t + 1))
 
 
 @dataclass
@@ -34,194 +34,204 @@ class CatalogEntry:
     name: str
     params: dict
     n: int
-    exprs: list  # sympy expressions in (x, y), one per component
     admissible: callable  # (X, Y) -> bool array
-    lift: tuple | None = None  # sympy (M, N) expressions, when a closed form exists
+    evaluate: callable  # (X, Y) -> (components, [(d/dx, d/dy), ...])
+    lift: callable | None = None  # (X, Y) -> (M, N), when a closed form exists
 
-    def __post_init__(self):
-        self._value = [sp.lambdify((_x, _y), e, "numpy") for e in self.exprs]
-        self._grad = [
-            (
-                sp.lambdify((_x, _y), sp.diff(e, _x), "numpy"),
-                sp.lambdify((_x, _y), sp.diff(e, _y), "numpy"),
-            )
-            for e in self.exprs
-        ]
-        self._hess = [
-            (
-                sp.lambdify((_x, _y), sp.diff(e, _x, 2), "numpy"),
-                sp.lambdify((_x, _y), sp.diff(e, _x, _y), "numpy"),
-                sp.lambdify((_x, _y), sp.diff(e, _y, 2), "numpy"),
-            )
-            for e in self.exprs
-        ]
 
-    def _eval(self, fn, X, Y):
-        out = fn(X, Y)
-        return np.broadcast_to(np.asarray(out, dtype=float), X.shape).copy()
+def _everywhere(X, Y):
+    return np.ones_like(X, bool)
 
-    def value(self, k, X, Y):
-        return self._eval(self._value[k], X, Y)
 
-    def gradient(self, k, X, Y):
-        gx, gy = self._grad[k]
-        return self._eval(gx, X, Y), self._eval(gy, X, Y)
+def _match(pattern, key, name):
+    hit = re.fullmatch(pattern, key)
+    if hit is None:
+        raise ValidationError(f"bad {name} param {key!r}")
+    return hit
 
-    def hessian(self, k, X, Y):
-        hxx, hxy, hyy = self._hess[k]
+
+def _rho(params, family=None):
+    """rho (default 1), finite and > 0; the only param of a rho ``family``."""
+    if family:
+        for key in params:
+            _match("rho", key, family)
+    rho = float(params.get("rho", 1.0))
+    if not (np.isfinite(rho) and rho > 0):
+        raise ValidationError(f"rho must be finite and > 0, got {rho!r}")
+    return rho
+
+
+def _radial(X, Y, k):
+    """(s x, s y) with s = sqrt(1 + k / r^2): the catenoid lift for
+    k = -rho^2, the helicoid lift for k = rho^2."""
+    s = np.sqrt(1 + k / (X * X + Y * Y))
+    return s * X, s * Y
+
+
+def _plane(params):
+    # f_k = a{k} + b{k} x + c{k} y, k = 1..n
+    ks = [int(_match("[abc]([1-9][0-9]*)", key, "plane")[1]) for key in params]
+    n = max(ks, default=1)
+    coef = [[float(params.get(f"{c}{k}", 0.0)) for c in "abc"] for k in range(1, n + 1)]
+
+    def evaluate(X, Y):
+        one = np.ones_like(X)
+        comps = [a + b * X + c * Y for a, b, c in coef]
+        return comps, [(b * one, c * one) for _, b, c in coef]
+
+    return CatalogEntry("plane", params, n, _everywhere, evaluate)
+
+
+def _catenoid(params):
+    rho = _rho(params, "catenoid")
+
+    def evaluate(X, Y):
+        r2 = X * X + Y * Y
+        r = np.sqrt(r2)
+        d = r * np.sqrt(r2 - rho**2)
+        return [rho * _acosh(r / rho)], [(rho * X / d, rho * Y / d)]
+
+    return CatalogEntry(
+        "catenoid", {"rho": rho}, 1, lambda X, Y: X**2 + Y**2 > rho**2, evaluate,
+        lambda X, Y: _radial(X, Y, -(rho**2)),
+    )
+
+
+def _helicoid(params):
+    rho = _rho(params, "helicoid")
+
+    def evaluate(X, Y):  # x > 0 branch only
+        r2 = X * X + Y * Y
+        return [rho * np.arctan(Y / X)], [(-rho * Y / r2, rho * X / r2)]
+
+    return CatalogEntry(
+        "helicoid", {"rho": rho}, 1, lambda X, Y: X > 0, evaluate,
+        lambda X, Y: _radial(X, Y, rho**2),
+    )
+
+
+def _scherk(params):
+    rho = _rho(params, "scherk")
+    lim = np.pi / 2 / rho
+
+    def evaluate(X, Y):
+        value = (np.log(np.cos(rho * X)) - np.log(np.cos(rho * Y))) / rho
+        return [value], [(-np.tan(rho * X), np.tan(rho * Y))]
+
+    def lift(X, Y):
         return (
-            self._eval(hxx, X, Y),
-            self._eval(hxy, X, Y),
-            self._eval(hyy, X, Y),
+            _asinh(np.tan(rho * X) * np.cos(rho * Y)) / rho,
+            _asinh(np.tan(rho * Y) * np.cos(rho * X)) / rho,
         )
 
+    return CatalogEntry(
+        "scherk", {"rho": rho}, 1,
+        lambda X, Y: (np.abs(X) < lim) & (np.abs(Y) < lim), evaluate, lift,
+    )
 
-def _holomorphic_exprs(params):
+
+def _lagrangian_catenoid(params):
+    # the catenoid lift as a gradient graph: s (x, y), s = sqrt(1 - rho^2 / r^2)
+    rho = _rho(params, "lagrangian_catenoid")
+
+    def evaluate(X, Y):
+        r2 = X * X + Y * Y
+        s = np.sqrt(1 - rho**2 / r2)
+        t = rho**2 / (r2 * r2 * s)  # ds/dx = t x, ds/dy = t y
+        grads = [(s + t * X * X, t * X * Y), (t * X * Y, s + t * Y * Y)]
+        return [s * X, s * Y], grads
+
+    return CatalogEntry(
+        "lagrangian_catenoid", {"rho": rho}, 2, lambda X, Y: X**2 + Y**2 > rho**2,
+        evaluate,
+    )
+
+
+def _holomorphic(params):
     """Polynomials phi_m(z); params c{m}_{j}_re / c{m}_{j}_im are the
     coefficients of z^j in phi_m (m, j 0-based)."""
-    coeffs = {}
-    for key, val in params.items():
-        parts = key.split("_")
-        if len(parts) != 3 or not parts[0].startswith("c"):
-            raise ValidationError(f"bad holomorphic param {key!r}")
-        m, j, which = int(parts[0][1:]), int(parts[1]), parts[2]
-        coeffs.setdefault(m, {}).setdefault(j, [0.0, 0.0])
-        coeffs[m][j][0 if which == "re" else 1] = float(val)
-    if not coeffs or sorted(coeffs) != list(range(len(coeffs))):
+    if not params:
+        params = {"c0_2_re": 1.0}  # phi = z^2 by default
+    hits = [_match("c([0-9]+)_([0-9]+)_(re|im)", key, "holomorphic") for key in params]
+    ms, js = [int(h[1]) for h in hits], [int(h[2]) for h in hits]
+    if set(ms) != set(range(len(set(ms)))):
         raise ValidationError("holomorphic components must be c0..c{k-1}")
-    z = _x + sp.I * _y
-    exprs = []
-    for m in sorted(coeffs):
-        phi = sum(
-            (re + sp.I * im) * z**j for j, (re, im) in sorted(coeffs[m].items())
-        )
-        exprs.append(sp.re(sp.expand(phi)))
-        exprs.append(sp.im(sp.expand(phi)))
-    return exprs
+    c = np.zeros((len(set(ms)), max(js) + 1), complex)
+    vs = [float(v) * (1j if h[3] == "im" else 1) for h, v in zip(hits, params.values())]
+    np.add.at(c, (ms, js), vs)
+    dc = P.polyder(c, axis=1)
+
+    def evaluate(X, Y):
+        # Cauchy-Riemann: d/dx phi = phi', d/dy phi = i phi'
+        Z = X + 1j * Y
+        comps, grads = [], []
+        for cm, dcm in zip(c, dc):
+            phi, dphi = P.polyval(Z, cm), P.polyval(Z, dcm)
+            # copies, so that no component keeps a complex array alive
+            comps += [phi.real.copy(), phi.imag.copy()]
+            du, dv = dphi.real.copy(), dphi.imag.copy()
+            grads += [(du, -dv), (dv, du)]
+        return comps, grads
+
+    return CatalogEntry("holomorphic", params, 2 * len(c), _everywhere, evaluate)
 
 
-def _poly_in_x(params, prefix="f"):
-    terms = []
-    for key, val in params.items():
-        if not key.startswith(prefix):
-            raise ValidationError(f"bad param {key!r}")
-        terms.append(float(val) * _x ** int(key[len(prefix):]))
-    return sum(terms) if terms else sp.Integer(0)
+def _quadratic_gradient(params):
+    # gradient graph of F = (a x^2 + 2 c x y + b y^2)/2
+    for key in params:
+        _match("[abc]", key, "quadratic_gradient")
+    a, b, c = (float(params.get(k, v)) for k, v in (("a", 1.0), ("b", 1.0), ("c", 0.0)))
+
+    def evaluate(X, Y):
+        one = np.ones_like(X)
+        return [a * X + c * Y, c * X + b * Y], [(a * one, c * one), (c * one, b * one)]
+
+    params = {"a": a, "b": b, "c": c}
+    return CatalogEntry("quadratic_gradient", params, 2, _everywhere, evaluate)
 
 
-def make_entry(name: str, params: dict | None = None) -> CatalogEntry:
-    params = dict(params or {})
-    if name == "plane":
-        # f_k = a{k} + b{k} x + c{k} y, k = 1..n
-        n = max((int(k[1:]) for k in params), default=1)
-        exprs = []
-        for k in range(1, n + 1):
-            exprs.append(
-                params.get(f"a{k}", 0.0)
-                + params.get(f"b{k}", 0.0) * _x
-                + params.get(f"c{k}", 0.0) * _y
-            )
-        return CatalogEntry(name, params, n, exprs, lambda X, Y: np.ones_like(X, bool))
-    if name == "catenoid":
-        rho = float(params.get("rho", 1.0))
-        r = sp.sqrt(_x**2 + _y**2)
-        expr = rho * _acosh(r / rho)
-        lift = (
-            sp.sqrt(1 - rho**2 / (_x**2 + _y**2)) * _x,
-            sp.sqrt(1 - rho**2 / (_x**2 + _y**2)) * _y,
-        )
-        return CatalogEntry(
-            name,
-            {"rho": rho},
-            1,
-            [expr],
-            lambda X, Y: X**2 + Y**2 > rho**2,
-            lift,
-        )
-    if name == "helicoid":
-        rho = float(params.get("rho", 1.0))
-        expr = rho * sp.atan(_y / _x)  # x > 0 branch only
-        lift = (
-            sp.sqrt(1 + rho**2 / (_x**2 + _y**2)) * _x,
-            sp.sqrt(1 + rho**2 / (_x**2 + _y**2)) * _y,
-        )
-        return CatalogEntry(
-            name, {"rho": rho}, 1, [expr], lambda X, Y: X > 0, lift
-        )
-    if name == "scherk":
-        rho = float(params.get("rho", 1.0))
-        expr = (sp.log(sp.cos(rho * _x)) - sp.log(sp.cos(rho * _y))) / rho
-        lift = (
-            _asinh(sp.tan(rho * _x) * sp.cos(rho * _y)) / rho,
-            _asinh(sp.tan(rho * _y) * sp.cos(rho * _x)) / rho,
-        )
-        lim = np.pi / 2 / rho
-        return CatalogEntry(
-            name,
-            {"rho": rho},
-            1,
-            [expr],
-            lambda X, Y: (np.abs(X) < lim) & (np.abs(Y) < lim),
-            lift,
-        )
-    if name == "holomorphic":
-        if not params:
-            params = {"c0_2_re": 1.0}  # phi = z^2 by default
-        exprs = _holomorphic_exprs(params)
-        return CatalogEntry(
-            name, params, len(exprs), exprs, lambda X, Y: np.ones_like(X, bool)
-        )
-    if name == "quadratic_gradient":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 1.0))
-        c = float(params.get("c", 0.0))
-        # gradient graph of F = (a x^2 + 2 c x y + b y^2)/2
-        exprs = [a * _x + c * _y, c * _x + b * _y]
-        return CatalogEntry(
-            name,
-            {"a": a, "b": b, "c": c},
-            2,
-            exprs,
-            lambda X, Y: np.ones_like(X, bool),
-        )
-    if name == "lagrangian_catenoid":
-        rho = float(params.get("rho", 1.0))
-        s = sp.sqrt(1 - rho**2 / (_x**2 + _y**2))
-        return CatalogEntry(
-            name,
-            {"rho": rho},
-            2,
-            [s * _x, s * _y],
-            lambda X, Y: X**2 + Y**2 > rho**2,
-        )
-    if name == "chamberland_reverse":
-        # gradient graph of h = x y + f(x): components (y + f'(x), x)
-        fpoly = _poly_in_x(params) if params else _x**4
-        exprs = [_y + sp.diff(fpoly, _x), _x]
-        return CatalogEntry(
-            name, params, 2, exprs, lambda X, Y: np.ones_like(X, bool)
-        )
-    raise ValidationError(f"unknown catalog surface {name!r}")
+def _chamberland_reverse(params):
+    # gradient graph of h = x y + f(x): components (y + f'(x), x), with
+    # f = sum f{k} x^k (x^4 by default)
+    terms = params or {"f4": 1.0}
+    ks = [int(_match("f([0-9]+)", key, "chamberland_reverse")[1]) for key in terms]
+    f = np.zeros(max(ks) + 1)
+    np.add.at(f, ks, [float(v) for v in terms.values()])
+    df, d2f = P.polyder(f), P.polyder(f, 2)
+
+    def evaluate(X, Y):
+        one = np.ones_like(X)
+        grads = [(P.polyval(X, d2f), one), (one, np.zeros_like(X))]
+        return [Y + P.polyval(X, df), X.copy()], grads
+
+    return CatalogEntry("chamberland_reverse", params, 2, _everywhere, evaluate)
 
 
-SURFACES = (
-    "plane",
-    "catenoid",
-    "helicoid",
-    "scherk",
-    "holomorphic",
-    "quadratic_gradient",
-    "lagrangian_catenoid",
-    "chamberland_reverse",
-)
+_FAMILIES = {
+    "plane": _plane,
+    "catenoid": _catenoid,
+    "helicoid": _helicoid,
+    "scherk": _scherk,
+    "holomorphic": _holomorphic,
+    "quadratic_gradient": _quadratic_gradient,
+    "lagrangian_catenoid": _lagrangian_catenoid,
+    "chamberland_reverse": _chamberland_reverse,
+}
+
+SURFACES = tuple(_FAMILIES)
 
 MINIMAL_SURFACES = ("plane", "catenoid", "helicoid", "scherk", "holomorphic")
 
 
+def make_entry(name: str, params: dict | None = None) -> CatalogEntry:
+    if name not in _FAMILIES:
+        raise ValidationError(f"unknown catalog surface {name!r}")
+    return _FAMILIES[name](dict(params or {}))
+
+
 def default_domain(name: str, params: dict | None, nx: int, ny: int) -> GridDomain:
     """A representative admissible rectangle for each surface family."""
-    params = dict(params or {})
-    rho = float(params.get("rho", 1.0))
+    rho = _rho(dict(params or {}))
     bounds = {
         "plane": (-1.0, -1.0, 1.0, 1.0),
         "catenoid": (1.5 * rho, -0.75 * rho, 3.0 * rho, 0.75 * rho),
@@ -246,17 +256,13 @@ def make_surface(name: str, params: dict | None, domain: GridDomain) -> HeightMa
         raise DomainNotAdmissible(
             f"{name}: domain leaves the admissible region", nodes=np.argwhere(~ok)
         )
-    comps = [entry.value(k, X, Y) for k in range(entry.n)]
-    grads = [entry.gradient(k, X, Y) for k in range(entry.n)]
+    comps, grads = entry.evaluate(X, Y)
     return HeightMap(domain, comps, grads)
 
 
 def known_lift(name: str, params: dict | None = None):
     """Closed-form (M, N) evaluators for entries with a stated lift, else None."""
-    entry = make_entry(name, params)
-    if entry.lift is None:
+    lift = make_entry(name, params).lift
+    if lift is None:
         return None
-    fM = sp.lambdify((_x, _y), entry.lift[0], "numpy")
-    fN = sp.lambdify((_x, _y), entry.lift[1], "numpy")
-    return (lambda X, Y: np.asarray(fM(X, Y), dtype=float),
-            lambda X, Y: np.asarray(fN(X, Y), dtype=float))
+    return (lambda X, Y: lift(X, Y)[0], lambda X, Y: lift(X, Y)[1])

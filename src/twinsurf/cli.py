@@ -3,16 +3,15 @@
 Exit codes: 0 success, 1 flag/validation error, 2 computation error (the
 error code name is printed to stderr), 3 a verify-all check failed.
 
-All numeric JSON output uses 17 significant digits.  ``--threads`` caps
-worker threads; every code path here is single-threaded numpy, so results
-are identical for any value — the flag exists so reproducibility audits
-can sweep it.
+All numeric JSON output uses 17 significant digits.  ``--threads`` must be
+>= 1 and caps nothing: BLAS picks its thread count when numpy loads, before
+any flag is read.  Reports are byte-identical for any value, so
+reproducibility audits can sweep it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -29,7 +28,10 @@ def _parse_params(items):
         if "=" not in item:
             raise ValidationError(f"--param must be k=v, got {item!r}")
         k, v = item.split("=", 1)
-        out[k] = float(v)
+        try:
+            out[k] = float(v)
+        except ValueError as exc:
+            raise ValidationError(f"--param {k} needs a number, got {v!r}") from exc
     return out
 
 
@@ -42,20 +44,28 @@ def _parse_domain(text, grid):
     return GridDomain.from_bounds(x0, y0, x1, y1, nx, ny)
 
 
-def _parse_grid(text):
+def _parse_ints(text, usage):
+    """Two comma-separated integers, as ``usage`` (e.g. "--grid nx,ny") names."""
     try:
-        nx, ny = (int(t) for t in text.split(","))
+        a, b = (int(t) for t in text.split(","))
     except ValueError as exc:
-        raise ValidationError(f"--grid must be nx,ny, got {text!r}") from exc
-    return nx, ny
+        raise ValidationError(f"expected {usage}, got {text!r}") from exc
+    return a, b
 
 
-def _parse_basepoint(text):
-    try:
-        ix, iy = (int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"--basepoint must be ix,iy, got {text!r}") from exc
-    return ix, iy
+def _out(args):
+    if not args.out:
+        raise ValidationError(f"{args.command} {args.action} needs --out")
+    return args.out
+
+
+def _catalog_input(args):
+    """The --param dict and the grid domain a catalog command samples on."""
+    params = _parse_params(args.param)
+    grid = _parse_ints(args.grid, "--grid nx,ny")
+    if args.domain:
+        return params, _parse_domain(args.domain, grid)
+    return params, catalog.default_domain(args.name, params, *grid)
 
 
 def _emit(report, out_path):
@@ -79,14 +89,9 @@ def _cmd_catalog(args):
         for name in catalog.SURFACES:
             print(name)
         return 0
-    params = _parse_params(args.param)
-    grid = _parse_grid(args.grid)
-    if args.domain:
-        dom = _parse_domain(args.domain, grid)
-    else:
-        dom = catalog.default_domain(args.name, params, *grid)
+    params, dom = _catalog_input(args)
     f = catalog.make_surface(args.name, params, dom)
-    write_heightmap(args.out, f)
+    write_heightmap(_out(args), f)
     return 0
 
 
@@ -103,7 +108,7 @@ def _cmd_residual(args):
 
 
 def _cmd_twin(args):
-    bp = _parse_basepoint(args.basepoint)
+    bp = _parse_ints(args.basepoint, "--basepoint ix,iy")
     if args.action == "forward":
         pair = twin.twin_forward(read_heightmap(args.inp), bp, tol=args.tol)
         if args.out:
@@ -124,7 +129,7 @@ def _cmd_twin(args):
 
 def _cmd_sl(args):
     if args.action == "lift":
-        bp = _parse_basepoint(args.basepoint)
+        bp = _parse_ints(args.basepoint, "--basepoint ix,iy")
         lift = slag.sl_lift(read_heightmap(args.inp), bp, tol=args.tol)
         if args.out:
             write_gfield(
@@ -137,7 +142,7 @@ def _cmd_sl(args):
     if args.action == "rotate":
         params = slag.SLParams(args.lambda1, args.lambda2, args.epsilon)
         h = slag.graph_rotate(_scalar_in(args.inp), params, args.mode)
-        write_gfield(args.out, h.domain, [h.values])
+        write_gfield(_out(args), h.domain, [h.values])
         return 0
     if args.action == "residual":
         h = _scalar_in(args.inp)
@@ -161,7 +166,7 @@ def _cmd_gauss(args):
     if args.action == "quadric":
         _emit({"quadric_residual": gauss.quadric_residual(g)}, args.out)
     elif args.action == "fit":
-        i, j = (int(t) for t in args.pair.split(","))
+        i, j = _parse_ints(args.pair, "--pair i,j")
         fit = gauss.hyperplane_fit(g, i, j)
         _emit(
             {
@@ -188,7 +193,7 @@ def _cmd_gauss(args):
 
 def _cmd_chart(args):
     f = read_heightmap(args.inp)
-    bp = _parse_basepoint(args.basepoint)
+    bp = _parse_ints(args.basepoint, "--basepoint ix,iy")
     chart = conformal.build_chart(f, bp, tol=args.tol)
     if args.action == "build":
         _emit(
@@ -202,7 +207,7 @@ def _cmd_chart(args):
         return 0
     if args.action == "resample":
         X = conformal.resample_to_chart(chart, f)
-        write_heightmap(args.out, X)
+        write_heightmap(_out(args), X)
         return 0
     if args.action == "nullcurve":
         X = conformal.resample_to_chart(chart, f)
@@ -289,12 +294,7 @@ def _verify_checks(name, params, dom, tol):
 
 
 def _cmd_verify_all(args):
-    params = _parse_params(args.param)
-    grid = _parse_grid(args.grid)
-    if args.domain:
-        dom = _parse_domain(args.domain, grid)
-    else:
-        dom = catalog.default_domain(args.name, params, *grid)
+    params, dom = _catalog_input(args)
     tol = args.tol if args.tol is not None else twin.default_tol(dom)
     f, checks = _verify_checks(args.name, params, dom, tol)
     report = {
@@ -402,12 +402,6 @@ def build_parser():
 
 
 def run(argv=None) -> int:
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, "1")
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -424,7 +418,7 @@ def run(argv=None) -> int:
     except TwinsurfError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"VALIDATION: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,8 @@ class GridDomain:
     ny: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x0, self.y0, self.dx, self.dy])):
+            raise ValidationError("grid origin and spacings must be finite")
         if not (self.dx > 0 and self.dy > 0):
             raise ValidationError("grid spacings must be positive")
         if self.nx < 5 or self.ny < 5:
@@ -129,14 +131,6 @@ def diff2_y(values: np.ndarray, dy: float) -> np.ndarray:
 
 def diff_xy(values: np.ndarray, dx: float, dy: float) -> np.ndarray:
     return diff_y(diff_x(values, dx), dy)
-
-
-def partial_x(f: ScalarField) -> ScalarField:
-    return ScalarField(f.domain, diff_x(f.values, f.domain.dx))
-
-
-def partial_y(f: ScalarField) -> ScalarField:
-    return ScalarField(f.domain, diff_y(f.values, f.domain.dy))
 
 
 @dataclass

@@ -41,7 +41,8 @@ def write_gfield(path, domain: GridDomain, components) -> None:
 
 def read_gfield(path):
     """Returns (GridDomain, [arrays])."""
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, which no header or number check accepts
+    with open(path, errors="replace") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0].split() != ["GFIELD", "1"]:
         raise ValidationError(f"{path}: not a GFIELD 1 file")

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -110,3 +113,141 @@ def test_known_lift_only_for_stated_entries():
     assert known_lift("catenoid") is not None
     assert known_lift("scherk") is not None
     assert known_lift("plane") is None
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("chamberland_reverse", {"fx": 1.0}),
+        ("plane", {"zz": 1.0}),
+        ("plane", {"a0": 1.0}),
+        ("holomorphic", {"cX_1_re": 1.0}),
+        ("holomorphic", {"c0_1_foo": 1.0}),
+        ("catenoid", {"rh0": 2.0}),
+        ("quadratic_gradient", {"d": 1.0}),
+    ],
+)
+def test_bad_param_names_rejected(name, params):
+    with pytest.raises(ValidationError):
+        make_entry(name, params)
+
+
+@pytest.mark.parametrize(
+    "name", ["catenoid", "helicoid", "scherk", "lagrangian_catenoid"]
+)
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("inf"), float("nan")])
+def test_rho_must_be_finite_and_positive(name, rho):
+    with pytest.raises(ValidationError):
+        make_entry(name, {"rho": rho})
+    with pytest.raises(ValidationError):
+        default_domain(name, {"rho": rho}, 9, 9)
+
+
+# two parameter sets per family for the symbolic oracle below
+ORACLE_PARAMS = [
+    ("plane", {}),
+    ("plane", {"a1": 0.5, "b1": -2.0, "c1": 1.5, "a2": 1.0, "c2": -0.25}),
+    ("catenoid", {}),
+    ("catenoid", {"rho": 0.7}),
+    ("helicoid", {}),
+    ("helicoid", {"rho": 1.3}),
+    ("scherk", {}),
+    ("scherk", {"rho": 0.9}),
+    ("holomorphic", {}),
+    ("holomorphic", {"c0_3_re": 0.5, "c0_1_im": -1.0, "c1_0_re": 2.0, "c1_2_im": 0.7}),
+    ("quadratic_gradient", {}),
+    ("quadratic_gradient", {"a": 2.0, "b": 0.5, "c": 0.25}),
+    ("lagrangian_catenoid", {}),
+    ("lagrangian_catenoid", {"rho": 1.2}),
+    ("chamberland_reverse", {}),
+    ("chamberland_reverse", {"f0": 1.0, "f2": -0.5, "f3": 2.0}),
+]
+
+
+def _symbolic(sp, x, y, name, params):
+    """Each family's closed form in sympy: (components, lift or None)."""
+    rho = params.get("rho", 1.0)
+    r2 = x**2 + y**2
+    if name == "plane":
+        comps = []
+        for k in range(1, max([int(key[1:]) for key in params] or [1]) + 1):
+            a, b, c = (params.get(f"{p}{k}", 0.0) for p in "abc")
+            comps.append(a + b * x + c * y)
+        return comps, None
+    if name == "catenoid":
+        s = sp.sqrt(1 - rho**2 / r2)
+        return [rho * sp.acosh(sp.sqrt(r2) / rho)], (s * x, s * y)
+    if name == "helicoid":
+        s = sp.sqrt(1 + rho**2 / r2)
+        return [rho * sp.atan(y / x)], (s * x, s * y)
+    if name == "scherk":
+        value = (sp.log(sp.cos(rho * x)) - sp.log(sp.cos(rho * y))) / rho
+        lift = (
+            sp.asinh(sp.tan(rho * x) * sp.cos(rho * y)) / rho,
+            sp.asinh(sp.tan(rho * y) * sp.cos(rho * x)) / rho,
+        )
+        return [value], lift
+    if name == "holomorphic":
+        z = x + sp.I * y
+        coeffs = params or {"c0_2_re": 1.0}
+        comps = []
+        for m in sorted({int(k.split("_")[0][1:]) for k in coeffs}):
+            phi = 0
+            for key, v in coeffs.items():
+                cm, j, part = key.split("_")
+                if int(cm[1:]) == m:
+                    phi += (v if part == "re" else sp.I * v) * z ** int(j)
+            comps += [sp.re(sp.expand(phi)), sp.im(sp.expand(phi))]
+        return comps, None
+    if name == "quadratic_gradient":
+        a, b, c = params.get("a", 1.0), params.get("b", 1.0), params.get("c", 0.0)
+        return [a * x + c * y, c * x + b * y], None
+    if name == "lagrangian_catenoid":
+        s = sp.sqrt(1 - rho**2 / r2)
+        return [s * x, s * y], None
+    # chamberland_reverse: gradient graph of h = x y + f(x)
+    f = sum(v * x ** int(k[1:]) for k, v in (params or {"f4": 1.0}).items())
+    return [y + sp.diff(f, x), x], None
+
+
+@pytest.mark.parametrize("name, params", ORACLE_PARAMS)
+def test_closed_forms_match_symbolic_oracle(name, params):
+    # values, gradients and lifts against sympy's differentiation of the same
+    # closed forms, at random admissible points: |numpy - sympy| <= 1e-13 max(1, |v|)
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y", real=True)
+    dom = default_domain(name, params, 9, 9)
+    rng = np.random.default_rng(7)
+    X = rng.uniform(dom.x0, dom.x1, 200)
+    Y = rng.uniform(dom.y0, dom.y1, 200)
+    entry = make_entry(name, params)
+    assert entry.admissible(X, Y).all()
+
+    def close(got, expr):
+        want = np.broadcast_to(sp.lambdify((x, y), expr, "numpy")(X, Y), X.shape)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    exprs, lift = _symbolic(sp, x, y, name, params)
+    comps, grads = entry.evaluate(X, Y)
+    assert entry.n == len(comps) == len(grads) == len(exprs)
+    for expr, value, (gx, gy) in zip(exprs, comps, grads):
+        close(value, expr)
+        close(gx, sp.diff(expr, x))
+        close(gy, sp.diff(expr, y))
+    evaluators = known_lift(name, params)
+    assert (evaluators is None) == (lift is None)
+    if lift is not None:
+        for fn, expr in zip(evaluators, lift):
+            close(fn(X, Y), expr)
+
+
+def test_imports_and_runs_without_sympy():
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None  # any import of sympy now fails\n"
+        "import twinsurf\n"
+        "from twinsurf.cli import run\n"
+        "sys.exit(run(['verify-all', '--name', 'scherk', '--grid', '33,33']))\n"
+    )
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+    assert p.returncode == 0, p.stderr.decode()

@@ -207,3 +207,35 @@ def test_twin_verify_honours_tol_zero(tmp_path, capsys):
     code = run(["twin", "verify", "--in", path, "--twin", twin_path, "--tol", "0"])
     assert code == 2
     assert "tol 0.000e+00" in capsys.readouterr().err
+
+
+_SAMPLE = ["catalog", "sample", "--name"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_SAMPLE, "catenoid", "--param", "rho=abc", "--out", "{dir}/x.gf"],
+        [*_SAMPLE, "catenoid", "--param", "rho=0", "--out", "{dir}/x.gf"],
+        [*_SAMPLE, "plane", "--param", "zz=1", "--out", "{dir}/x.gf"],
+        [*_SAMPLE, "holomorphic", "--param", "c0_1_foo=1", "--out", "{dir}/x.gf"],
+        [*_SAMPLE, "catenoid", "--grid", "17,17"],  # no --out
+        [*_SAMPLE, "catenoid", "--grid", "17,17", "--out", "{dir}"],
+        ["gauss", "fit", "--in", "{gf}", "--pair", "2"],
+        ["sl", "rotate", "--in", "{gf}"],  # no --out
+        ["residual", "--system", "minimal", "--in", "{dir}"],
+        ["residual", "--system", "minimal", "--in", "{binary}"],
+        ["gauss", "planarity", "--in", "{inf_dx}"],
+    ],
+)
+def test_bad_input_exits_1_with_validation(tmp_path, capsys, argv):
+    # the exit-code contract: bad input is exit 1 with VALIDATION, never a traceback
+    gf = _sample(str(tmp_path / "cat17.gf"), "17,17")
+    binary = tmp_path / "binary.gf"
+    binary.write_bytes(b"GFIELD\xff 1\n\xfe\xfe\n")
+    inf_dx = tmp_path / "inf_dx.gf"
+    inf_dx.write_text("GFIELD 1\n5 5 1\n0 0 inf 1\n" + "0 0 0 0 0\n" * 5)
+    paths = {"dir": tmp_path, "gf": gf, "binary": binary, "inf_dx": inf_dx}
+    capsys.readouterr()
+    assert run([a.format(**paths) for a in argv]) == 1
+    assert "VALIDATION" in capsys.readouterr().err
