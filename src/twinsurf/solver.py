@@ -1,14 +1,23 @@
 """Dirichlet solvers for the minimal and maximal graph systems.
 
 Both systems are quasilinear: at fixed coefficients E, F, G each component
-satisfies the linear equation G u_xx - 2 F u_xy + E u_yy = 0.  We therefore
-iterate Picard: freeze the coefficients of the current iterate, solve the
-linear problem exactly, refresh the coefficients.  The linear problem is the
-standard 9-point stencil (the mixed term on the four diagonal neighbors)
-assembled over the interior nodes as one sparse matrix; it is LU-factored
-once per Picard step and every component is solved against that factor.
-The maximal system uses the hatted (split-signature) coefficients in the
-same stencil and halves each Picard step until the iterate stays strictly
+satisfies the linear equation G u_xx - 2 F u_xy + E u_yy = 0, discretised
+by the standard 9-point stencil (the mixed term on the four diagonal
+neighbors).  The discrete solution is the fixed point A(u) u = 0 on the
+interior nodes, with A the stencil at the metric of u and the Dirichlet
+edges held.  We reach it by a chord step (residual correction): the
+operator is assembled over the interior nodes as one sparse matrix and
+LU-factored at the initial guess; each step forms the residual
+R = -A(u) u at the current metric and corrects u by the solve of that one
+factor against R, for every component at once.  The operator is factored
+again, at the current metric, only when an update shrinks by less than 2x
+from the step before or the residual is not the smallest so far.
+Iteration stops when both the update and the scaled residual
+max|R| / max|diag A| / max(1, max|u|) are below `outer_tol`; when
+`_STALL_STEPS` consecutive steps, each refactored, bring the residual no
+lower than its smallest value, it has stalled and `MaxIterations` is
+raised.  The maximal system uses the hatted (split-signature) coefficients
+in the same stencil and halves each step until the iterate stays strictly
 spacelike.
 """
 
@@ -40,6 +49,11 @@ class SolveResult:
     update_history: list = field(default_factory=list)
 
 
+# The max-norm residual of a converging iteration can rise for a step or
+# two; this many steps without a new smallest residual count as a stall.
+_STALL_STEPS = 5
+
+
 def _transfinite(domain: GridDomain, bc: np.ndarray) -> np.ndarray:
     """Initial guess: transfinite interpolation of the boundary values."""
     ny, nx = domain.shape
@@ -53,47 +67,50 @@ def _transfinite(domain: GridDomain, bc: np.ndarray) -> np.ndarray:
     return u
 
 
-def _frozen_solve(us, met, domain):
-    """Solve G u_xx - 2 F u_xy + E u_yy = 0 for every component at `met`.
-
-    Interior unknowns are numbered row by row, so the neighbor at (dj, di)
-    sits on diagonal dj * (nx - 2) + di of the 9-point matrix; entries that
-    would wrap from the last column of one row to the first of the next are
-    zeroed.  The right-hand side is minus the same stencil applied to the
-    boundary-only field, so each solution keeps its Dirichlet edges.
-    """
-    ny, nx = domain.shape
+def _stencil(met, domain):
+    """The 9-point weights at the interior nodes, keyed by neighbor (dj, di)."""
     inner = (slice(1, -1), slice(1, -1))
     cx = met.G[inner] / domain.dx**2
     cy = met.E[inner] / domain.dy**2
     cxy = met.F[inner] / (2.0 * domain.dx * domain.dy)
-    n = cx.size
-    edges = np.stack(us)
-    edges[(slice(None),) + inner] = 0.0
-    rhs = np.zeros((len(us), n))
-    offsets, diagonals = [], []
-    for (dj, di), w in {
+    return {
         (0, 0): -2.0 * (cx + cy),
         (0, -1): cx, (0, 1): cx, (-1, 0): cy, (1, 0): cy,
         (-1, -1): -cxy, (1, 1): -cxy, (-1, 1): cxy, (1, -1): cxy,
-    }.items():
-        rhs -= (w * edges[:, 1 + dj:ny - 1 + dj, 1 + di:nx - 1 + di]).reshape(rhs.shape)
+    }
+
+
+def _apply(weights, u):
+    """The stencil applied to a full field, edges included: interior values."""
+    ny, nx = u.shape
+    return sum(
+        w * u[1 + dj:ny - 1 + dj, 1 + di:nx - 1 + di] for (dj, di), w in weights.items()
+    )
+
+
+def _factor(weights):
+    """LU factor of the stencil restricted to the interior unknowns.
+
+    Interior unknowns are numbered row by row, so the neighbor at (dj, di)
+    sits on diagonal dj * (nx - 2) + di of the matrix; entries that would
+    wrap from the last column of one row to the first of the next are
+    zeroed.
+    """
+    center = weights[(0, 0)]
+    n = center.size
+    offsets, diagonals = [], []
+    for (dj, di), w in weights.items():
         d = w.copy()
         if di:
             d[:, 0 if di < 0 else -1] = 0.0
-        k = dj * (nx - 2) + di
+        k = dj * center.shape[1] + di
         offsets.append(k)
         diagonals.append(d.ravel()[:n - k] if k >= 0 else d.ravel()[-k:])
     A = sp.diags(diagonals, offsets, shape=(n, n), format="csc")
     try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A", panel_size=4, relax=4)
+        return splu(A, permc_spec="MMD_AT_PLUS_A", panel_size=4, relax=4)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise Diverged(f"frozen-coefficient operator is singular: {exc}") from exc
-    interior = lu.solve(rhs.T)
-    solved = [u.copy() for u in us]
-    for c, v in enumerate(solved):
-        v[inner] = interior[:, c].reshape(cx.shape)
-    return solved
 
 
 def _check_boundary(boundary, domain):
@@ -106,12 +123,12 @@ def _check_boundary(boundary, domain):
     return bcs
 
 
-def _picard(domain, boundary, options, initial, signature):
-    """Picard iteration shared by both systems.
+def _chord(domain, boundary, options, initial, signature):
+    """Chord iteration shared by both systems.
 
-    Each step moves toward the frozen-coefficient solution, halving the
-    step until the spacelike margin stays above `floor`.  The margin is
-    the smallest discriminant E G - F^2, counted as at most 0 at nodes
+    Each step moves along the correction of the current factor, halving
+    the step until the spacelike margin stays above `floor`.  The margin
+    is the smallest discriminant E G - F^2, counted as at most 0 at nodes
     outside the metric's mask (E <= 0: a negative-definite metric is not
     spacelike).  Only the split signature can fail that test; for it the
     floor is `spacelike_margin` times the margin of the initial guess.
@@ -142,12 +159,29 @@ def _picard(domain, boundary, options, initial, signature):
         )
     floor = opts.spacelike_margin * m0 if signature == "split" else 0.0
 
-    history = []
+    inner = (slice(None), slice(1, -1), slice(1, -1))
+    lu, history, best, since_best = None, [], np.inf, 0
     for outer in range(1, opts.max_outer + 1):
-        proposals = _frozen_solve(us, met, domain)
+        weights = _stencil(met, domain)
+        R = np.stack([-_apply(weights, u) for u in us])
+        scale = np.max(np.abs(weights[(0, 0)])) * max(1.0, *(np.max(np.abs(u)) for u in us))
+        residual = float(np.max(np.abs(R))) / scale
+        if residual < best:
+            best, since_best = residual, 0
+        else:
+            since_best += 1
+            if since_best == _STALL_STEPS:
+                raise MaxIterations(
+                    f"residual stalled at {best:.3e} after {outer - 1} steps: none smaller "
+                    f"in {since_best} more, refactored at each (last update {history[-1]:.3e})"
+                )
+        if lu is None or since_best or (len(history) > 1 and history[-1] > 0.5 * history[-2]):
+            lu = _factor(weights)
+        ds = np.zeros((len(us),) + domain.shape)
+        ds[inner] = lu.solve(R.reshape(len(us), -1).T).T.reshape(R.shape)
         step = 1.0
         for _ in range(40):
-            trial = [u + step * (v - u) for u, v in zip(us, proposals)]
+            trial = [u + step * d for u, d in zip(us, ds)]
             met, m = metric(trial)
             if m > floor:
                 break
@@ -160,12 +194,12 @@ def _picard(domain, boundary, options, initial, signature):
         us = trial
         history.append(delta)
         if delta > 1e6:
-            raise Diverged(f"Picard update grew to {delta:.3e}")
-        if delta < opts.outer_tol:
+            raise Diverged(f"update grew to {delta:.3e}")
+        if delta < opts.outer_tol and residual < opts.outer_tol:
             return HeightMap(domain, us), outer, history
     raise MaxIterations(
-        f"no convergence in {opts.max_outer} Picard iterations "
-        f"(last update {history[-1]:.3e})"
+        f"no convergence in {opts.max_outer} steps "
+        f"(last update {history[-1]:.3e}, residual {residual:.3e})"
     )
 
 
@@ -179,9 +213,9 @@ def solve_minimal(
 
     `boundary` holds one (ny, nx) array per component; only its edge
     values are used.  Interior values of `initial`, when given, seed the
-    Picard iteration; otherwise transfinite interpolation of the edges.
+    iteration; otherwise transfinite interpolation of the edges.
     """
-    f, outer, history = _picard(domain, boundary, options, initial, "euclidean")
+    f, outer, history = _chord(domain, boundary, options, initial, "euclidean")
     return SolveResult(f, outer, minimal_residual(f), history)
 
 
@@ -193,9 +227,9 @@ def solve_maximal(
 ) -> SolveResult:
     """Maximal-graph Dirichlet solver; iterates stay strictly spacelike.
 
-    Each Picard step is damped toward the previous iterate until the
+    Each step is damped toward the previous iterate until the
     spacelike discriminant keeps a relative margin of
     `options.spacelike_margin`.
     """
-    g, outer, history = _picard(domain, boundary, options, initial, "split")
+    g, outer, history = _chord(domain, boundary, options, initial, "split")
     return SolveResult(g, outer, maximal_residual(g), history)

@@ -39,8 +39,17 @@ from .systems import maximal_residual, minimal_residual
 
 
 def default_tol(domain) -> float:
-    """Declared slack for residual preconditions: 50 h^2 (scaled)."""
-    return 50.0 * domain.h**2
+    """Declared slack for residual preconditions: 50 h^2 (scaled).
+
+    A spacing so large that 50 h^2 is not a finite float is rejected.
+    """
+    try:
+        tol = 50.0 * domain.h**2
+    except OverflowError:  # float ** raises where * gives inf
+        tol = np.inf
+    if not np.isfinite(tol):
+        raise ValidationError(f"grid spacing {domain.h:.3e} overflows the tolerance 50 h^2")
+    return tol
 
 
 @dataclass

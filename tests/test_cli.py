@@ -226,6 +226,7 @@ _SAMPLE = ["catalog", "sample", "--name"]
         ["residual", "--system", "minimal", "--in", "{dir}"],
         ["residual", "--system", "minimal", "--in", "{binary}"],
         ["gauss", "planarity", "--in", "{inf_dx}"],
+        ["verify-all", "--name", "plane", "--grid", "17,17", "--domain", "0,0,1e308,1e308"],
     ],
 )
 def test_bad_input_exits_1_with_validation(tmp_path, capsys, argv):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from twinsurf.errors import SpacelikeUnreachable, ValidationError
-from twinsurf.fields import GridDomain, HeightMap
+import twinsurf.solver
+from twinsurf.catalog import make_surface
+from twinsurf.errors import MaxIterations, SpacelikeUnreachable, ValidationError
+from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
 from twinsurf.solver import SolveOptions, solve_maximal, solve_minimal
 from twinsurf.twin import twin_forward
 
@@ -125,3 +127,59 @@ def test_options_respected():
 
     with pytest.raises(MaxIterations):
         solve_minimal(dom, [np.log(np.cos(0.5 * X) / np.cos(0.5 * Y))], options=opts)
+
+
+def test_stalled_residual_raises_max_iterations():
+    # with outer_tol 0 no step converges: only the stall test ends the loop,
+    # once rounding keeps the residual from falling after a fresh factor
+    f = surface("scherk", 33, 33)
+    opts = SolveOptions(outer_tol=0.0, max_outer=50)
+    with pytest.raises(MaxIterations, match="residual stalled"):
+        solve_minimal(f.domain, [f.components[0].copy()], options=opts)
+
+
+def test_oscillating_residual_is_not_a_stall():
+    # near Scherk's singular lines the residual rises on some steps while
+    # the iteration still converges (77 steps at 65^2)
+    a = np.pi / 2 - 0.03
+    dom = GridDomain.from_bounds(-a, -a, a, a, 65, 65)
+    f = make_surface("scherk", None, dom)
+    res = solve_minimal(dom, [f.components[0].copy()])
+    assert res.update_history[-1] < SolveOptions().outer_tol
+
+
+@pytest.mark.parametrize("system, iterations", [("minimal", 7), ("maximal", 6)])
+def test_one_factorisation_per_solve(monkeypatch, system, iterations):
+    calls = []
+    splu = twinsurf.solver.splu
+    monkeypatch.setattr(
+        twinsurf.solver, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k)
+    )
+    f = surface("catenoid", 65, 65)
+    exact = f if system == "minimal" else twin_forward(f).g
+    solve = solve_minimal if system == "minimal" else solve_maximal
+    res = solve(exact.domain, [c.copy() for c in exact.components])
+    assert len(calls) == 1
+    assert res.outer_iterations == iterations
+
+
+@pytest.mark.parametrize("system, name", [("minimal", "scherk"), ("maximal", "catenoid")])
+def test_result_is_discrete_fixed_point(system, name):
+    # G u_xx - 2 F u_xy + E u_yy by central differences at the metric of
+    # the returned surface itself, scaled as the solver's stop rule is
+    f = surface(name, 65, 65)
+    exact = f if system == "minimal" else twin_forward(f).g
+    solve = solve_minimal if system == "minimal" else solve_maximal
+    res = solve(exact.domain, [c.copy() for c in exact.components])
+    dom = res.surface.domain
+    met = first_fundamental_form(
+        res.surface, "euclidean" if system == "minimal" else "split"
+    )
+    E, F, G = (a[1:-1, 1:-1] for a in (met.E, met.F, met.G))
+    diag = float(np.max(np.abs(2.0 * (G / dom.dx**2 + E / dom.dy**2))))
+    for u in res.surface.components:
+        u_xx = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / dom.dx**2
+        u_yy = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / dom.dy**2
+        u_xy = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4.0 * dom.dx * dom.dy)
+        r = np.abs(G * u_xx - 2.0 * F * u_xy + E * u_yy).max()
+        assert r / diag / max(1.0, np.abs(u).max()) <= SolveOptions().outer_tol

@@ -23,6 +23,13 @@ def test_default_tol_scales_with_grid():
     assert default_tol(dom) == pytest.approx(50 * (1 / 64) ** 2)
 
 
+@pytest.mark.parametrize("width", [1e155, 1e308])  # 50 h^2 overflows; h^2 overflows
+def test_default_tol_rejects_overflowing_spacing(width):
+    dom = GridDomain.from_bounds(0.0, 0.0, width, width, 11, 11)
+    with pytest.raises(ValidationError, match="overflows"):
+        default_tol(dom)
+
+
 def test_catenoid_twin_gradient_at_known_node():
     # at (2, 0): alpha = 1/sqrt(3), beta = 0, E = 4/3, F = 0, omega = 2/sqrt(3)
     # so the twin gradient is (-E beta/w + F alpha/w, G alpha/w - F beta/w) = (0, 1/2)
