@@ -3,10 +3,9 @@
 Exit codes: 0 success, 1 flag/validation error, 2 computation error (the
 error code name is printed to stderr), 3 a verify-all check failed.
 
-All numeric JSON output uses 17 significant digits.  ``--threads`` must be
->= 1 and caps nothing: BLAS picks its thread count when numpy loads, before
-any flag is read.  Reports are byte-identical for any value, so
-reproducibility audits can sweep it.
+All numeric JSON output uses 17 significant digits.  Reports are
+byte-identical for any BLAS thread count (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``), which BLAS reads when numpy loads.
 """
 
 from __future__ import annotations
@@ -69,12 +68,10 @@ def _catalog_input(args):
 
 
 def _emit(report, out_path):
-    text = reports.dumps(report)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        reports.dump(report, out_path)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(reports.dumps(report))
 
 
 def _scalar_in(path) -> ScalarField:
@@ -307,10 +304,8 @@ def _cmd_verify_all(args):
     return 0 if report["pass"] else 3
 
 
-def _add_common(p, tol=True, basepoint=False):
-    p.add_argument("--threads", type=int, default=1, help="worker thread cap")
-    if tol:
-        p.add_argument("--tol", type=float, default=None)
+def _add_common(p, basepoint=False):
+    p.add_argument("--tol", type=float, default=None)
     if basepoint:
         p.add_argument("--basepoint", default="0,0")
 
@@ -326,7 +321,6 @@ def build_parser():
     p.add_argument("--domain")
     p.add_argument("--grid", default="129,129")
     p.add_argument("--out")
-    _add_common(p, tol=False)
     p.set_defaults(fn=_cmd_catalog)
 
     p = sub.add_parser("residual", help="evaluate a system residual")
@@ -337,7 +331,6 @@ def build_parser():
     )
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out")
-    _add_common(p, tol=False)
     p.set_defaults(fn=_cmd_residual)
 
     p = sub.add_parser("twin", help="twin correspondence")
@@ -369,7 +362,6 @@ def build_parser():
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--pair", default="2,3", help="1-based i,j for 'fit'")
     p.add_argument("--out")
-    _add_common(p, tol=False)
     p.set_defaults(fn=_cmd_gauss)
 
     p = sub.add_parser("chart", help="conformal chart operations")
@@ -386,7 +378,6 @@ def build_parser():
     p.add_argument("--out")
     p.add_argument("--report")
     p.add_argument("--max-outer", type=int, default=None)
-    _add_common(p, tol=False)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("verify-all", help="full invariant suite on a catalog surface")
@@ -407,9 +398,6 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if getattr(args, "threads", 1) < 1:
-        print("VALIDATION: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.fn(args)
     except ValidationError as exc:

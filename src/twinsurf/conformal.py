@@ -103,15 +103,18 @@ def _bilinear(values: np.ndarray, cell):
     )
 
 
-def default_target_grid(chart: ConformalChart, margin_cells: int = 2) -> GridDomain:
+_MARGIN_CELLS = 2
+
+
+def default_target_grid(chart: ConformalChart) -> GridDomain:
     """Largest safe axis-aligned xi-rectangle: inscribed in the forward
-    image of the interior, shrunk by ``margin_cells`` grid cells.
+    image of the interior, shrunk by ``_MARGIN_CELLS`` grid cells.
 
     xi1 is monotone along rows and xi2 along columns (J_psi > 2), so the
     rectangle [max over left edge, min over right edge] x [bottom, top]
     of the shrunk grid lies inside the image.
     """
-    m = margin_cells
+    m = _MARGIN_CELLS
     xi1 = chart.xi1.values[m:-m, m:-m]
     xi2 = chart.xi2.values[m:-m, m:-m]
     lo1, hi1 = xi1[:, 0].max(), xi1[:, -1].min()

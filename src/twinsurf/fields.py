@@ -3,7 +3,10 @@
 Arrays are stored with shape ``(ny, nx)``: the y index is the slow (row)
 axis, so a row-major flatten runs through x fastest.  All derivative
 stencils are second order: central in the interior, one-sided three/four
-point stencils on the boundary rows and columns.
+point stencils on the boundary rows and columns.  There is one stencil
+per derivative order, along the last axis; the y derivatives apply it to
+the transpose.  Exact 1-forms are integrated by cumulative trapezoids
+behind one closedness guard, in units of a caller-given scale.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NotClosed, ValidationError
 
@@ -89,48 +91,57 @@ class ScalarField:
             raise ValidationError("field contains non-finite values")
 
 
-def diff_x(values: np.ndarray, dx: float) -> np.ndarray:
-    d = np.empty_like(values, dtype=np.result_type(values, float))
-    d[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
-    d[:, 0] = (-3.0 * values[:, 0] + 4.0 * values[:, 1] - values[:, 2]) / (2.0 * dx)
-    d[:, -1] = (3.0 * values[:, -1] - 4.0 * values[:, -2] + values[:, -3]) / (2.0 * dx)
+def _diff1(v: np.ndarray, h: float) -> np.ndarray:
+    """First derivative along the last axis: central, three-point one-sided
+    at the two ends."""
+    d = np.empty_like(v, dtype=np.result_type(v, float))
+    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
+    d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
     return d
+
+
+def _diff2(v: np.ndarray, h: float) -> np.ndarray:
+    """Second derivative along the last axis: central, four-point one-sided
+    at the two ends."""
+    d = np.empty_like(v, dtype=np.result_type(v, float))
+    d[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / h**2
+    d[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h**2
+    d[..., -1] = (
+        2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]
+    ) / h**2
+    return d
+
+
+# the y stencils run on the transpose; transposed back, the result has the
+# memory layout of ``values``
+def diff_x(values: np.ndarray, dx: float) -> np.ndarray:
+    return _diff1(values, dx)
 
 
 def diff_y(values: np.ndarray, dy: float) -> np.ndarray:
-    d = np.empty_like(values, dtype=np.result_type(values, float))
-    d[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * dy)
-    d[0, :] = (-3.0 * values[0, :] + 4.0 * values[1, :] - values[2, :]) / (2.0 * dy)
-    d[-1, :] = (3.0 * values[-1, :] - 4.0 * values[-2, :] + values[-3, :]) / (2.0 * dy)
-    return d
+    return _diff1(values.T, dy).T
 
 
 def diff2_x(values: np.ndarray, dx: float) -> np.ndarray:
-    d = np.empty_like(values, dtype=np.result_type(values, float))
-    d[:, 1:-1] = (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / dx**2
-    d[:, 0] = (
-        2.0 * values[:, 0] - 5.0 * values[:, 1] + 4.0 * values[:, 2] - values[:, 3]
-    ) / dx**2
-    d[:, -1] = (
-        2.0 * values[:, -1] - 5.0 * values[:, -2] + 4.0 * values[:, -3] - values[:, -4]
-    ) / dx**2
-    return d
+    return _diff2(values, dx)
 
 
 def diff2_y(values: np.ndarray, dy: float) -> np.ndarray:
-    d = np.empty_like(values, dtype=np.result_type(values, float))
-    d[1:-1, :] = (values[2:, :] - 2.0 * values[1:-1, :] + values[:-2, :]) / dy**2
-    d[0, :] = (
-        2.0 * values[0, :] - 5.0 * values[1, :] + 4.0 * values[2, :] - values[3, :]
-    ) / dy**2
-    d[-1, :] = (
-        2.0 * values[-1, :] - 5.0 * values[-2, :] + 4.0 * values[-3, :] - values[-4, :]
-    ) / dy**2
-    return d
+    return _diff2(values.T, dy).T
 
 
 def diff_xy(values: np.ndarray, dx: float, dy: float) -> np.ndarray:
     return diff_y(diff_x(values, dx), dy)
+
+
+def hessian(values: np.ndarray, domain: GridDomain):
+    """(f_xx, f_xy, f_yy) of node values."""
+    return (
+        diff2_x(values, domain.dx),
+        diff_xy(values, domain.dx, domain.dy),
+        diff2_y(values, domain.dy),
+    )
 
 
 @dataclass
@@ -220,12 +231,6 @@ class JacobianData:
         return self.violations is None or len(self.violations) == 0
 
 
-@dataclass
-class PotentialResult:
-    potential: ScalarField
-    basepoint: tuple  # (ix, iy)
-
-
 def first_fundamental_form(h: HeightMap, signature: str = "euclidean") -> MetricData:
     """Metric coefficients of the graph of ``h`` in either ambient signature."""
     if signature not in ("euclidean", "split"):
@@ -272,20 +277,31 @@ def closedness_residual_field(P: np.ndarray, Q: np.ndarray, domain: GridDomain):
     return np.abs(diff_y(P, domain.dy) - diff_x(Q, domain.dx))
 
 
+def _cumtrapz(v: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative trapezoid along the last axis, 0 at the first node."""
+    out = np.zeros_like(v)
+    np.cumsum(h * (v[..., 1:] + v[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return out
+
+
 def integrate_exact_form(
     P: ScalarField,
     Q: ScalarField,
     basepoint: tuple = (0, 0),
     tol: float | None = None,
-) -> PotentialResult:
+    scale: float | np.ndarray = 1.0,
+) -> ScalarField:
     """Potential u with (u_x, u_y) ~ (P, Q), u(basepoint) = 0.
 
     Trapezoid integration along the two axis-aligned L-paths from the
     basepoint (x-first and y-first), averaged; averaging symmetrizes the
     O(h^2) error and makes path independence a testable property.
 
-    ``tol``, when given, bounds the max closedness residual on interior
-    nodes; beyond it the form is rejected as NOT_CLOSED.
+    ``tol``, when given, bounds the closedness residual divided by
+    ``scale`` (a number or a nodewise array) on interior nodes; beyond it
+    the form is rejected as NOT_CLOSED.  For twin and lift gradient fields
+    the closedness defect is the surface system in divergence form, so
+    they pass the nodewise scale of the residual evaluators.
     """
     dom = P.domain
     if Q.domain != dom:
@@ -295,17 +311,18 @@ def integrate_exact_form(
         raise ValidationError(f"basepoint {basepoint} outside grid")
 
     if tol is not None:
-        worst = closedness_residual_field(P.values, Q.values, dom)[1:-1, 1:-1].max()
+        closed = closedness_residual_field(P.values, Q.values, dom) / scale
+        worst = float(closed[1:-1, 1:-1].max())
         if worst > tol:
-            raise NotClosed(f"max closedness residual {worst:.3e} > tol {tol:.3e}")
+            raise NotClosed(f"scaled closedness residual {worst:.3e} > tol {tol:.3e}")
 
-    cumx = cumulative_trapezoid(P.values, dx=dom.dx, axis=1, initial=0.0)
+    cumx = _cumtrapz(P.values, dom.dx)
     cumx -= cumx[:, ix][:, None]
-    cumy = cumulative_trapezoid(Q.values, dx=dom.dy, axis=0, initial=0.0)
+    cumy = _cumtrapz(Q.values.T, dom.dy).T
     cumy -= cumy[iy, :][None, :]
 
     u_xfirst = cumx[iy, :][None, :] + cumy
     u_yfirst = cumy[:, ix][:, None] + cumx
     u = 0.5 * (u_xfirst + u_yfirst)
     u[iy, ix] = 0.0  # exact by construction; enforce against rounding
-    return PotentialResult(ScalarField(dom, u), (ix, iy))
+    return ScalarField(dom, u)

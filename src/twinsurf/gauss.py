@@ -24,13 +24,15 @@ from .fields import (
     GridDomain,
     HeightMap,
     ScalarField,
-    diff2_x,
-    diff2_y,
-    diff_xy,
     first_fundamental_form,
+    hessian,
 )
 
 _FIRST_NONZERO_TOL = 1e-13
+# hyperplane fits: z_j must clear _FIRST_NONZERO_TOL on this share of the
+# nodes, and |Im lambda| above the threshold marks a non-real relation
+_MIN_VALID_FRACTION = 0.99
+_NONREAL_THRESHOLD = 1e-8
 
 
 @dataclass
@@ -123,25 +125,19 @@ def quadric_residual(g: ProjectivePointField) -> float:
     return float(np.abs(s).max())
 
 
-def hyperplane_fit(
-    g: ProjectivePointField,
-    i: int,
-    j: int,
-    min_valid_fraction: float = 0.99,
-    nonreal_threshold: float = 1e-8,
-) -> HyperplaneFit:
+def hyperplane_fit(g: ProjectivePointField, i: int, j: int) -> HyperplaneFit:
     """Least-squares lambda with z_i ~ lambda z_j over nodes where z_j is
     bounded away from zero (1-based component indices)."""
     zi, zj = g.component(i), g.component(j)
     valid = np.abs(zj) > _FIRST_NONZERO_TOL
-    if valid.mean() < min_valid_fraction:
+    if valid.mean() < _MIN_VALID_FRACTION:
         raise DegenerateFit(
             f"z_{j} negligible on {(1 - valid.mean()) * 100:.1f}% of nodes"
         )
     zi_v, zj_v = zi[valid], zj[valid]
     lam = complex(np.vdot(zj_v, zi_v) / np.vdot(zj_v, zj_v))
     residual = float(np.abs(zi_v - lam * zj_v).max())
-    return HyperplaneFit(i, j, lam, residual, abs(lam.imag) > nonreal_threshold)
+    return HyperplaneFit(i, j, lam, residual, abs(lam.imag) > _NONREAL_THRESHOLD)
 
 
 def planarity_score(g: ProjectivePointField, max_nodes: int = 4096) -> float:
@@ -192,9 +188,7 @@ def jorgens_gauss(F: ScalarField, tol: float = 1e-6) -> ProjectivePointField:
     equation forces to vanish nowhere.
     """
     dom = F.domain
-    Fxx = diff2_x(F.values, dom.dx)
-    Fyy = diff2_y(F.values, dom.dy)
-    Fxy = diff_xy(F.values, dom.dx, dom.dy)
+    Fxx, Fxy, Fyy = hessian(F.values, dom)
     det_err = np.abs(Fxx * Fyy - Fxy * Fxy - 1.0)[1:-1, 1:-1].max()
     if det_err > tol:
         raise NotUnimodular(f"max |det D^2 F - 1| = {det_err:.3e} > tol {tol:.3e}")

@@ -34,9 +34,8 @@ def write_gfield(path, domain: GridDomain, components) -> None:
         fh.write(
             f"{_fmt(domain.x0)} {_fmt(domain.y0)} {_fmt(domain.dx)} {_fmt(domain.dy)}\n"
         )
-        for c in components:
-            for row in c:  # y ascending: row 0 is y0
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        for c in components:  # y ascending: row 0 is y0
+            np.savetxt(fh, c, fmt="%.17g")
 
 
 def read_gfield(path):

@@ -17,18 +17,16 @@ from .errors import (
     ValidationError,
 )
 from .fields import (
-    GridDomain,
     HeightMap,
     ScalarField,
-    diff2_x,
-    diff2_y,
     diff_x,
-    diff_xy,
     diff_y,
     first_fundamental_form,
+    hessian,
+    integrate_exact_form,
 )
 from .systems import ResidualReport, minimal_residual
-from .twin import _interior_max, default_tol, integrate_scaled, require_residual
+from .twin import _interior_max, default_tol, require_residual
 
 PARAM_TOL = 1e-12
 
@@ -65,7 +63,6 @@ class SLParams:
     lambda1: float
     lambda2: float
     epsilon: int
-    theta: float = 0.0
 
     def __post_init__(self):
         if self.epsilon not in (-1, 1):
@@ -85,14 +82,6 @@ class SLParams:
             )
 
 
-def _hessian(values: np.ndarray, dom: GridDomain):
-    return (
-        diff2_x(values, dom.dx),
-        diff_xy(values, dom.dx, dom.dy),
-        diff2_y(values, dom.dy),
-    )
-
-
 def _lift_potentials(f: HeightMap, basepoint, tol):
     """Minimality precondition and the potentials M, N of (E/w, F/w) and
     (F/w, G/w), shared by the lift and the conformal chart.
@@ -103,9 +92,10 @@ def _lift_potentials(f: HeightMap, basepoint, tol):
     require_residual(res, tol)
     dom = f.domain
     metric = first_fundamental_form(f, "euclidean")
-    E, F, G, w = metric.E, metric.F, metric.G, metric.omega
-    M = integrate_scaled(E / w, F / w, dom, basepoint, tol, res.scale).potential
-    N = integrate_scaled(F / w, G / w, dom, basepoint, tol, res.scale).potential
+    w = metric.omega
+    Ew, Fw, Gw = (ScalarField(dom, c / w) for c in (metric.E, metric.F, metric.G))
+    M = integrate_exact_form(Ew, Fw, basepoint, tol, res.scale)
+    N = integrate_exact_form(Fw, Gw, basepoint, tol, res.scale)
     return M, N, metric, res.scale
 
 
@@ -116,13 +106,13 @@ def sl_lift(f: HeightMap, basepoint=(0, 0), tol: float | None = None) -> SLLift:
         tol = default_tol(f.domain)
     dom = f.domain
     M, N, _, scale = _lift_potentials(f, basepoint, tol)
-    h = integrate_scaled(M.values, N.values, dom, basepoint, tol, scale).potential
+    h = integrate_exact_form(M, N, basepoint, tol, scale)
 
     Mx, My = diff_x(M.values, dom.dx), diff_y(M.values, dom.dy)
     Nx, Ny = diff_x(N.values, dom.dx), diff_y(N.values, dom.dy)
     sym = _interior_max(My - Nx)
     area = _interior_max(Mx * Ny - My * Nx - 1.0)
-    hxx, hxy, hyy = _hessian(h.values, dom)
+    hxx, hxy, hyy = hessian(h.values, dom)
     det = _interior_max(hxx * hyy - hxy * hxy - 1.0)
     return SLLift(M, N, h, sym, det, area, basepoint)
 
@@ -151,7 +141,7 @@ def _sl_terms(h: ScalarField, signature):
     if signature not in ("euclidean", "split"):
         raise ValidationError(f"unknown mode {signature!r}")
     s = 1.0 if signature == "euclidean" else -1.0
-    hxx, hxy, hyy = _hessian(h.values, h.domain)
+    hxx, hxy, hyy = hessian(h.values, h.domain)
     return hxx, hxy, hyy, hxx + hyy, 1.0 - s * hxx * hyy + s * hxy * hxy
 
 
@@ -217,8 +207,13 @@ def detect_angle(h: ScalarField, mode: str = "euclidean"):
     theta_node = np.arctan2(-trace, den)
     c2, s2 = np.cos(2 * theta_node).mean(), np.sin(2 * theta_node).mean()
     theta = 0.5 * np.arctan2(s2, c2)
-    if theta <= -np.pi / 2 + 1e-15:
+
+    def spread(t):  # largest angular deviation mod pi
+        return float((np.abs(np.angle(np.exp(2j * (theta_node - t)))) / 2.0).max())
+
+    dev = spread(theta)
+    # an estimate within its spread of -pi/2 is the +pi/2 representative
+    if theta <= -np.pi / 2 + dev:
         theta += np.pi
-    # angular deviation mod pi
-    dev = np.abs(np.angle(np.exp(2j * (theta_node - theta)))) / 2.0
-    return float(theta), float(dev.max())
+        dev = spread(theta)
+    return float(theta), dev

@@ -38,7 +38,6 @@ from .systems import maximal_residual, minimal_residual
 class SolveOptions:
     max_outer: int = 200
     outer_tol: float = 1e-9
-    spacelike_margin: float = 0.05
 
 
 @dataclass
@@ -52,6 +51,8 @@ class SolveResult:
 # The max-norm residual of a converging iteration can rise for a step or
 # two; this many steps without a new smallest residual count as a stall.
 _STALL_STEPS = 5
+# A maximal iterate keeps this share of the initial guess's spacelike margin.
+_SPACELIKE_MARGIN = 0.05
 
 
 def _transfinite(domain: GridDomain, bc: np.ndarray) -> np.ndarray:
@@ -131,7 +132,7 @@ def _chord(domain, boundary, options, initial, signature):
     is the smallest discriminant E G - F^2, counted as at most 0 at nodes
     outside the metric's mask (E <= 0: a negative-definite metric is not
     spacelike).  Only the split signature can fail that test; for it the
-    floor is `spacelike_margin` times the margin of the initial guess.
+    floor is `_SPACELIKE_MARGIN` times the margin of the initial guess.
     """
     opts = options or SolveOptions()
     if opts.max_outer < 1:
@@ -157,7 +158,7 @@ def _chord(domain, boundary, options, initial, signature):
         raise SpacelikeUnreachable(
             f"initial guess is not spacelike (spacelike margin {m0:.3e})"
         )
-    floor = opts.spacelike_margin * m0 if signature == "split" else 0.0
+    floor = _SPACELIKE_MARGIN * m0 if signature == "split" else 0.0
 
     inner = (slice(None), slice(1, -1), slice(1, -1))
     lu, history, best, since_best = None, [], np.inf, 0
@@ -228,8 +229,7 @@ def solve_maximal(
     """Maximal-graph Dirichlet solver; iterates stay strictly spacelike.
 
     Each step is damped toward the previous iterate until the
-    spacelike discriminant keeps a relative margin of
-    `options.spacelike_margin`.
+    spacelike discriminant keeps a relative margin of `_SPACELIKE_MARGIN`.
     """
     g, outer, history = _chord(domain, boundary, options, initial, "split")
     return SolveResult(g, outer, maximal_residual(g), history)

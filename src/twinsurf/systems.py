@@ -19,6 +19,7 @@ from .fields import (
     GridDomain,
     HeightMap,
     MetricData,
+    closedness_residual_field,
     diff_x,
     diff_y,
     first_fundamental_form,
@@ -100,7 +101,7 @@ def _residual_scale(metric: MetricData, seconds):
     return np.maximum(np.abs(metric.E + metric.G), 1e-12) * m
 
 
-def _quasilinear_residual(h: HeightMap, signature, normalization) -> ResidualReport:
+def _quasilinear_residual(h: HeightMap, signature) -> ResidualReport:
     """G h_xx - 2 F h_xy + E h_yy per component, with the coefficients of
     ``signature``; nodes outside the metric's mask (only split data can
     have any) are left out of the aggregates instead of raising."""
@@ -116,23 +117,22 @@ def _quasilinear_residual(h: HeightMap, signature, normalization) -> ResidualRep
         fields,
         _residual_scale(metric, seconds),
         h.domain,
-        normalization,
         mask=metric.mask,
     )
 
 
-def minimal_residual(f: HeightMap, normalization="scaled") -> ResidualReport:
+def minimal_residual(f: HeightMap) -> ResidualReport:
     """G f_xx - 2 F f_xy + E f_yy per component."""
-    return _quasilinear_residual(f, "euclidean", normalization)
+    return _quasilinear_residual(f, "euclidean")
 
 
-def maximal_residual(g: HeightMap, normalization="scaled") -> ResidualReport:
+def maximal_residual(g: HeightMap) -> ResidualReport:
     """Hatted quasilinear form; non-spacelike nodes are masked out of the
     aggregates instead of raising."""
-    return _quasilinear_residual(g, "split", normalization)
+    return _quasilinear_residual(g, "split")
 
 
-def divergence_residual(f: HeightMap, normalization="scaled") -> ResidualReport:
+def divergence_residual(f: HeightMap) -> ResidualReport:
     """d/dx((G a_k - F b_k)/w) + d/dy((E b_k - F a_k)/w)."""
     dom = f.domain
     metric = first_fundamental_form(f, "euclidean")
@@ -150,22 +150,16 @@ def divergence_residual(f: HeightMap, normalization="scaled") -> ResidualReport:
         fields,
         _residual_scale(metric, seconds),
         dom,
-        normalization,
     )
 
 
-def closedness_identities(
-    f: HeightMap, signature="euclidean", normalization="scaled"
-) -> ResidualReport:
+def closedness_identities(f: HeightMap, signature="euclidean") -> ResidualReport:
     """|d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)| (hatted under split)."""
     dom = f.domain
     metric = first_fundamental_form(f, signature)
     w = np.where(metric.mask, metric.omega, np.inf)  # masked nodes contribute 0
     E, F, G = metric.E / w, metric.F / w, metric.G / w
-    fields = [
-        np.abs(diff_x(G, dom.dx) - diff_y(F, dom.dy)),
-        np.abs(diff_x(F, dom.dx) - diff_y(E, dom.dy)),
-    ]
+    fields = [closedness_residual_field(F, G, dom), closedness_residual_field(E, F, dom)]
     seconds = [_second_derivatives(f, k) for k in range(f.n)]
     scale = _residual_scale(metric, seconds)
     return ResidualReport(
@@ -174,6 +168,5 @@ def closedness_identities(
         fields,
         scale,
         dom,
-        normalization,
         mask=metric.mask,
     )

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     AreaAngleViolation,
-    NotClosed,
     NotMinimal,
     NotSpacelike,
     ValidationError,
@@ -30,7 +29,6 @@ from .fields import (
     HeightMap,
     MetricData,
     ScalarField,
-    closedness_residual_field,
     first_fundamental_form,
     integrate_exact_form,
     jacobian_data,
@@ -102,19 +100,6 @@ def require_residual(res, tol):
         raise NotMinimal(f"scaled {kind} residual {worst:.3e} > tol {tol:.3e}")
 
 
-def integrate_scaled(P, Q, domain, basepoint, tol, scale):
-    """Potential of P dx + Q dy behind a closedness guard in scaled form:
-    for twin/lift gradient fields the closedness defect is the surface
-    system in divergence form, so it is budgeted with the same nodewise
-    scale as the residual evaluators."""
-    worst = _interior_max(closedness_residual_field(P, Q, domain) / scale)
-    if worst > tol:
-        raise NotClosed(f"scaled closedness residual {worst:.3e} > tol {tol:.3e}")
-    return integrate_exact_form(
-        ScalarField(domain, P), ScalarField(domain, Q), basepoint
-    )
-
-
 def _diagnostics(metric_f, metric_g, jac_f, jac_g):
     wf, wg = metric_f.omega, metric_g.omega
     c2 = 0.0
@@ -160,7 +145,9 @@ def _twin(src: HeightMap, signature, basepoint, tol, with_involution) -> TwinPai
     # checked, by the integration, before the residual precondition
     grads = [_twin_gradient(src, metric_src, k) for k in range(src.n)]
     comps = [
-        integrate_scaled(P, Q, dom, basepoint, tol, res.scale).potential.values
+        integrate_exact_form(
+            ScalarField(dom, P), ScalarField(dom, Q), basepoint, tol, res.scale
+        ).values
         for P, Q in grads
     ]
     require_residual(res, tol)

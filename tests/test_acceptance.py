@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line; `pytest -v` gives the same
 information through the test outcome.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -276,9 +277,9 @@ def test_criterion_11_thread_determinism():
     ]
     outputs = []
     for threads in ("1", "2", "8"):
-        p = subprocess.run(
-            cmd + ["--threads", threads], capture_output=True, timeout=300
-        )
+        # BLAS reads its thread count when numpy loads in the child
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        p = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
         assert p.returncode == 0, p.stderr.decode()
         outputs.append(p.stdout)
     ok = outputs[0] == outputs[1] == outputs[2]

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +136,16 @@ def test_verify_all_fails_with_exit_3(tmp_path, capsys):
 def test_missing_file_is_validation_error(capsys):
     assert run(["residual", "--system", "minimal", "--in", "/no/such.gf"]) == 1
     assert "VALIDATION" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    code = (
+        "import sys\n"
+        "import twinsurf.cli\n"
+        "sys.exit('scipy.integrate' in sys.modules)\n"
+    )
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+    assert p.returncode == 0, p.stderr.decode() or "scipy.integrate was imported"
 
 
 def test_bad_arguments_exit_1():

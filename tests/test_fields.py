@@ -15,6 +15,7 @@ from twinsurf.fields import (
     diff_xy,
     diff_y,
     first_fundamental_form,
+    hessian,
     integrate_exact_form,
     jacobian_data,
 )
@@ -140,8 +141,8 @@ def test_integrate_exact_form_recovers_potential(square_domain):
     res = integrate_exact_form(P, Q, basepoint=(4, 7))
     u = X * X + X * Y + Y
     expected = u - u[7, 4]
-    assert res.potential.values[7, 4] == 0.0
-    assert np.abs(res.potential.values - expected).max() < 1e-12
+    assert res.values[7, 4] == 0.0
+    assert np.abs(res.values - expected).max() < 1e-12
 
 
 def test_integrate_then_differentiate_second_order():
@@ -151,7 +152,7 @@ def test_integrate_then_differentiate_second_order():
         X, Y = dom.meshgrid()
         P = ScalarField(dom, np.cos(X) * np.cos(Y))
         Q = ScalarField(dom, -np.sin(X) * np.sin(Y))  # u = sin x cos y
-        u = integrate_exact_form(P, Q).potential.values
+        u = integrate_exact_form(P, Q).values
         errs.append(np.abs(diff_x(u, dom.dx) - P.values)[1:-1, 1:-1].max())
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -164,6 +165,31 @@ def test_integrate_rejects_non_closed_form(square_domain):
     assert np.abs(r[1:-1, 1:-1] - 2.0).max() < 1e-12
     with pytest.raises(NotClosed):
         integrate_exact_form(P, Q, tol=1e-6)
+    # the guard reads the residual in units of scale: 2 / 4 = 0.5
+    integrate_exact_form(P, Q, tol=0.6, scale=4.0)
+    with pytest.raises(NotClosed, match="scaled closedness residual 5.000e-01"):
+        integrate_exact_form(P, Q, tol=0.4, scale=4.0)
+
+
+def test_cumulative_trapezoid_matches_scipy():
+    # the potentials keep the bits of scipy's cumulative_trapezoid
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(3)
+    dom = GridDomain.from_bounds(-0.3, 0.2, 1.1, 0.9, 23, 17)
+    P = ScalarField(dom, rng.standard_normal(dom.shape))
+    Q = ScalarField(dom, rng.standard_normal(dom.shape))
+    cumx = integrate.cumulative_trapezoid(P.values, dx=dom.dx, axis=1, initial=0.0)
+    cumy = integrate.cumulative_trapezoid(Q.values, dx=dom.dy, axis=0, initial=0.0)
+    u = 0.5 * ((cumx[0, :][None, :] + cumy) + (cumy[:, 0][:, None] + cumx))
+    u[0, 0] = 0.0
+    assert np.array_equal(integrate_exact_form(P, Q).values, u)
+
+
+def test_hessian_of_quadratic(square_domain):
+    X, Y = square_domain.meshgrid()
+    hxx, hxy, hyy = hessian(1.5 * X * X - 0.5 * X * Y + 2.0 * Y * Y, square_domain)
+    for got, want in ((hxx, 3.0), (hxy, -0.5), (hyy, 4.0)):
+        assert np.abs(got - want).max() < 1e-9
 
 
 def test_integrate_validates_basepoint(square_domain):

@@ -115,3 +115,16 @@ def test_lift_potential_solves_euclidean_equation_at_right_angle():
     assert sl_residual(lift.h, np.pi / 2).max_abs() <= 1e-2
     theta, _ = detect_angle(lift.h, "euclidean")
     assert theta == pytest.approx(np.pi / 2, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_detect_angle_folds_within_spread_onto_positive_right_angle(n):
+    # from values only, the holomorphic lift's angle estimate lands a few
+    # ulps below -pi/2, inside its own spread: the reported representative
+    # is +pi/2
+    f = surface("holomorphic", n, n)
+    lift = sl_lift(HeightMap(f.domain, f.components))
+    theta, spread = detect_angle(lift.h, "euclidean")
+    assert spread < 1e-10
+    assert theta > 0
+    assert theta == pytest.approx(np.pi / 2, abs=1e-10)
