@@ -2,9 +2,9 @@
 
 Every graph's Gauss map lands on the hyperquadric sum(z_k^2) = 0; for
 gradient graphs of unimodular-Hessian potentials the image collapses to
-a point on two complex hyperplanes.  The final section resamples a twin
-pair onto a shared conformal chart and measures the relation between
-the two Weierstrass data sets.
+a point on two complex hyperplanes.  The final section reads a twin pair
+in the shared conformal coordinates of one chart and measures the
+relation between the two Weierstrass data sets.
 """
 
 import numpy as np

@@ -138,7 +138,7 @@ def _cmd_sl(args):
         return 0
     if args.action == "rotate":
         params = slag.SLParams(args.lambda1, args.lambda2, args.epsilon)
-        h = slag.graph_rotate(_scalar_in(args.inp), params, args.mode)
+        h = slag.graph_rotate(_scalar_in(args.inp), params, args.mode or "standard")
         write_gfield(_out(args), h.domain, [h.values])
         return 0
     if args.action == "residual":
@@ -150,8 +150,9 @@ def _cmd_sl(args):
         _emit(rep.to_report(), args.out)
         return 0
     # detect-angle
-    theta, const = slag.detect_angle(_scalar_in(args.inp), args.mode)
-    _emit({"theta": theta, "constancy_residual": const, "mode": args.mode}, args.out)
+    mode = args.mode or "euclidean"
+    theta, const = slag.detect_angle(_scalar_in(args.inp), mode)
+    _emit({"theta": theta, "constancy_residual": const, "mode": mode}, args.out)
     return 0
 
 
@@ -207,8 +208,7 @@ def _cmd_chart(args):
         write_heightmap(_out(args), X)
         return 0
     if args.action == "nullcurve":
-        X = conformal.resample_to_chart(chart, f)
-        nc = conformal.null_curve(X, args.signature)
+        nc = conformal.null_curve(f, chart, args.signature)
         _emit(
             {
                 "holomorphy_residual": nc.holomorphy_residual,
@@ -351,7 +351,8 @@ def build_parser():
     p.add_argument("--lambda2", type=float, default=1.0)
     p.add_argument("--epsilon", type=int, default=1)
     p.add_argument("--mode", choices=["standard", "reverse", "euclidean", "split"],
-                   default="standard")
+                   help="rotate: standard|reverse (default standard); "
+                   "detect-angle: euclidean|split (default euclidean)")
     p.add_argument("--theta", type=float, default=np.pi / 2)
     p.add_argument("--signature", choices=["euclidean", "split"], default="euclidean")
     _add_common(p, basepoint=True)

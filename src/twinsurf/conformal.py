@@ -2,10 +2,10 @@
 xi-grid, holomorphic null curves, and the Weierstrass twin relation.
 
 The transformation is Psi(x, y) = (x + M, y + N) with M, N integrated from
-(E/w, F/w) and (F/w, G/w); its Jacobian 2 + (E+G)/w exceeds 2.  Resampled
-quantities only carry first-order accuracy: bilinear interpolation plus
-Newton inversion each cost one order.  The Weierstrass check inverts the
-chart once and resamples both twin sides from the same cell weights.
+(E/w, F/w) and (F/w, G/w); its Jacobian 2 + (E+G)/w exceeds 2.  Null
+curves and the Weierstrass relation are read on the source grid by pulling
+xi-derivatives back through DPsi, so they keep second order; only
+``resample_to_chart`` inverts the chart (Newton, bilinear interpolation).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class ConformalChart:
 
 @dataclass
 class NullCurveField:
-    domain: GridDomain  # the uniform xi-grid
+    domain: GridDomain  # the source grid of the chart
     phi: list  # complex arrays phi_1..phi_{n+2}
     holomorphy_residual: float
     nullity_residual: float
@@ -103,6 +103,8 @@ def _bilinear(values: np.ndarray, cell):
     )
 
 
+# boundary rings left out by the target grid and the null-curve residuals:
+# the first ring carries the one-sided stencils
 _MARGIN_CELLS = 2
 
 
@@ -191,49 +193,44 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
     return x, y
 
 
-def resample_to_chart(
-    chart: ConformalChart, h: HeightMap, target: GridDomain | None = None
-) -> HeightMap:
-    """Immersion components on a uniform xi-grid.
+def resample_to_chart(chart: ConformalChart, h: HeightMap) -> HeightMap:
+    """Immersion components on the uniform xi-grid of ``default_target_grid``.
 
     The output height map has n+2 components: ambient x(xi), y(xi) first,
     then the components of ``h`` evaluated at the preimage (bilinear).
     """
-    return _resample(chart, [h], target)[0]
-
-
-def _resample(chart: ConformalChart, maps: list, target: GridDomain | None):
-    """``resample_to_chart`` of each of ``maps`` from one chart inversion."""
-    if any(h.domain != chart.source.domain for h in maps):
+    if h.domain != chart.source.domain:
         raise ValidationError("height map and chart must share the source grid")
-    if target is None:
-        target = default_target_grid(chart)
-    else:
-        safe = default_target_grid(chart)
-        if (
-            target.x0 < safe.x0 - 1e-12
-            or target.x1 > safe.x1 + 1e-12
-            or target.y0 < safe.y0 - 1e-12
-            or target.y1 > safe.y1 + 1e-12
-        ):
-            raise TargetOutsideImage("requested xi-rectangle leaves the safe image")
+    target = default_target_grid(chart)
     x, y = _invert_chart(chart, target)
     cell = _cell(chart.source.domain, x, y)
-    comps = [[x, y] + [_bilinear(c, cell) for c in h.components] for h in maps]
-    return [HeightMap(target, c) for c in comps]
+    return HeightMap(target, [x, y] + [_bilinear(c, cell) for c in h.components])
 
 
-def null_curve(X: HeightMap, signature: str = "euclidean") -> NullCurveField:
-    """phi_k = dF_k/dxi1 - i dF_k/dxi2 on the xi-grid, with discrete
-    holomorphy (Cauchy-Riemann) and nullity residuals."""
-    dom = X.domain
-    phi = []
-    for c in X.components:
-        phi.append(diff_x(c, dom.dx) - 1j * diff_y(c, dom.dy))
+def null_curve(
+    h: HeightMap, chart: ConformalChart, signature: str = "euclidean"
+) -> NullCurveField:
+    """phi_k = dF_k/dxi1 - i dF_k/dxi2 of F = (x, y, h_1..h_n) on the source
+    grid: d/dxi = (DPsi)^{-T} d/d(x, y) with DPsi differenced from the chart's
+    nodes, so d = A d/dx + B d/dy and dbar = conj(A) d/dx + conj(B) d/dy.
+    Nullity is taken ``_MARGIN_CELLS`` rings in, holomorphy a ring further."""
+    dom = chart.source.domain
+    if h.domain != dom:
+        raise ValidationError("height map and chart must share the source grid")
+    m = _MARGIN_CELLS
+    if min(dom.nx, dom.ny) < 2 * m + 3:
+        raise ValidationError(f"null curve needs at least {2 * m + 3} nodes per axis")
+    xi1, xi2 = chart.xi1.values, chart.xi2.values
+    xi1_x, xi1_y = diff_x(xi1, dom.dx), diff_y(xi1, dom.dy)
+    xi2_x, xi2_y = diff_x(xi2, dom.dx), diff_y(xi2, dom.dy)
+    det = xi1_x * xi2_y - xi1_y * xi2_x
+    A = (xi2_y + 1j * xi1_y) / det
+    B = -(xi2_x + 1j * xi1_x) / det
+    phi = [A, B] + [A * diff_x(c, dom.dx) + B * diff_y(c, dom.dy) for c in h.components]
+    sl = slice(m + 1, -m - 1)
     holo = 0.0
-    sl = slice(2, -2)  # two derivative passes widen the noisy border
     for p in phi:
-        cr = diff_x(p, dom.dx) + 1j * diff_y(p, dom.dy)
+        cr = A.conj() * diff_x(p, dom.dx) + B.conj() * diff_y(p, dom.dy)
         holo = max(holo, float(np.abs(cr[sl, sl]).max()))
     if signature == "euclidean":
         null = sum(p * p for p in phi)
@@ -241,19 +238,16 @@ def null_curve(X: HeightMap, signature: str = "euclidean") -> NullCurveField:
         null = phi[0] ** 2 + phi[1] ** 2 - sum(p * p for p in phi[2:])
     else:
         raise ValidationError(f"unknown signature {signature!r}")
-    nullity = float(np.abs(null[1:-1, 1:-1]).max())
+    nullity = float(np.abs(null[m:-m, m:-m]).max())
     return NullCurveField(dom, phi, holo, nullity, signature)
 
 
-def verify_weierstrass_twin(
-    pair: TwinPair, chart: ConformalChart, target: GridDomain | None = None
-) -> dict:
+def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:
     """Residuals of phi_1 = phihat_1, phi_2 = phihat_2 and
-    phihat_{k+2} = -i phi_{k+2} on a shared xi-grid."""
-    Xf, Xg = _resample(chart, [pair.f, pair.g], target)
-    nf = null_curve(Xf, "euclidean")
-    ng = null_curve(Xg, "split")
-    sl = slice(1, -1)
+    phihat_{k+2} = -i phi_{k+2}, ``_MARGIN_CELLS`` rings in."""
+    nf = null_curve(pair.f, chart, "euclidean")
+    ng = null_curve(pair.g, chart, "split")
+    sl = slice(_MARGIN_CELLS, -_MARGIN_CELLS)
     r1 = float(np.abs((nf.phi[0] - ng.phi[0])[sl, sl]).max())
     r2 = float(np.abs((nf.phi[1] - ng.phi[1])[sl, sl]).max())
     r3 = 0.0

@@ -33,6 +33,8 @@ _FIRST_NONZERO_TOL = 1e-13
 # nodes, and |Im lambda| above the threshold marks a non-real relation
 _MIN_VALID_FRACTION = 0.99
 _NONREAL_THRESHOLD = 1e-8
+# jorgens_gauss: largest accepted max |det D^2 F - 1| off the boundary
+_DET_TOL = 1e-6
 
 
 @dataclass
@@ -180,7 +182,7 @@ def planarity_score(g: ProjectivePointField, max_nodes: int = 4096) -> float:
     return worst
 
 
-def jorgens_gauss(F: ScalarField, tol: float = 1e-6) -> ProjectivePointField:
+def jorgens_gauss(F: ScalarField) -> ProjectivePointField:
     """Closed-form Gauss field [eps F_yy, i - eps F_xy, eps + i F_xy, i F_yy]
     of the gradient graph of a unimodular-Hessian potential F.
 
@@ -190,8 +192,8 @@ def jorgens_gauss(F: ScalarField, tol: float = 1e-6) -> ProjectivePointField:
     dom = F.domain
     Fxx, Fxy, Fyy = hessian(F.values, dom)
     det_err = np.abs(Fxx * Fyy - Fxy * Fxy - 1.0)[1:-1, 1:-1].max()
-    if det_err > tol:
-        raise NotUnimodular(f"max |det D^2 F - 1| = {det_err:.3e} > tol {tol:.3e}")
+    if det_err > _DET_TOL:
+        raise NotUnimodular(f"max |det D^2 F - 1| = {det_err:.3e} > tol {_DET_TOL:.3e}")
     trace = Fxx + Fyy
     if trace.max() > 0 and trace.min() < 0:
         raise SignChange(

@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from twinsurf import conformal
 from twinsurf.cli import run
 from twinsurf.fields import GridDomain
-from twinsurf.gfield import read_gfield, read_heightmap, write_gfield
+from twinsurf.gfield import read_gfield, read_heightmap, write_gfield, write_heightmap
+from twinsurf.twin import twin_forward
 
 
 @pytest.fixture
@@ -80,6 +82,27 @@ def test_sl_lift_and_detect_angle(catenoid_file, tmp_path, capsys):
     assert run(["sl", "detect-angle", "--in", h_path, "--mode", "euclidean"]) == 0
     out = _json_out(capsys)
     assert out["theta"] == pytest.approx(np.pi / 2, abs=1e-2)
+
+
+def test_sl_detect_angle_defaults_to_euclidean_mode(tmp_path, capsys):
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    X, Y = dom.meshgrid()
+    path = str(tmp_path / "h.gf")
+    write_gfield(path, dom, [(X * X + Y * Y) / 2])
+    assert run(["sl", "detect-angle", "--in", path]) == 0
+    out = _json_out(capsys)
+    assert out["mode"] == "euclidean"
+    assert out["theta"] == pytest.approx(np.pi / 2)
+    assert run(["sl", "detect-angle", "--in", path, "--mode", "euclidean"]) == 0
+    assert _json_out(capsys) == out
+
+
+def test_sl_rotate_defaults_to_standard_mode(catenoid_file, tmp_path):
+    paths = [str(tmp_path / "default.gf"), str(tmp_path / "standard.gf")]
+    assert run(["sl", "rotate", "--in", catenoid_file, "--out", paths[0]]) == 0
+    argv = ["sl", "rotate", "--in", catenoid_file, "--mode", "standard"]
+    assert run(argv + ["--out", paths[1]]) == 0
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
 
 def test_sl_rotate_rejects_bad_params(catenoid_file, capsys):
@@ -252,3 +275,52 @@ def test_bad_input_exits_1_with_validation(tmp_path, capsys, argv):
     capsys.readouterr()
     assert run([a.format(**paths) for a in argv]) == 1
     assert "VALIDATION" in capsys.readouterr().err
+
+
+def test_chart_actions_match_library(catenoid_file, tmp_path, capsys):
+    f = read_heightmap(catenoid_file)
+    chart = conformal.build_chart(f)
+    assert run(["chart", "build", "--in", catenoid_file]) == 0
+    assert _json_out(capsys)["J_psi_min"] == float(chart.J_psi.values.min())
+
+    resampled = str(tmp_path / "resampled.gf")
+    expected = str(tmp_path / "expected.gf")
+    assert run(["chart", "resample", "--in", catenoid_file, "--out", resampled]) == 0
+    write_heightmap(expected, conformal.resample_to_chart(chart, f))
+    assert open(resampled, "rb").read() == open(expected, "rb").read()
+
+    for signature in ("euclidean", "split"):
+        argv = ["chart", "nullcurve", "--in", catenoid_file, "--signature", signature]
+        assert run(argv) == 0
+        nc = conformal.null_curve(f, chart, signature)
+        assert _json_out(capsys) == {
+            "holomorphy_residual": nc.holomorphy_residual,
+            "nullity_residual": nc.nullity_residual,
+            "signature": signature,
+        }
+
+    assert run(["chart", "weierstrass", "--in", catenoid_file]) == 0
+    pair = twin_forward(f)
+    assert _json_out(capsys) == conformal.verify_weierstrass_twin(pair, chart)
+
+
+def test_chart_null_curves_skip_inversion(catenoid_file, tmp_path, monkeypatch):
+    def no_inversion(*args):
+        raise AssertionError("chart inverted")
+
+    monkeypatch.setattr(conformal, "_invert_chart", no_inversion)
+    assert run(["chart", "nullcurve", "--in", catenoid_file]) == 0
+    assert run(["chart", "weierstrass", "--in", catenoid_file]) == 0
+    out = str(tmp_path / "x.gf")
+    with pytest.raises(AssertionError):  # the patch is live: resample still inverts
+        run(["chart", "resample", "--in", catenoid_file, "--out", out])
+
+
+@pytest.mark.parametrize("action", ["nullcurve", "weierstrass"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_chart_null_curve_on_tiny_grid_exits_1(tmp_path, capsys, action, n):
+    path = _sample(str(tmp_path / "tiny.gf"), f"{n},{n}")
+    capsys.readouterr()
+    assert run(["chart", action, "--in", path]) == 1
+    err = capsys.readouterr().err
+    assert "VALIDATION" in err and "7 nodes per axis" in err and "Traceback" not in err
