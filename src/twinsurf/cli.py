@@ -115,9 +115,9 @@ def _cmd_twin(args):
         if args.out:
             write_heightmap(args.out, pair.f)
     else:  # verify: recompute diagnostics from two saved sides
-        f = read_heightmap(args.inp)
-        tol = args.tol if args.tol is not None else twin.default_tol(f.domain)
-        pair = twin.TwinPair(f, read_heightmap(args.twin), None, bp, tol)
+        pair = twin.TwinPair(
+            read_heightmap(args.inp), read_heightmap(args.twin), None, bp, args.tol
+        )
         _emit(twin.verify_twin(pair).to_report(), args.report)
         return 0
     _emit(pair.diagnostics.to_report(), args.report)
@@ -292,7 +292,7 @@ def _verify_checks(name, params, dom, tol):
 
 def _cmd_verify_all(args):
     params, dom = _catalog_input(args)
-    tol = args.tol if args.tol is not None else twin.default_tol(dom)
+    tol = twin.resolve_tol(args.tol, dom)
     f, checks = _verify_checks(args.name, params, dom, tol)
     report = {
         "surface": args.name,

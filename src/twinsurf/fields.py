@@ -12,6 +12,7 @@ behind one closedness guard, in units of a caller-given scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -148,8 +149,9 @@ def hessian(values: np.ndarray, domain: GridDomain):
 class HeightMap:
     """An n-component map on a grid with (optionally analytic) gradients.
 
-    ``gradients[k]`` holds the pair (df_k/dx, df_k/dy); when absent the
-    derivatives fall back to finite differences of the sampled values.
+    ``gradients[k]`` holds the pair (df_k/dx, df_k/dy).  When none are
+    given they are taken once, at construction, by finite differences of
+    the sampled values; ``alpha``/``beta`` only look them up.
     """
 
     domain: GridDomain
@@ -165,13 +167,15 @@ class HeightMap:
                 raise ValidationError("component shape mismatch")
             if not np.all(np.isfinite(c)):
                 raise ValidationError("component contains non-finite values")
-        if self.gradients is not None:
-            if len(self.gradients) != len(self.components):
-                raise ValidationError("one gradient pair per component required")
-            self.gradients = [
-                (np.asarray(gx, dtype=float), np.asarray(gy, dtype=float))
-                for gx, gy in self.gradients
-            ]
+        dom = self.domain
+        if self.gradients is None:
+            self.gradients = [(diff_x(c, dom.dx), diff_y(c, dom.dy)) for c in self.components]
+        if len(self.gradients) != len(self.components):
+            raise ValidationError("one gradient pair per component required")
+        self.gradients = [
+            (np.asarray(gx, dtype=float), np.asarray(gy, dtype=float))
+            for gx, gy in self.gradients
+        ]
 
     @property
     def n(self):
@@ -179,15 +183,11 @@ class HeightMap:
 
     def alpha(self, k: int) -> np.ndarray:
         """df_k/dx (0-based k)."""
-        if self.gradients is not None:
-            return self.gradients[k][0]
-        return diff_x(self.components[k], self.domain.dx)
+        return self.gradients[k][0]
 
     def beta(self, k: int) -> np.ndarray:
         """df_k/dy (0-based k)."""
-        if self.gradients is not None:
-            return self.gradients[k][1]
-        return diff_y(self.components[k], self.domain.dy)
+        return self.gradients[k][1]
 
     def alphas(self):
         return [self.alpha(k) for k in range(self.n)]
@@ -203,6 +203,8 @@ class MetricData:
     In the split signature the data is only meaningful where the metric is
     positive definite (spacelike): E > 0 and E*G - F^2 > 0.  ``mask``
     records validity and ``omega`` is NaN-free (zeroed) outside it.
+    ``over_area`` holds the metric-over-area fields (E/w, F/w, G/w), taken
+    once on first use and 0 outside the mask.
     """
 
     signature: str
@@ -216,6 +218,11 @@ class MetricData:
     @property
     def invalid_nodes(self):
         return np.argwhere(~self.mask)
+
+    @cached_property
+    def over_area(self):
+        w = np.where(self.mask, self.omega, np.inf)  # masked nodes give 0
+        return self.E / w, self.F / w, self.G / w
 
 
 @dataclass

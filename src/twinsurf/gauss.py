@@ -101,9 +101,9 @@ def gauss_map(f: HeightMap) -> ProjectivePointField:
     hyperquadric identically (an algebraic identity), minimality is only
     needed for the geometric interpretation.
     """
-    metric = first_fundamental_form(f, "euclidean")
-    z1 = metric.G / metric.omega + 0j
-    z2 = 1j - metric.F / metric.omega
+    _, Fw, Gw = first_fundamental_form(f, "euclidean").over_area
+    z1 = Gw + 0j
+    z2 = 1j - Fw
     comps = [z1, z2]
     for k in range(f.n):
         comps.append(z1 * f.alpha(k) + z2 * f.beta(k))

@@ -21,12 +21,11 @@ from .fields import (
     ScalarField,
     diff_x,
     diff_y,
-    first_fundamental_form,
     hessian,
     integrate_exact_form,
 )
 from .systems import ResidualReport, minimal_residual
-from .twin import _interior_max, default_tol, require_residual
+from .twin import _interior_max, require_residual, resolve_tol
 
 PARAM_TOL = 1e-12
 
@@ -90,20 +89,16 @@ def _lift_potentials(f: HeightMap, basepoint, tol):
     the closedness of every further lift field."""
     res = minimal_residual(f)
     require_residual(res, tol)
-    dom = f.domain
-    metric = first_fundamental_form(f, "euclidean")
-    w = metric.omega
-    Ew, Fw, Gw = (ScalarField(dom, c / w) for c in (metric.E, metric.F, metric.G))
+    Ew, Fw, Gw = (ScalarField(f.domain, c) for c in res.metric.over_area)
     M = integrate_exact_form(Ew, Fw, basepoint, tol, res.scale)
     N = integrate_exact_form(Fw, Gw, basepoint, tol, res.scale)
-    return M, N, metric, res.scale
+    return M, N, res.metric, res.scale
 
 
 def sl_lift(f: HeightMap, basepoint=(0, 0), tol: float | None = None) -> SLLift:
     """Lift a minimal graph to its area-preserving gradient map (M, N)
     and the unimodular-Hessian potential h."""
-    if tol is None:
-        tol = default_tol(f.domain)
+    tol = resolve_tol(tol, f.domain)
     dom = f.domain
     M, N, _, scale = _lift_potentials(f, basepoint, tol)
     h = integrate_exact_form(M, N, basepoint, tol, scale)

@@ -43,6 +43,7 @@ class ResidualReport:
     domain: GridDomain
     normalization: str = "scaled"
     mask: np.ndarray | None = None  # nodes included in aggregation (interior)
+    metric: MetricData | None = None  # the first fundamental form it was read from
 
     def _agg_mask(self):
         m = np.zeros(self.domain.shape, dtype=bool)
@@ -118,6 +119,7 @@ def _quasilinear_residual(h: HeightMap, signature) -> ResidualReport:
         _residual_scale(metric, seconds),
         h.domain,
         mask=metric.mask,
+        metric=metric,
     )
 
 
@@ -150,6 +152,7 @@ def divergence_residual(f: HeightMap) -> ResidualReport:
         fields,
         _residual_scale(metric, seconds),
         dom,
+        metric=metric,
     )
 
 
@@ -157,16 +160,15 @@ def closedness_identities(f: HeightMap, signature="euclidean") -> ResidualReport
     """|d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)| (hatted under split)."""
     dom = f.domain
     metric = first_fundamental_form(f, signature)
-    w = np.where(metric.mask, metric.omega, np.inf)  # masked nodes contribute 0
-    E, F, G = metric.E / w, metric.F / w, metric.G / w
-    fields = [closedness_residual_field(F, G, dom), closedness_residual_field(E, F, dom)]
+    Ew, Fw, Gw = metric.over_area  # masked nodes contribute 0
+    fields = [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
     seconds = [_second_derivatives(f, k) for k in range(f.n)]
-    scale = _residual_scale(metric, seconds)
     return ResidualReport(
         "closedness_identities",
         signature,
         fields,
-        scale,
+        _residual_scale(metric, seconds),
         dom,
         mask=metric.mask,
+        metric=metric,
     )

@@ -11,11 +11,15 @@ divergence form; it is integrated to g_k anchored at the basepoint.  The
 backward direction is the same relation read with the hatted (split)
 coefficients and the opposite sign, so one routine, parameterised by the
 signature of its source, serves both directions and their involution.
+``_integrate_twin`` checks a source and integrates its twin, and
+``_diagnostics`` reads c1..c4 off the raw node values of one side;
+construction, the involution and ``verify_twin`` share both, passing
+each map's metric and Jacobian data along instead of recomputing them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,6 +54,16 @@ def default_tol(domain) -> float:
     return tol
 
 
+def resolve_tol(tol, domain) -> float:
+    """``tol``, or ``default_tol(domain)`` for None.  A given tolerance must
+    be finite and >= 0: no check ``worst > tol`` can fail against NaN or inf."""
+    if tol is None:
+        return default_tol(domain)
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 @dataclass
 class TwinDiagnostics:
     c1_residual: float  # integrability: FD gradient of g vs twin relation
@@ -59,13 +73,7 @@ class TwinDiagnostics:
     involution_residual: float  # |f - twin(twin(f))| after re-anchoring
 
     def to_report(self):
-        return {
-            "c1_residual": self.c1_residual,
-            "c2_residual": self.c2_residual,
-            "c3_residual": self.c3_residual,
-            "c4_residual": self.c4_residual,
-            "involution_residual": self.involution_residual,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -81,10 +89,10 @@ def _twin_gradient(h: HeightMap, metric: MetricData, k: int):
     """Twin gradient of component k; the split (backward) relation is the
     euclidean one negated.  The sign multiplies each product, which keeps
     the rounding of both directions exact, signed zeros included."""
-    E, F, G, w = metric.E, metric.F, metric.G, metric.omega
+    Ew, Fw, Gw = metric.over_area
     a, b = h.alpha(k), h.beta(k)
     s = -1.0 if metric.signature == "euclidean" else 1.0
-    return (s * (E / w) * b - s * (F / w) * a, s * (F / w) * b - s * (G / w) * a)
+    return (s * Ew * b - s * Fw * a, s * Fw * b - s * Gw * a)
 
 
 def _interior_max(arr):
@@ -100,50 +108,20 @@ def require_residual(res, tol):
         raise NotMinimal(f"scaled {kind} residual {worst:.3e} > tol {tol:.3e}")
 
 
-def _diagnostics(metric_f, metric_g, jac_f, jac_g):
-    wf, wg = metric_f.omega, metric_g.omega
-    c2 = 0.0
-    for key in jac_f.pairs:
-        c2 = max(c2, _interior_max(jac_f.pairs[key] - jac_g.pairs[key]))
-    sin2 = 1.0 - np.minimum(jac_f.norm, 1.0) ** 2  # sin^2(arccos ||J||)
-    c3 = _interior_max(wf * wg - sin2)
-    c4 = max(
-        _interior_max(metric_f.E / wf - metric_g.E / wg),
-        _interior_max(metric_f.F / wf - metric_g.F / wg),
-        _interior_max(metric_f.G / wf - metric_g.G / wg),
-    )
-    return c2, c3, c4
-
-
-def _anchored_difference(a: HeightMap, b: HeightMap, basepoint):
-    """Max deviation after removing one additive constant per component."""
-    ix, iy = basepoint
-    out = 0.0
-    for ca, cb in zip(a.components, b.components):
-        d = ca - cb
-        out = max(out, float(np.abs(d - d[iy, ix]).max()))
-    return out
-
-
-def _twin(src: HeightMap, signature, basepoint, tol, with_involution) -> TwinPair:
-    """Twin of ``src``: its maximal twin when ``signature`` is euclidean,
-    the minimal graph it is the twin of when split."""
-    if tol is None:
-        tol = default_tol(src.domain)
+def _integrate_twin(src: HeightMap, signature, basepoint, tol):
+    """Check ``src`` (spacelike, area-angle, closedness of each twin
+    gradient, which is the surface system in divergence form, then the
+    residual) and integrate its twin.  Returns the twin's node values, the
+    twin-relation gradients and the metric and Jacobian data of ``src``."""
     dom = src.domain
-    minimal = signature == "euclidean"
-    metric_src = first_fundamental_form(src, signature)
-    if not metric_src.mask.all():
-        raise NotSpacelike("input not spacelike", nodes=metric_src.invalid_nodes)
-    jac_src = jacobian_data(src)
-    if not jac_src.has_positive_area_angle:
-        raise AreaAngleViolation("||J|| >= 1", nodes=jac_src.violations)
-    res = minimal_residual(src) if minimal else maximal_residual(src)
-
-    # closedness of the twin gradient fields is the primary garbage-in
-    # guard (it is the surface system in divergence form), so it is
-    # checked, by the integration, before the residual precondition
-    grads = [_twin_gradient(src, metric_src, k) for k in range(src.n)]
+    res = minimal_residual(src) if signature == "euclidean" else maximal_residual(src)
+    metric = res.metric
+    if not metric.mask.all():
+        raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
+    jac = jacobian_data(src)
+    if not jac.has_positive_area_angle:
+        raise AreaAngleViolation("||J|| >= 1", nodes=jac.violations)
+    grads = [_twin_gradient(src, metric, k) for k in range(src.n)]
     comps = [
         integrate_exact_form(
             ScalarField(dom, P), ScalarField(dom, Q), basepoint, tol, res.scale
@@ -151,9 +129,14 @@ def _twin(src: HeightMap, signature, basepoint, tol, with_involution) -> TwinPai
         for P, Q in grads
     ]
     require_residual(res, tol)
-    # diagnostics are computed from the raw node values (finite-difference
-    # gradients), so the identities are checked honestly ...
-    out_raw = HeightMap(dom, comps)
+    return comps, grads, metric, jac
+
+
+def _diagnostics(out_raw: HeightMap, grads, metric_src: MetricData, jac_src):
+    """c1..c4 of a twin pair, read from the raw node values ``out_raw`` of
+    one side (finite-difference gradients, so the identities are checked
+    honestly) and the twin-relation ``grads``, metric and Jacobian data of
+    the other side, its source."""
     c1 = 0.0
     for k, (P, Q) in enumerate(grads):
         c1 = max(
@@ -161,26 +144,42 @@ def _twin(src: HeightMap, signature, basepoint, tol, with_involution) -> TwinPai
             _interior_max(out_raw.alpha(k) - P),
             _interior_max(out_raw.beta(k) - Q),
         )
+    minimal = metric_src.signature == "euclidean"
     metric_out = first_fundamental_form(out_raw, "split" if minimal else "euclidean")
     if not metric_out.mask.all():
         raise NotSpacelike("twin output not spacelike", nodes=metric_out.invalid_nodes)
     jac_out = jacobian_data(out_raw)
-    if minimal:
-        c2, c3, c4 = _diagnostics(metric_src, metric_out, jac_src, jac_out)
-    else:
-        c2, c3, c4 = _diagnostics(metric_out, metric_src, jac_out, jac_src)
+    metric_f, metric_g = (metric_src, metric_out) if minimal else (metric_out, metric_src)
+    jac_f, jac_g = (jac_src, jac_out) if minimal else (jac_out, jac_src)
+    c2 = max([0.0] + [_interior_max(J - jac_g.pairs[key]) for key, J in jac_f.pairs.items()])
+    sin2 = 1.0 - np.minimum(jac_f.norm, 1.0) ** 2  # sin^2(arccos ||J||)
+    c3 = _interior_max(metric_f.omega * metric_g.omega - sin2)
+    c4 = max(_interior_max(a - b) for a, b in zip(metric_f.over_area, metric_g.over_area))
+    return c1, c2, c3, c4
 
-    # ... but the returned map carries the twin-relation gradients, which
-    # define the twin exactly; re-differencing the integrated values would
-    # stack one-sided stencils twice near the boundary
+
+def _anchored_difference(a: list, b: list, basepoint):
+    """Max deviation of two component lists after removing one additive
+    constant per component."""
+    ix, iy = basepoint
+    diffs = (ca - cb for ca, cb in zip(a, b))
+    return max([0.0] + [float(np.abs(d - d[iy, ix]).max()) for d in diffs])
+
+
+def _twin(src: HeightMap, signature, basepoint, tol) -> TwinPair:
+    """Twin of ``src``: its maximal twin when ``signature`` is euclidean,
+    the minimal graph it is the twin of when split."""
+    tol = resolve_tol(tol, src.domain)
+    dom = src.domain
+    comps, grads, metric, jac = _integrate_twin(src, signature, basepoint, tol)
+    checks = _diagnostics(HeightMap(dom, comps), grads, metric, jac)
+    # the returned map carries the twin-relation gradients, which define
+    # the twin exactly; re-differencing the integrated values would stack
+    # one-sided stencils twice near the boundary
     out = HeightMap(dom, comps, grads)
-
-    inv = float("nan")
-    if with_involution:
-        back = _twin(out, metric_out.signature, basepoint, tol, False)
-        inv = _anchored_difference(src, back.f if minimal else back.g, basepoint)
-
-    diag = TwinDiagnostics(c1, c2, c3, c4, inv)
+    minimal = signature == "euclidean"
+    back = _integrate_twin(out, "split" if minimal else "euclidean", basepoint, tol)[0]
+    diag = TwinDiagnostics(*checks, _anchored_difference(src.components, back, basepoint))
     f, g = (src, out) if minimal else (out, src)
     return TwinPair(f, g, diag, basepoint, tol)
 
@@ -189,18 +188,21 @@ def twin_forward(
     f: HeightMap, basepoint: tuple = (0, 0), tol: float | None = None
 ) -> TwinPair:
     """Build the twin maximal graph of the minimal graph ``f``."""
-    return _twin(f, "euclidean", basepoint, tol, True)
+    return _twin(f, "euclidean", basepoint, tol)
 
 
 def twin_backward(
     g: HeightMap, basepoint: tuple = (0, 0), tol: float | None = None
 ) -> TwinPair:
     """Recover the minimal graph whose twin is the maximal graph ``g``."""
-    return _twin(g, "split", basepoint, tol, True)
+    return _twin(g, "split", basepoint, tol)
 
 
 def verify_twin(pair: TwinPair) -> TwinDiagnostics:
-    """Recompute every diagnostic from the raw node values of the pair."""
+    """Recompute every diagnostic from the raw node values of the pair.
+
+    The maximal side is integrated back first, so a side that is not
+    spacelike fails before anything divides by its area element."""
     f = HeightMap(pair.f.domain, pair.f.components)
     g = HeightMap(pair.g.domain, pair.g.components)
     if f.domain != g.domain or f.n != g.n:
@@ -208,13 +210,9 @@ def verify_twin(pair: TwinPair) -> TwinDiagnostics:
             f"twin sides differ: {f.n} component(s) on {f.domain} "
             f"and {g.n} on {g.domain}"
         )
+    tol = resolve_tol(pair.tol, g.domain)
+    back = _integrate_twin(g, "split", pair.basepoint, tol)[0]
     metric_f = first_fundamental_form(f, "euclidean")
-    metric_g = first_fundamental_form(g, "split")
-    c1 = 0.0
-    for k in range(f.n):
-        P, Q = _twin_gradient(f, metric_f, k)
-        c1 = max(c1, _interior_max(g.alpha(k) - P), _interior_max(g.beta(k) - Q))
-    c2, c3, c4 = _diagnostics(metric_f, metric_g, jacobian_data(f), jacobian_data(g))
-    back = _twin(g, "split", pair.basepoint, pair.tol, False)
-    inv = _anchored_difference(f, back.f, pair.basepoint)
-    return TwinDiagnostics(c1, c2, c3, c4, inv)
+    grads = [_twin_gradient(f, metric_f, k) for k in range(f.n)]
+    checks = _diagnostics(g, grads, metric_f, jacobian_data(f))
+    return TwinDiagnostics(*checks, _anchored_difference(f.components, back, pair.basepoint))

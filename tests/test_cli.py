@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import twinsurf
 from twinsurf import conformal
 from twinsurf.cli import run
 from twinsurf.fields import GridDomain
@@ -242,6 +244,51 @@ def test_twin_verify_honours_tol_zero(tmp_path, capsys):
     code = run(["twin", "verify", "--in", path, "--twin", twin_path, "--tol", "0"])
     assert code == 2
     assert "tol 0.000e+00" in capsys.readouterr().err
+
+
+def _write_field(path, values_of_xy):
+    dom = GridDomain.from_bounds(-0.5, -0.5, 0.5, 0.5, 17, 17)
+    write_gfield(path, dom, [values_of_xy(*dom.meshgrid())])
+    return path
+
+
+def test_twin_verify_non_spacelike_side_fails_before_dividing(tmp_path):
+    # |grad g| = 2 everywhere, so omega = 0 on the maximal side; one error
+    # line and no numpy warning on stderr
+    f = _write_field(str(tmp_path / "f.gf"), lambda X, Y: 0.1 * X + 0.2 * Y)
+    g = _write_field(str(tmp_path / "g.gf"), lambda X, Y: 2.0 * X)
+    src = os.path.dirname(os.path.dirname(twinsurf.__file__))
+    p = subprocess.run(
+        [sys.executable, "-m", "twinsurf.cli", "twin", "verify", "--in", f, "--twin", g],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert p.returncode == 2
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("NOT_SPACELIKE:"), p.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twin", "forward", "--in", "{gf}"],
+        ["twin", "verify", "--in", "{gf}", "--twin", "{gf}"],
+        ["sl", "lift", "--in", "{gf}"],
+        ["chart", "build", "--in", "{gf}"],
+        ["verify-all", "--name", "catenoid", "--grid", "17,17"],
+    ],
+)
+def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, argv, tol):
+    # the input is not minimal: against NaN or inf every `worst > tol`
+    # check would pass, against -1 every one would fail
+    gf = _write_field(str(tmp_path / "cubic.gf"), lambda X, Y: 0.4 * X**3 + 0.2 * Y**2)
+    assert run([a.format(gf=gf) for a in argv] + [f"--tol={tol}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("VALIDATION:"), err
+    assert "tolerance must be finite and >= 0" in err[0]
 
 
 _SAMPLE = ["catalog", "sample", "--name"]

@@ -79,6 +79,16 @@ def test_heightmap_gradient_fallback_and_override(square_domain):
     assert np.array_equal(f_ex.alpha(0), Y + 1.0)  # attached wins
 
 
+def test_heightmap_differentiates_once_at_construction(square_domain):
+    X, Y = square_domain.meshgrid()
+    comps = [np.sin(X) * Y, X * X - Y]
+    f = HeightMap(square_domain, comps)
+    for k, c in enumerate(comps):
+        assert np.array_equal(f.alpha(k), diff_x(c, square_domain.dx))
+        assert np.array_equal(f.beta(k), diff_y(c, square_domain.dy))
+        assert f.alpha(k) is f.alpha(k)  # a lookup, not a new stencil pass
+
+
 def test_heightmap_rejects_shape_mismatch(square_domain):
     with pytest.raises(ValidationError):
         HeightMap(square_domain, [np.zeros((3, 3))])
@@ -91,6 +101,29 @@ def test_metric_plane(square_domain):
     assert np.abs(m.F).max() == 0.0
     assert np.abs(m.G - 1.0).max() == 0.0
     assert np.abs(m.omega - 1.0).max() == 0.0
+
+
+def test_over_area_is_metric_over_omega(square_domain):
+    X, Y = square_domain.meshgrid()
+    m = first_fundamental_form(HeightMap(square_domain, [X * Y, np.sin(X + Y)]))
+    Ew, Fw, Gw = m.over_area
+    assert np.array_equal(Ew, m.E / m.omega)
+    assert np.array_equal(Fw, m.F / m.omega)
+    assert np.array_equal(Gw, m.G / m.omega)
+    assert m.over_area is m.over_area  # taken once
+
+
+def test_over_area_is_zero_at_masked_split_nodes(square_domain):
+    X, _ = square_domain.meshgrid()
+    # |grad| = 2|x| reaches 1 at |x| = 1/2: the outer columns are masked
+    m = first_fundamental_form(HeightMap(square_domain, [X * X]), "split")
+    assert m.mask.any() and not m.mask.all()
+    with np.errstate(all="raise"):
+        fields = m.over_area
+    for v in fields:
+        assert np.all(v[~m.mask] == 0.0)
+        assert np.all(np.isfinite(v))
+    assert np.array_equal(fields[0][m.mask], m.E[m.mask] / m.omega[m.mask])
 
 
 def test_split_metric_masks_non_spacelike(square_domain):

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from twinsurf import fields
 from twinsurf.errors import AreaAngleViolation, NotClosed, NotSpacelike, ValidationError
 from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
 from twinsurf.twin import TwinPair, default_tol, twin_backward, twin_forward, verify_twin
@@ -129,3 +132,31 @@ def test_holomorphic_twin_is_exact():
     d = twin_forward(surface("holomorphic", 33, 33)).diagnostics
     assert max(d.c1_residual, d.c2_residual, d.c3_residual, d.c4_residual) < 1e-12
     assert d.involution_residual < 1e-12
+
+
+def _count_metric_calls(monkeypatch):
+    """Count first_fundamental_form calls in every twinsurf module binding it."""
+    calls, original = [], fields.first_fundamental_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        bound = getattr(mod, "first_fundamental_form", None)
+        if name.startswith("twinsurf") and bound is original:
+            monkeypatch.setattr(mod, "first_fundamental_form", counted)
+    return calls
+
+
+def test_twin_takes_each_metric_once(monkeypatch):
+    f = surface("catenoid", 33, 17)
+    pair = twin_forward(f)
+    raw = TwinPair(f, HeightMap(f.domain, pair.g.components), None, (0, 0), pair.tol)
+    calls = _count_metric_calls(monkeypatch)
+    twin_forward(f)
+    # source (via its residual), raw twin, and the involution's source
+    assert len(calls) <= 3
+    calls.clear()
+    verify_twin(raw)
+    assert len(calls) <= 3
