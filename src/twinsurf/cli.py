@@ -115,6 +115,8 @@ def _cmd_twin(args):
         if args.out:
             write_heightmap(args.out, pair.f)
     else:  # verify: recompute diagnostics from two saved sides
+        if not args.twin:
+            raise ValidationError("twin verify needs --twin")
         pair = twin.TwinPair(
             read_heightmap(args.inp), read_heightmap(args.twin), None, bp, args.tol
         )
@@ -273,19 +275,21 @@ def _verify_checks(name, params, dom, tol):
     jac = jacobian_data(f)
     if not jac.has_positive_area_angle:
         return f, checks  # twin/lift constructions need ||J|| < 1
-    pair = twin.twin_forward(f, tol=tol)
+    # the twin, the lift and the chart share the residual and the potentials
+    pair, twin_res = twin._twin(f, "euclidean", (0, 0), tol, res)
     d = pair.diagnostics
     add("twin_c1", d.c1_residual, tol)
     add("twin_c2", d.c2_residual, tol)
     add("twin_c3", d.c3_residual, tol)
     add("twin_c4", d.c4_residual, tol)
     add("twin_involution", d.involution_residual, tol)
-    add("twin_maximal_residual", systems.maximal_residual(pair.g).max_abs("scaled"), tol)
-    lift = slag.sl_lift(f, tol=tol)
+    add("twin_maximal_residual", twin_res.max_abs("scaled"), tol)
+    M, N, metric, scale = slag._lift_potentials(f, (0, 0), tol, res)
+    lift = slag._sl_lift(M, N, scale, (0, 0), tol)
     add("lift_gradient_symmetry", lift.gradient_symmetry_residual, tol)
     add("lift_hessian_det", lift.hessian_det_residual, tol)
     add("lift_area_preservation", lift.area_preservation_residual, tol)
-    chart = conformal.build_chart(f, tol=tol)
+    chart = conformal._build_chart(f, metric, M, N, (0, 0))
     add("chart_jacobian_above_2", 2.0 - float(chart.J_psi.values.min()), 0.0)
     return f, checks
 

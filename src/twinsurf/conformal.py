@@ -57,8 +57,13 @@ def build_chart(
     f: HeightMap, basepoint=(0, 0), tol: float | None = None
 ) -> ConformalChart:
     tol = resolve_tol(tol, f.domain)
-    dom = f.domain
     M, N, metric, _ = _lift_potentials(f, basepoint, tol)
+    return _build_chart(f, metric, M, N, basepoint)
+
+
+def _build_chart(f: HeightMap, metric, M, N, basepoint) -> ConformalChart:
+    """The chart of ``f`` from its metric and lift potentials M, N."""
+    dom = f.domain
     w = metric.omega
     X, Y = dom.meshgrid()
     jpsi = 2.0 + (metric.E + metric.G) / w

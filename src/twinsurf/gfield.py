@@ -8,7 +8,9 @@ Layout::
     <ncomp blocks, each ny lines of nx decimals, y ascending per block>
 
 Values are written with 17 significant digits, which round-trips IEEE
-doubles exactly.
+doubles exactly.  Blank lines are skipped.  Each block is parsed by
+numpy's C reader: a value is a plain decimal (or inf/nan) token; ``#``
+starts no comment and ``_`` separates no digits.
 """
 
 from __future__ import annotations
@@ -58,15 +60,19 @@ def read_gfield(path):
         )
     comps = []
     for k in range(ncomp):
-        rows = [ln.split() for ln in lines[3 + k * ny : 3 + (k + 1) * ny]]
-        if any(len(r) != nx for r in rows):
-            raise ValidationError(
-                f"{path}: component {k + 1}: every row needs {nx} values"
-            )
+        block = lines[3 + k * ny : 3 + (k + 1) * ny]
+        where = f"{path}: component {k + 1}"
         try:
-            comps.append(np.array(rows, dtype=float))
+            # numpy's C parser; comments=None keeps '#' a bad token
+            arr = np.loadtxt(block, dtype=float, ndmin=2, comments=None)
         except ValueError as exc:
-            raise ValidationError(f"{path}: component {k + 1}: {exc}") from exc
+            # rows of unequal length fail the parse; name the row length
+            if any(len(ln.split()) != nx for ln in block):
+                raise ValidationError(f"{where}: every row needs {nx} values") from exc
+            raise ValidationError(f"{where}: {exc}") from exc
+        if arr.shape != (ny, nx):
+            raise ValidationError(f"{where}: every row needs {nx} values")
+        comps.append(arr)
     return domain, comps
 
 

@@ -81,13 +81,15 @@ class SLParams:
             )
 
 
-def _lift_potentials(f: HeightMap, basepoint, tol):
+def _lift_potentials(f: HeightMap, basepoint, tol, res=None):
     """Minimality precondition and the potentials M, N of (E/w, F/w) and
-    (F/w, G/w), shared by the lift and the conformal chart.
+    (F/w, G/w), shared by the lift and the conformal chart.  ``res`` is
+    the minimal residual of ``f`` when the caller has it.
 
     Returns M, N, the metric of ``f`` and the residual scale that budgets
     the closedness of every further lift field."""
-    res = minimal_residual(f)
+    if res is None:
+        res = minimal_residual(f)
     require_residual(res, tol)
     Ew, Fw, Gw = (ScalarField(f.domain, c) for c in res.metric.over_area)
     M = integrate_exact_form(Ew, Fw, basepoint, tol, res.scale)
@@ -99,8 +101,13 @@ def sl_lift(f: HeightMap, basepoint=(0, 0), tol: float | None = None) -> SLLift:
     """Lift a minimal graph to its area-preserving gradient map (M, N)
     and the unimodular-Hessian potential h."""
     tol = resolve_tol(tol, f.domain)
-    dom = f.domain
     M, N, _, scale = _lift_potentials(f, basepoint, tol)
+    return _sl_lift(M, N, scale, basepoint, tol)
+
+
+def _sl_lift(M: ScalarField, N: ScalarField, scale, basepoint, tol) -> SLLift:
+    """The lift from potentials M, N already integrated at a resolved ``tol``."""
+    dom = M.domain
     h = integrate_exact_form(M, N, basepoint, tol, scale)
 
     Mx, My = diff_x(M.values, dom.dx), diff_y(M.values, dom.dy)

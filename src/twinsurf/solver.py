@@ -19,6 +19,9 @@ lower than its smallest value, it has stalled and `MaxIterations` is
 raised.  The maximal system uses the hatted (split-signature) coefficients
 in the same stencil and halves each step until the iterate stays strictly
 spacelike.
+
+scipy (the sparse matrix and SuperLU) is imported at the first
+factorisation, not with this module: importing twinsurf loads no scipy.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import Diverged, MaxIterations, SpacelikeUnreachable, ValidationError
 from .fields import GridDomain, HeightMap, first_fundamental_form
@@ -89,6 +90,13 @@ def _apply(weights, u):
     )
 
 
+def splu(*args, **kwargs):
+    """SuperLU factorisation, with scipy imported on the first solve only."""
+    from scipy.sparse.linalg import splu
+
+    return splu(*args, **kwargs)
+
+
 def _factor(weights):
     """LU factor of the stencil restricted to the interior unknowns.
 
@@ -97,6 +105,8 @@ def _factor(weights):
     wrap from the last column of one row to the first of the next are
     zeroed.
     """
+    from scipy.sparse import diags
+
     center = weights[(0, 0)]
     n = center.size
     offsets, diagonals = [], []
@@ -107,7 +117,7 @@ def _factor(weights):
         k = dj * center.shape[1] + di
         offsets.append(k)
         diagonals.append(d.ravel()[:n - k] if k >= 0 else d.ravel()[-k:])
-    A = sp.diags(diagonals, offsets, shape=(n, n), format="csc")
+    A = diags(diagonals, offsets, shape=(n, n), format="csc")
     try:
         return splu(A, permc_spec="MMD_AT_PLUS_A", panel_size=4, relax=4)
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor

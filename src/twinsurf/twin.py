@@ -14,7 +14,9 @@ signature of its source, serves both directions and their involution.
 ``_integrate_twin`` checks a source and integrates its twin, and
 ``_diagnostics`` reads c1..c4 off the raw node values of one side;
 construction, the involution and ``verify_twin`` share both, passing
-each map's metric and Jacobian data along instead of recomputing them.
+each map's residual, metric and Jacobian data along instead of
+recomputing them.  ``_twin`` can take the source's residual from its caller,
+so ``verify-all`` reads one residual for its own check and the twin.
 """
 
 from __future__ import annotations
@@ -108,13 +110,19 @@ def require_residual(res, tol):
         raise NotMinimal(f"scaled {kind} residual {worst:.3e} > tol {tol:.3e}")
 
 
-def _integrate_twin(src: HeightMap, signature, basepoint, tol):
+def _residual(h: HeightMap, signature):
+    return minimal_residual(h) if signature == "euclidean" else maximal_residual(h)
+
+
+def _integrate_twin(src: HeightMap, signature, basepoint, tol, res=None):
     """Check ``src`` (spacelike, area-angle, closedness of each twin
     gradient, which is the surface system in divergence form, then the
-    residual) and integrate its twin.  Returns the twin's node values, the
+    residual) and integrate its twin.  ``res`` is the residual of ``src``
+    when the caller has it.  Returns the twin's node values, the
     twin-relation gradients and the metric and Jacobian data of ``src``."""
     dom = src.domain
-    res = minimal_residual(src) if signature == "euclidean" else maximal_residual(src)
+    if res is None:
+        res = _residual(src, signature)
     metric = res.metric
     if not metric.mask.all():
         raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
@@ -132,11 +140,13 @@ def _integrate_twin(src: HeightMap, signature, basepoint, tol):
     return comps, grads, metric, jac
 
 
-def _diagnostics(out_raw: HeightMap, grads, metric_src: MetricData, jac_src):
+def _diagnostics(out_raw: HeightMap, grads, metric_src: MetricData, jac_src, out_data=None):
     """c1..c4 of a twin pair, read from the raw node values ``out_raw`` of
     one side (finite-difference gradients, so the identities are checked
     honestly) and the twin-relation ``grads``, metric and Jacobian data of
-    the other side, its source."""
+    the other side, its source.  ``out_data`` is the metric and Jacobian
+    data of ``out_raw`` when the caller has them; they are taken here
+    otherwise, and a side that is not spacelike fails."""
     c1 = 0.0
     for k, (P, Q) in enumerate(grads):
         c1 = max(
@@ -145,10 +155,12 @@ def _diagnostics(out_raw: HeightMap, grads, metric_src: MetricData, jac_src):
             _interior_max(out_raw.beta(k) - Q),
         )
     minimal = metric_src.signature == "euclidean"
-    metric_out = first_fundamental_form(out_raw, "split" if minimal else "euclidean")
-    if not metric_out.mask.all():
-        raise NotSpacelike("twin output not spacelike", nodes=metric_out.invalid_nodes)
-    jac_out = jacobian_data(out_raw)
+    if out_data is None:
+        metric_out = first_fundamental_form(out_raw, "split" if minimal else "euclidean")
+        if not metric_out.mask.all():
+            raise NotSpacelike("twin output not spacelike", nodes=metric_out.invalid_nodes)
+        out_data = metric_out, jacobian_data(out_raw)
+    metric_out, jac_out = out_data
     metric_f, metric_g = (metric_src, metric_out) if minimal else (metric_out, metric_src)
     jac_f, jac_g = (jac_src, jac_out) if minimal else (jac_out, jac_src)
     c2 = max([0.0] + [_interior_max(J - jac_g.pairs[key]) for key, J in jac_f.pairs.items()])
@@ -166,36 +178,40 @@ def _anchored_difference(a: list, b: list, basepoint):
     return max([0.0] + [float(np.abs(d - d[iy, ix]).max()) for d in diffs])
 
 
-def _twin(src: HeightMap, signature, basepoint, tol) -> TwinPair:
+def _twin(src: HeightMap, signature, basepoint, tol, res=None):
     """Twin of ``src``: its maximal twin when ``signature`` is euclidean,
-    the minimal graph it is the twin of when split."""
+    the minimal graph it is the twin of when split.  ``res`` is the
+    residual of ``src`` when the caller has it.  Returns the pair and the
+    residual of the built side, which the involution reads."""
     tol = resolve_tol(tol, src.domain)
     dom = src.domain
-    comps, grads, metric, jac = _integrate_twin(src, signature, basepoint, tol)
+    comps, grads, metric, jac = _integrate_twin(src, signature, basepoint, tol, res)
     checks = _diagnostics(HeightMap(dom, comps), grads, metric, jac)
     # the returned map carries the twin-relation gradients, which define
     # the twin exactly; re-differencing the integrated values would stack
     # one-sided stencils twice near the boundary
     out = HeightMap(dom, comps, grads)
     minimal = signature == "euclidean"
-    back = _integrate_twin(out, "split" if minimal else "euclidean", basepoint, tol)[0]
+    other = "split" if minimal else "euclidean"
+    back_res = _residual(out, other)
+    back = _integrate_twin(out, other, basepoint, tol, back_res)[0]
     diag = TwinDiagnostics(*checks, _anchored_difference(src.components, back, basepoint))
     f, g = (src, out) if minimal else (out, src)
-    return TwinPair(f, g, diag, basepoint, tol)
+    return TwinPair(f, g, diag, basepoint, tol), back_res
 
 
 def twin_forward(
     f: HeightMap, basepoint: tuple = (0, 0), tol: float | None = None
 ) -> TwinPair:
     """Build the twin maximal graph of the minimal graph ``f``."""
-    return _twin(f, "euclidean", basepoint, tol)
+    return _twin(f, "euclidean", basepoint, tol)[0]
 
 
 def twin_backward(
     g: HeightMap, basepoint: tuple = (0, 0), tol: float | None = None
 ) -> TwinPair:
     """Recover the minimal graph whose twin is the maximal graph ``g``."""
-    return _twin(g, "split", basepoint, tol)
+    return _twin(g, "split", basepoint, tol)[0]
 
 
 def verify_twin(pair: TwinPair) -> TwinDiagnostics:
@@ -211,8 +227,8 @@ def verify_twin(pair: TwinPair) -> TwinDiagnostics:
             f"and {g.n} on {g.domain}"
         )
     tol = resolve_tol(pair.tol, g.domain)
-    back = _integrate_twin(g, "split", pair.basepoint, tol)[0]
+    back, _, metric_g, jac_g = _integrate_twin(g, "split", pair.basepoint, tol)
     metric_f = first_fundamental_form(f, "euclidean")
     grads = [_twin_gradient(f, metric_f, k) for k in range(f.n)]
-    checks = _diagnostics(g, grads, metric_f, jacobian_data(f))
+    checks = _diagnostics(g, grads, metric_f, jacobian_data(f), (metric_g, jac_g))
     return TwinDiagnostics(*checks, _anchored_difference(f.components, back, pair.basepoint))

@@ -164,13 +164,40 @@ def test_missing_file_is_validation_error(capsys):
 
 
 def test_cli_import_leaves_scipy_integrate_out():
+    # no scipy module at all: only `solve` and `chart resample` load it, on use
+    for module in ("twinsurf", "twinsurf.cli"):
+        code = (
+            "import sys\n"
+            f"import {module}\n"
+            "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)\n"
+        )
+        p = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+        assert p.returncode == 0, f"import {module} loaded: {p.stderr.decode()}"
+
+
+_SCIPY_FREE = [
+    ["catalog", "sample", "--name", "catenoid", "--grid", "33,33", "--out", "{gf}"],
+    ["verify-all", "--name", "catenoid", "--grid", "33,33"],
+    ["twin", "forward", "--in", "{gf}"],
+    ["sl", "lift", "--in", "{gf}"],
+    ["chart", "weierstrass", "--in", "{gf}"],
+]
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    gf = str(tmp_path / "c.gf")
     code = (
         "import sys\n"
-        "import twinsurf.cli\n"
-        "sys.exit('scipy.integrate' in sys.modules)\n"
+        "sys.modules['scipy'] = None\n"
+        "from twinsurf.cli import run\n"
+        f"argvs = {_SCIPY_FREE!r}\n"
+        f"for argv in [[a.format(gf={gf!r}) for a in argv] for argv in argvs]:\n"
+        "    code = run(argv)\n"
+        "    if code:\n"
+        "        sys.exit(f'{argv} exited {code}')\n"
     )
-    p = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
-    assert p.returncode == 0, p.stderr.decode() or "scipy.integrate was imported"
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
 
 
 def test_bad_arguments_exit_1():
@@ -309,6 +336,7 @@ _SAMPLE = ["catalog", "sample", "--name"]
         ["residual", "--system", "minimal", "--in", "{binary}"],
         ["gauss", "planarity", "--in", "{inf_dx}"],
         ["verify-all", "--name", "plane", "--grid", "17,17", "--domain", "0,0,1e308,1e308"],
+        ["twin", "verify", "--in", "{gf}"],  # no --twin
     ],
 )
 def test_bad_input_exits_1_with_validation(tmp_path, capsys, argv):
@@ -371,3 +399,46 @@ def test_chart_null_curve_on_tiny_grid_exits_1(tmp_path, capsys, action, n):
     assert run(["chart", action, "--in", path]) == 1
     err = capsys.readouterr().err
     assert "VALIDATION" in err and "7 nodes per axis" in err and "Traceback" not in err
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of each named twinsurf function in every module binding it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(twinsurf, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("twinsurf") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_verify_all_shares_the_residual_and_the_potentials(monkeypatch, capsys):
+    calls = _count_calls(
+        monkeypatch, ("minimal_residual", "maximal_residual", "integrate_exact_form")
+    )
+    assert run(["verify-all", "--name", "catenoid", "--grid", "65,65"]) == 0
+    # the twin and its involution, then M, N and the lift's h
+    assert calls == {"minimal_residual": 1, "maximal_residual": 1, "integrate_exact_form": 5}
+
+
+def test_verify_all_matches_the_public_constructions(capsys):
+    assert run(["verify-all", "--name", "helicoid", "--grid", "65,65"]) == 0
+    value = {c["name"]: c["value"] for c in _json_out(capsys)["checks"]}
+    f = twinsurf.make_surface("helicoid", None, twinsurf.default_domain("helicoid", {}, 65, 65))
+    pair = twin_forward(f)
+    lift = twinsurf.sl_lift(f)
+    expected = {
+        "twin_c1": pair.diagnostics.c1_residual,
+        "twin_c4": pair.diagnostics.c4_residual,
+        "twin_involution": pair.diagnostics.involution_residual,
+        "twin_maximal_residual": twinsurf.maximal_residual(pair.g).max_abs("scaled"),
+        "lift_hessian_det": lift.hessian_det_residual,
+        "lift_area_preservation": lift.area_preservation_residual,
+        "chart_jacobian_above_2": 2.0 - float(conformal.build_chart(f).J_psi.values.min()),
+    }
+    assert {k: value[k] for k in expected} == expected

@@ -100,3 +100,70 @@ def test_read_rejects_short_row(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="every row needs 17 values"):
         read_gfield(p)
+
+
+def _replace_token(lines, row, col, token):
+    tokens = lines[row].split()
+    tokens[col] = token
+    lines[row] = " ".join(tokens)
+
+
+@pytest.mark.parametrize("token", ["#", "1_0"])
+def test_read_names_a_rejected_token(tmp_path, token):
+    # '#' starts no comment and '1_0' is no number in a GFIELD block
+    p, lines = _catenoid_lines(tmp_path)
+    _replace_token(lines, 10, 4, token)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"component 1: .*'{token}'"):
+        read_gfield(p)
+
+
+def test_read_rejects_rows_all_one_value_too_wide(tmp_path):
+    p, lines = _catenoid_lines(tmp_path)
+    lines[3:] = [ln + " 0" for ln in lines[3:]]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="every row needs 17 values"):
+        read_gfield(p)
+
+
+def test_read_rejects_a_row_split_by_a_comment(tmp_path):
+    p, lines = _catenoid_lines(tmp_path)
+    lines[10] += " # note"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="every row needs 17 values"):
+        read_gfield(p)
+
+
+def _two_component_file(tmp_path):
+    dom = GridDomain.from_bounds(0.0, 0.0, 1.0, 2.0, 7, 5)
+    comps = [np.arange(35.0).reshape(5, 7) / 7.0, -np.arange(35.0).reshape(5, 7) ** 0.5]
+    p = tmp_path / "two.gf"
+    write_gfield(p, dom, comps)
+    return p, dom, comps
+
+
+def test_read_skips_blank_lines_between_blocks(tmp_path):
+    p, dom, comps = _two_component_file(tmp_path)
+    lines = p.read_text().splitlines()
+    lines = lines[:3] + [""] + lines[3:8] + ["", "   "] + lines[8:] + [""]
+    p.write_text("\n".join(lines))
+    dom2, comps2 = read_gfield(p)
+    assert dom2 == dom
+    assert all(np.array_equal(a, b) for a, b in zip(comps, comps2))
+
+
+def test_read_crlf_equals_lf(tmp_path):
+    p, dom, comps = _two_component_file(tmp_path)
+    crlf = tmp_path / "crlf.gf"
+    crlf.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+    dom2, comps2 = read_gfield(crlf)
+    assert dom2 == dom
+    assert all(np.array_equal(a, b) for a, b in zip(comps, comps2))
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 1), (1, 5)])
+def test_read_rejects_a_one_row_or_one_column_grid(tmp_path, nx, ny):
+    p = tmp_path / "thin.gf"
+    p.write_text(f"GFIELD 1\n{nx} {ny} 1\n0 0 1 1\n" + (" ".join(["0"] * nx) + "\n") * ny)
+    with pytest.raises(ValidationError, match="at least 5 nodes"):
+        read_gfield(p)
