@@ -32,7 +32,6 @@ from .fields import (
 from .gauss import (
     ProjectivePointField,
     gauss_map,
-    gauss_map_alt,
     hyperplane_fit,
     jorgens_gauss,
     planarity_score,

@@ -275,8 +275,9 @@ def _verify_checks(name, params, dom, tol):
     jac = jacobian_data(f)
     if not jac.has_positive_area_angle:
         return f, checks  # twin/lift constructions need ||J|| < 1
-    # the twin, the lift and the chart share the residual and the potentials
-    pair, twin_res = twin._twin(f, "euclidean", (0, 0), tol, res)
+    # the twin, the lift and the chart share the residual, the Jacobian
+    # data and the potentials
+    pair, twin_res = twin._twin(f, "euclidean", (0, 0), tol, res, jac)
     d = pair.diagnostics
     add("twin_c1", d.c1_residual, tol)
     add("twin_c2", d.c2_residual, tol)
@@ -405,12 +406,9 @@ def run(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 1
     except TwinsurfError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
     except OSError as exc:  # a missing, unreadable or directory path
         print(f"VALIDATION: {exc}", file=sys.stderr)
         return 1

@@ -4,8 +4,10 @@ xi-grid, holomorphic null curves, and the Weierstrass twin relation.
 The transformation is Psi(x, y) = (x + M, y + N) with M, N integrated from
 (E/w, F/w) and (F/w, G/w); its Jacobian 2 + (E+G)/w exceeds 2.  Null
 curves and the Weierstrass relation are read on the source grid by pulling
-xi-derivatives back through DPsi, so they keep second order; only
-``resample_to_chart`` inverts the chart (Newton, bilinear interpolation).
+xi-derivatives back through DPsi, so they keep second order; the pullback
+is taken once per call, and the Weierstrass relation reads both sides and
+the minimal side's holomorphy through it.  Only ``resample_to_chart``
+inverts the chart (Newton, bilinear interpolation).
 """
 
 from __future__ import annotations
@@ -208,58 +210,75 @@ def resample_to_chart(chart: ConformalChart, h: HeightMap) -> HeightMap:
     return HeightMap(target, [x, y] + [_bilinear(c, cell) for c in h.components])
 
 
-def null_curve(
-    h: HeightMap, chart: ConformalChart, signature: str = "euclidean"
-) -> NullCurveField:
-    """phi_k = dF_k/dxi1 - i dF_k/dxi2 of F = (x, y, h_1..h_n) on the source
-    grid: d/dxi = (DPsi)^{-T} d/d(x, y) with DPsi differenced from the chart's
-    nodes, so d = A d/dx + B d/dy and dbar = conj(A) d/dx + conj(B) d/dy.
-    Nullity is taken ``_MARGIN_CELLS`` rings in, holomorphy a ring further."""
+def _pullback(chart: ConformalChart, *maps: HeightMap):
+    """A, B of d/dxi = (DPsi)^{-T} d/d(x, y) = A d/dx + B d/dy, DPsi
+    differenced from the chart's nodes; ``maps`` must share its grid."""
     dom = chart.source.domain
-    if h.domain != dom:
+    if any(h.domain != dom for h in maps):
         raise ValidationError("height map and chart must share the source grid")
-    m = _MARGIN_CELLS
-    if min(dom.nx, dom.ny) < 2 * m + 3:
-        raise ValidationError(f"null curve needs at least {2 * m + 3} nodes per axis")
+    if min(dom.nx, dom.ny) < 2 * _MARGIN_CELLS + 3:
+        raise ValidationError(f"null curve needs at least {2 * _MARGIN_CELLS + 3} nodes per axis")
     xi1, xi2 = chart.xi1.values, chart.xi2.values
     xi1_x, xi1_y = diff_x(xi1, dom.dx), diff_y(xi1, dom.dy)
     xi2_x, xi2_y = diff_x(xi2, dom.dx), diff_y(xi2, dom.dy)
     det = xi1_x * xi2_y - xi1_y * xi2_x
-    A = (xi2_y + 1j * xi1_y) / det
-    B = -(xi2_x + 1j * xi1_x) / det
-    phi = [A, B] + [A * diff_x(c, dom.dx) + B * diff_y(c, dom.dy) for c in h.components]
-    sl = slice(m + 1, -m - 1)
-    holo = 0.0
-    for p in phi:
-        cr = A.conj() * diff_x(p, dom.dx) + B.conj() * diff_y(p, dom.dy)
-        holo = max(holo, float(np.abs(cr[sl, sl]).max()))
+    return (xi2_y + 1j * xi1_y) / det, -(xi2_x + 1j * xi1_x) / det
+
+
+def _null_phi(h: HeightMap, A, B) -> list:
+    dom = h.domain
+    return [A, B] + [A * diff_x(c, dom.dx) + B * diff_y(c, dom.dy) for c in h.components]
+
+
+def _holomorphy(phi, A, B, dom: GridDomain) -> float:
+    """max |dbar phi_k|, ``_MARGIN_CELLS`` + 1 rings in."""
+    sl = slice(_MARGIN_CELLS + 1, -_MARGIN_CELLS - 1)
+    cr = (A.conj() * diff_x(p, dom.dx) + B.conj() * diff_y(p, dom.dy) for p in phi)
+    return max([0.0] + [float(np.abs(c[sl, sl]).max()) for c in cr])
+
+
+def _nullity(phi, signature: str) -> float:
+    """max |<phi, phi>| in ``signature``, ``_MARGIN_CELLS`` rings in."""
     if signature == "euclidean":
         null = sum(p * p for p in phi)
     elif signature == "split":
         null = phi[0] ** 2 + phi[1] ** 2 - sum(p * p for p in phi[2:])
     else:
         raise ValidationError(f"unknown signature {signature!r}")
-    nullity = float(np.abs(null[m:-m, m:-m]).max())
-    return NullCurveField(dom, phi, holo, nullity, signature)
+    m = _MARGIN_CELLS
+    return float(np.abs(null[m:-m, m:-m]).max())
+
+
+def null_curve(
+    h: HeightMap, chart: ConformalChart, signature: str = "euclidean"
+) -> NullCurveField:
+    """phi_k = dF_k/dxi1 - i dF_k/dxi2 of F = (x, y, h_1..h_n) on the source
+    grid: d = A d/dx + B d/dy and dbar = conj(A) d/dx + conj(B) d/dy from
+    ``_pullback``.  Nullity is taken ``_MARGIN_CELLS`` rings in, holomorphy
+    a ring further."""
+    A, B = _pullback(chart, h)
+    phi = _null_phi(h, A, B)
+    holo, null = _holomorphy(phi, A, B, h.domain), _nullity(phi, signature)
+    return NullCurveField(h.domain, phi, holo, null, signature)
 
 
 def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:
     """Residual of phihat_{k+2} = -i phi_{k+2}, ``_MARGIN_CELLS`` rings in,
-    and the holomorphy and nullity of both sides' null curves.
+    the holomorphy of the minimal side's null curve and the nullity of
+    both sides'; one pullback through the chart serves both sides.
 
     phihat_1 = phi_1 and phihat_2 = phi_2 hold exactly: both sides read
     (x, y) through the one chart.  So ``max_residual``, the largest
     relation residual, equals ``height_residual``."""
-    nf = null_curve(pair.f, chart, "euclidean")
-    ng = null_curve(pair.g, chart, "split")
+    A, B = _pullback(chart, pair.f, pair.g)
+    phi, phihat = _null_phi(pair.f, A, B), _null_phi(pair.g, A, B)
     sl = slice(_MARGIN_CELLS, -_MARGIN_CELLS)
-    r = 0.0
-    for k in range(2, len(nf.phi)):
-        r = max(r, float(np.abs((ng.phi[k] + 1j * nf.phi[k])[sl, sl]).max()))
+    rel = (np.abs((p + 1j * q)[sl, sl]).max() for p, q in zip(phihat[2:], phi[2:]))
+    r = max([0.0] + [float(v) for v in rel])
     return {
         "height_residual": r,
         "max_residual": r,
-        "holomorphy_residual_min_side": nf.holomorphy_residual,
-        "nullity_residual_min_side": nf.nullity_residual,
-        "nullity_residual_max_side": ng.nullity_residual,
+        "holomorphy_residual_min_side": _holomorphy(phi, A, B, pair.f.domain),
+        "nullity_residual_min_side": _nullity(phi, "euclidean"),
+        "nullity_residual_max_side": _nullity(phihat, "split"),
     }

@@ -110,17 +110,6 @@ def gauss_map(f: HeightMap) -> ProjectivePointField:
     return ProjectivePointField(f.domain, normalize_projective(comps))
 
 
-def gauss_map_alt(f: HeightMap) -> ProjectivePointField:
-    """The equivalent [1 - iF/w, iE/w, ...] form; cross-oracle for gauss_map."""
-    metric = first_fundamental_form(f, "euclidean")
-    z1 = 1.0 - 1j * metric.F / metric.omega
-    z2 = 1j * metric.E / metric.omega
-    comps = [z1, z2]
-    for k in range(f.n):
-        comps.append(z1 * f.alpha(k) + z2 * f.beta(k))
-    return ProjectivePointField(f.domain, normalize_projective(comps))
-
-
 def quadric_residual(g: ProjectivePointField) -> float:
     """max nodewise |sum_k z_k^2| (0 exactly on the hyperquadric)."""
     s = sum(c * c for c in g.components)
@@ -142,6 +131,26 @@ def hyperplane_fit(g: ProjectivePointField, i: int, j: int) -> HyperplaneFit:
     return HyperplaneFit(i, j, lam, residual, abs(lam.imag) > _NONREAL_THRESHOLD)
 
 
+# planarity tiles: an 8 x 8 partition of the grid; tile-pair angle bounds
+# are padded past arccos's rounding near 1 (~1.5e-8 rad)
+_TILES, _ANGLE_PAD = 8, 1e-6
+
+
+def _live_tiles(z, iy, ix, shape):
+    """Rows of ``z`` (nodes (iy, ix) of a ``shape`` grid) by tile, and whether
+    each tile pair can hold a pair within 1e-12 of the largest 1 - |<p,q>|^2."""
+    tile = (iy * _TILES // shape[0]) * _TILES + ix * _TILES // shape[1]
+    order = np.argsort(tile, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(tile[order])) + 1)
+    ref = z[[g[0] for g in groups]]
+    near = [np.abs(z[g] @ ref[i].conj()).min() for i, g in enumerate(groups)]
+    radius = np.arccos(np.minimum(1.0, near))
+    inner = np.abs(ref.conj() @ ref.T)
+    bound = radius[:, None] + np.arccos(np.minimum(1.0, inner)) + radius + _ANGLE_PAD
+    lower = (1.0 - inner**2).max()  # realized by a reference pair
+    return groups, np.sin(np.minimum(bound, np.pi / 2)) ** 2 >= lower - 1e-12
+
+
 def planarity_score(g: ProjectivePointField, max_nodes: int = 4096) -> float:
     """Max pairwise Fubini-Study chordal distance sqrt(1 - |<z_p, z_q>|^2).
 
@@ -152,17 +161,27 @@ def planarity_score(g: ProjectivePointField, max_nodes: int = 4096) -> float:
     A BLAS Gram pass gives each row p its largest 1 - |<p,q>|^2; only rows
     within 1e-12 of the overall largest get the exact rejection form below.
     Both forms round to ~1e-15, so the extreme row is always among them.
-    On a (near-)constant map every row is, and all pairs are refined.
+    The Gram pass skips tile pairs that cannot hold the extreme.  With
+    theta = arccos |<p,q>| the Fubini-Study distance, every pair of tiles
+    I, J of an 8 x 8 partition of the grid has theta <= r_I + theta(c_I, c_J)
+    + r_J (reference nodes c_I, radii r_I = max_p theta(c_I, p)); the bound
+    is padded by 1e-6 rad and clipped at pi/2.  A pair with sin^2(bound)
+    1e-12 below the farthest reference pair's 1 - |<c_I,c_J>|^2 is outside
+    the band, so band and value are those of all pairs.  On a
+    (near-)constant map no pair is skipped and every row is refined.
     """
     z = g.stack().reshape(-1, g.n_plus_2)
+    nodes = np.arange(z.shape[0])
     if z.shape[0] > max_nodes:
         rng = np.random.default_rng(2024)
-        idx = rng.choice(z.shape[0], size=max_nodes, replace=False)
-        idx.sort()
-        z = z[idx]
-    starts = range(0, z.shape[0], 512)
-    near = [np.abs(z[s : s + 512].conj() @ z.T).min(axis=1) for s in starts]
-    far = 1.0 - np.concatenate(near) ** 2
+        nodes = np.sort(rng.choice(z.shape[0], size=max_nodes, replace=False))
+        z = z[nodes]
+    groups, live = _live_tiles(z, *np.divmod(nodes, g.domain.nx), g.domain.shape)
+    far = np.full(z.shape[0], -np.inf)
+    for rows, partners in zip(groups, live):
+        if partners.any():
+            cols = np.concatenate([groups[j] for j in np.flatnonzero(partners)])
+            far[rows] = 1.0 - np.abs(z[rows].conj() @ z[cols].T).min(axis=1) ** 2
     band = far >= far.max() - 1e-12
     worst = 0.0
     chunk = 128

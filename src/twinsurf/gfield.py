@@ -10,7 +10,8 @@ Layout::
 Values are written with 17 significant digits, which round-trips IEEE
 doubles exactly.  Blank lines are skipped.  Each block is parsed by
 numpy's C reader: a value is a plain decimal (or inf/nan) token; ``#``
-starts no comment and ``_`` separates no digits.
+starts no comment and ``_`` separates no digits.  A rejected token is
+named by its file line and its 1-based position on that line.
 """
 
 from __future__ import annotations
@@ -40,6 +41,26 @@ def write_gfield(path, domain: GridDomain, components) -> None:
             np.savetxt(fh, c, fmt="%.17g")
 
 
+def _parse(lines):
+    # numpy's C parser; comments=None keeps '#' a bad token
+    return np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
+
+
+def _bad_token(path, first, block):
+    """Where the first rejected token of ``block``, kept lines ``first`` on, is."""
+    with open(path, errors="replace") as fh:
+        numbers = [i for i, ln in enumerate(fh, 1) if ln.strip()][first:]
+    for number, ln in zip(numbers, block):
+        try:
+            _parse([ln])
+        except ValueError:
+            for t, tok in enumerate(ln.split(), 1):
+                try:
+                    _parse([tok])
+                except ValueError:
+                    return f"line {number}, token {t}: could not convert {tok!r} to float"
+
+
 def read_gfield(path):
     """Returns (GridDomain, [arrays])."""
     # undecodable bytes become U+FFFD, which no header or number check accepts
@@ -63,13 +84,13 @@ def read_gfield(path):
         block = lines[3 + k * ny : 3 + (k + 1) * ny]
         where = f"{path}: component {k + 1}"
         try:
-            # numpy's C parser; comments=None keeps '#' a bad token
-            arr = np.loadtxt(block, dtype=float, ndmin=2, comments=None)
+            arr = _parse(block)
         except ValueError as exc:
             # rows of unequal length fail the parse; name the row length
             if any(len(ln.split()) != nx for ln in block):
                 raise ValidationError(f"{where}: every row needs {nx} values") from exc
-            raise ValidationError(f"{where}: {exc}") from exc
+            bad = _bad_token(path, 3 + k * ny, block) or exc
+            raise ValidationError(f"{where}: {bad}") from exc
         if arr.shape != (ny, nx):
             raise ValidationError(f"{where}: every row needs {nx} values")
         comps.append(arr)

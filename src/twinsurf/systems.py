@@ -45,35 +45,27 @@ class ResidualReport:
     mask: np.ndarray | None = None  # nodes included in aggregation (interior)
     metric: MetricData | None = None  # the first fundamental form it was read from
 
-    def _agg_mask(self):
+    def _aggregated(self, normalization):
+        """The fields in ``normalization`` on the interior nodes of the mask."""
         m = np.zeros(self.domain.shape, dtype=bool)
         m[1:-1, 1:-1] = True
         if self.mask is not None:
             m &= self.mask
-        return m
-
-    def _values(self, normalization):
+        if not m.any():
+            raise ValidationError("no interior nodes left to aggregate")
+        normalization = normalization or self.normalization
         if normalization == "raw":
-            return self.fields
+            return [f[m] for f in self.fields]
         if normalization != "scaled":
             raise ValidationError(f"unknown normalization {normalization!r}")
-        return [f / self.scale for f in self.fields]
+        return [(f / self.scale)[m] for f in self.fields]
 
     def max_abs(self, normalization=None):
-        m = self._agg_mask()
-        if not m.any():
-            raise ValidationError("no interior nodes left to aggregate")
-        vals = self._values(normalization or self.normalization)
-        return max(float(np.abs(v[m]).max()) for v in vals)
+        return max(float(np.abs(v).max()) for v in self._aggregated(normalization))
 
     def l2(self, normalization=None):
-        m = self._agg_mask()
-        if not m.any():
-            raise ValidationError("no interior nodes left to aggregate")
-        vals = self._values(normalization or self.normalization)
-        return float(
-            np.sqrt(sum(np.mean(np.square(v[m])) for v in vals) / len(vals))
-        )
+        vals = self._aggregated(normalization)
+        return float(np.sqrt(sum(np.mean(np.square(v)) for v in vals) / len(vals)))
 
     def to_report(self):
         dom = self.domain

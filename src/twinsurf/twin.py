@@ -15,8 +15,8 @@ signature of its source, serves both directions and their involution.
 ``_diagnostics`` reads c1..c4 off the raw node values of one side;
 construction, the involution and ``verify_twin`` share both, passing
 each map's residual, metric and Jacobian data along instead of
-recomputing them.  ``_twin`` can take the source's residual from its caller,
-so ``verify-all`` reads one residual for its own check and the twin.
+recomputing them.  ``_twin`` takes the source's residual and Jacobian data
+from a caller that has them: ``verify-all`` reads each once.
 """
 
 from __future__ import annotations
@@ -114,19 +114,21 @@ def _residual(h: HeightMap, signature):
     return minimal_residual(h) if signature == "euclidean" else maximal_residual(h)
 
 
-def _integrate_twin(src: HeightMap, signature, basepoint, tol, res=None):
+def _integrate_twin(src: HeightMap, signature, basepoint, tol, res=None, jac=None):
     """Check ``src`` (spacelike, area-angle, closedness of each twin
     gradient, which is the surface system in divergence form, then the
-    residual) and integrate its twin.  ``res`` is the residual of ``src``
-    when the caller has it.  Returns the twin's node values, the
-    twin-relation gradients and the metric and Jacobian data of ``src``."""
+    residual) and integrate its twin.  ``res`` and ``jac`` are the
+    residual and Jacobian data of ``src`` when the caller has them.
+    Returns the twin's node values, the twin-relation gradients and the
+    metric and Jacobian data of ``src``."""
     dom = src.domain
     if res is None:
         res = _residual(src, signature)
     metric = res.metric
     if not metric.mask.all():
         raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
-    jac = jacobian_data(src)
+    if jac is None:
+        jac = jacobian_data(src)
     if not jac.has_positive_area_angle:
         raise AreaAngleViolation("||J|| >= 1", nodes=jac.violations)
     grads = [_twin_gradient(src, metric, k) for k in range(src.n)]
@@ -178,14 +180,15 @@ def _anchored_difference(a: list, b: list, basepoint):
     return max([0.0] + [float(np.abs(d - d[iy, ix]).max()) for d in diffs])
 
 
-def _twin(src: HeightMap, signature, basepoint, tol, res=None):
+def _twin(src: HeightMap, signature, basepoint, tol, res=None, jac=None):
     """Twin of ``src``: its maximal twin when ``signature`` is euclidean,
-    the minimal graph it is the twin of when split.  ``res`` is the
-    residual of ``src`` when the caller has it.  Returns the pair and the
-    residual of the built side, which the involution reads."""
+    the minimal graph it is the twin of when split.  ``res`` and ``jac``
+    are the residual and Jacobian data of ``src`` when the caller has
+    them.  Returns the pair and the residual of the built side, which the
+    involution reads."""
     tol = resolve_tol(tol, src.domain)
     dom = src.domain
-    comps, grads, metric, jac = _integrate_twin(src, signature, basepoint, tol, res)
+    comps, grads, metric, jac = _integrate_twin(src, signature, basepoint, tol, res, jac)
     checks = _diagnostics(HeightMap(dom, comps), grads, metric, jac)
     # the returned map carries the twin-relation gradients, which define
     # the twin exactly; re-differencing the integrated values would stack

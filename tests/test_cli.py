@@ -426,6 +426,14 @@ def test_verify_all_shares_the_residual_and_the_potentials(monkeypatch, capsys):
     assert calls == {"minimal_residual": 1, "maximal_residual": 1, "integrate_exact_form": 5}
 
 
+def test_verify_all_takes_the_jacobian_data_once_per_map(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, ("jacobian_data",))
+    assert run(["verify-all", "--name", "catenoid", "--grid", "65,65"]) == 0
+    # the surface (its area-angle check and its twin), the twin's raw
+    # values for c2, the twin's twin in the involution
+    assert calls == {"jacobian_data": 3}
+
+
 def test_verify_all_matches_the_public_constructions(capsys):
     assert run(["verify-all", "--name", "helicoid", "--grid", "65,65"]) == 0
     value = {c["name"]: c["value"] for c in _json_out(capsys)["checks"]}

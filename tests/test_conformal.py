@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twinsurf import conformal
 from twinsurf.conformal import (
     _bilinear,
     _cell,
@@ -157,6 +158,40 @@ def test_weierstrass_residuals_second_order(name, values_only):
 def test_weierstrass_residuals_vanish_on_holomorphic_pair(values_only):
     out = _weierstrass("holomorphic", 257, values_only)
     assert all(out[key] <= 1e-10 for key in _WEIERSTRASS_CHECKS), out
+
+
+def _weierstrass_from_null_curves(pair, chart):
+    nf = null_curve(pair.f, chart, "euclidean")
+    ng = null_curve(pair.g, chart, "split")
+    r = max(
+        float(np.abs((ng.phi[k] + 1j * nf.phi[k])[2:-2, 2:-2]).max())
+        for k in range(2, len(nf.phi))
+    )
+    return {
+        "height_residual": r,
+        "max_residual": r,
+        "holomorphy_residual_min_side": nf.holomorphy_residual,
+        "nullity_residual_min_side": nf.nullity_residual,
+        "nullity_residual_max_side": ng.nullity_residual,
+    }
+
+
+@pytest.mark.parametrize("name", ["catenoid", "scherk", "holomorphic"])
+def test_weierstrass_twin_pulls_back_once_and_equals_two_null_curves(name, monkeypatch):
+    f = surface(name, 65, 65)
+    pair, chart = twin_forward(f), build_chart(f)
+    calls = []
+    pullback = conformal._pullback
+
+    def counted(*args):
+        calls.append(args)
+        return pullback(*args)
+
+    monkeypatch.setattr(conformal, "_pullback", counted)
+    out = verify_weierstrass_twin(pair, chart)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert out == _weierstrass_from_null_curves(pair, chart)
 
 
 def test_weierstrass_twin_rejects_twin_on_other_grid():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from twinsurf.catalog import make_surface
 from twinsurf.errors import DegenerateFit, NotUnimodular, ValidationError
-from twinsurf.fields import GridDomain, HeightMap, ScalarField
+from twinsurf.fields import GridDomain, HeightMap, ScalarField, first_fundamental_form
 from twinsurf.gauss import (
     ProjectivePointField,
+    _live_tiles,
     gauss_map,
-    gauss_map_alt,
     hyperplane_fit,
     jorgens_gauss,
     normalize_projective,
@@ -15,6 +16,17 @@ from twinsurf.gauss import (
 )
 
 from conftest import random_heightmap, surface
+
+
+def gauss_map_alt(f: HeightMap) -> ProjectivePointField:
+    """The equivalent [1 - iF/w, iE/w, ...] form; cross-oracle for gauss_map."""
+    metric = first_fundamental_form(f, "euclidean")
+    z1 = 1.0 - 1j * metric.F / metric.omega
+    z2 = 1j * metric.E / metric.omega
+    comps = [z1, z2]
+    for k in range(f.n):
+        comps.append(z1 * f.alpha(k) + z2 * f.beta(k))
+    return ProjectivePointField(f.domain, normalize_projective(comps))
 
 
 def test_flat_graph_gauss_map(square_domain):
@@ -135,3 +147,66 @@ def test_planarity_of_nearly_constant_map_uses_rejection_form(square_domain, see
     gram = np.sqrt(np.max(1.0 - np.abs(z.conj() @ z.T) ** 2))
     assert abs(gram - ref) > 1e-10  # the Gram form alone is off
     assert abs(planarity_score(g) - ref) <= 1e-15
+
+
+def _gram_band_planarity(z):
+    """All-pairs oracle: a Gram pass over every pair finds each row's
+    largest 1 - |<p,q>|^2, and the rows within 1e-12 of the largest get the
+    rejection form in whole 128-row chunk products, as planarity_score."""
+    near = [np.abs(z[s : s + 512].conj() @ z.T).min(axis=1) for s in range(0, len(z), 512)]
+    far = 1.0 - np.concatenate(near) ** 2
+    band = far >= far.max() - 1e-12
+    worst = 0.0
+    for start in range(0, len(z), 128):
+        rows = np.flatnonzero(band[start : start + 128])
+        if rows.size:
+            block = z[start : start + 128]
+            inner = (block.conj() @ z.T)[rows]
+            rej = z[None, :, :] - inner[:, :, None] * block[rows, None, :]
+            worst = max(worst, float(np.linalg.norm(rej, axis=-1).max()))
+    return worst
+
+
+_CATALOG = ["catenoid", "helicoid", "scherk", "holomorphic"]
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+@pytest.mark.parametrize("name", _CATALOG)
+def test_planarity_equals_the_all_pairs_pass(name, n):
+    g = gauss_map(surface(name, n, n))
+    z = g.stack().reshape(-1, g.n_plus_2)
+    assert planarity_score(g, max_nodes=n * n) == _gram_band_planarity(z)
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_planarity_subsample_equals_the_all_pairs_pass_at_513(name):
+    g = gauss_map(surface(name, 513, 513))
+    idx = np.random.default_rng(2024).choice(513 * 513, size=4096, replace=False)
+    idx.sort()
+    z = g.stack().reshape(-1, g.n_plus_2)[idx]
+    assert planarity_score(g) == _gram_band_planarity(z)
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 5), (7, 5), (9, 13)])
+def test_planarity_on_grids_with_empty_tiles(nx, ny):
+    # fewer than 8 nodes on an axis leaves some of the 8 x 8 tiles empty
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, nx, ny)
+    g = gauss_map(random_heightmap(np.random.default_rng(nx * ny), dom, n=2, amplitude=0.8))
+    z = g.stack().reshape(-1, g.n_plus_2)
+    assert planarity_score(g) == _gram_band_planarity(z)
+
+
+def test_planarity_reads_an_orthogonal_pair():
+    # the Gauss image of z^2 holds orthogonal points at z = +-1/2
+    dom = GridDomain.from_bounds(-0.75, -0.75, 0.75, 0.75, 65, 65)
+    g = gauss_map(make_surface("holomorphic", None, dom))
+    assert planarity_score(g) > 0.9999999
+
+
+def test_tile_bounds_prune_most_tile_pairs():
+    g = gauss_map(surface("catenoid", 129, 129))
+    z = g.stack().reshape(-1, g.n_plus_2)
+    iy, ix = np.divmod(np.arange(len(z)), 129)
+    groups, live = _live_tiles(z, iy, ix, g.domain.shape)
+    assert len(groups) == 64 and sorted(np.concatenate(groups)) == list(range(len(z)))
+    assert 0 < live.mean() < 0.1

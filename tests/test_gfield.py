@@ -118,6 +118,27 @@ def test_read_names_a_rejected_token(tmp_path, token):
         read_gfield(p)
 
 
+def test_read_names_the_file_line_and_token(tmp_path):
+    p, lines = _catenoid_lines(tmp_path)
+    _replace_token(lines, 10, 4, "nanx")
+    # a blank line before the block: the line number counts it
+    p.write_text("\n".join(lines[:3] + ["  "] + lines[3:]) + "\n")
+    with pytest.raises(ValidationError) as err:
+        read_gfield(p)
+    assert str(err.value).endswith("component 1: line 12, token 5: could not convert 'nanx' to float")
+
+
+def test_read_names_the_file_line_in_a_later_block(tmp_path):
+    p, _, _ = _two_component_file(tmp_path)
+    lines = p.read_text().splitlines()
+    lines = lines[:8] + [""] + lines[8:]  # block 2 starts on file line 10
+    _replace_token(lines, 10, 2, "1,5")
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as err:
+        read_gfield(p)
+    assert str(err.value).endswith("component 2: line 11, token 3: could not convert '1,5' to float")
+
+
 def test_read_rejects_rows_all_one_value_too_wide(tmp_path):
     p, lines = _catenoid_lines(tmp_path)
     lines[3:] = [ln + " 0" for ln in lines[3:]]
