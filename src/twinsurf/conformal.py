@@ -2,12 +2,13 @@
 xi-grid, holomorphic null curves, and the Weierstrass twin relation.
 
 The transformation is Psi(x, y) = (x + M, y + N) with M, N integrated from
-(E/w, F/w) and (F/w, G/w); its Jacobian 2 + (E+G)/w exceeds 2.  Null
-curves and the Weierstrass relation are read on the source grid by pulling
-xi-derivatives back through DPsi, so they keep second order; the pullback
-is taken once per call, and the Weierstrass relation reads both sides and
-the minimal side's holomorphy through it.  Only ``resample_to_chart``
-inverts the chart (Newton, bilinear interpolation).
+(E/w, F/w) and (F/w, G/w); its Jacobian 2 + (E+G)/w is at least 4, as
+E + G >= 2 sqrt(EG) >= 2w.  Null curves and the Weierstrass relation are
+read on the source grid by pulling xi-derivatives back through DPsi, so
+they keep second order; the pullback is taken once per call, and the
+Weierstrass relation reads both sides and the minimal side's holomorphy
+through it.  Only ``resample_to_chart`` inverts the chart: damped Newton
+from an affine seed (no nearest-node search), bilinear interpolation.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    JacobianBoundViolation,
-    NewtonDiverged,
-    TargetOutsideImage,
-    ValidationError,
-)
+from .errors import NewtonDiverged, TargetOutsideImage, ValidationError
 from .fields import (
     GridDomain,
     HeightMap,
@@ -69,10 +65,6 @@ def _build_chart(f: HeightMap, metric, M, N, basepoint) -> ConformalChart:
     w = metric.omega
     X, Y = dom.meshgrid()
     jpsi = 2.0 + (metric.E + metric.G) / w
-    if jpsi.min() <= 2.0 - 1e-9:
-        raise JacobianBoundViolation(
-            f"J_psi min {jpsi.min():.6f} <= 2", nodes=np.argwhere(jpsi <= 2.0 - 1e-9)
-        )
     return ConformalChart(
         f,
         M,
@@ -118,7 +110,7 @@ def default_target_grid(chart: ConformalChart) -> GridDomain:
     """Largest safe axis-aligned xi-rectangle: inscribed in the forward
     image of the interior, shrunk by ``_MARGIN_CELLS`` grid cells.
 
-    xi1 is monotone along rows and xi2 along columns (J_psi > 2), so the
+    xi1 is monotone along rows and xi2 along columns (J_psi >= 4), so the
     rectangle [max over left edge, min over right edge] x [bottom, top]
     of the shrunk grid lies inside the image.
     """
@@ -134,29 +126,27 @@ def default_target_grid(chart: ConformalChart) -> GridDomain:
 
 
 def _invert_chart(chart: ConformalChart, target: GridDomain):
-    """Newton-invert Psi at every target node; returns preimages (x, y)."""
+    """Newton-invert Psi at every target node; returns preimages (x, y).
+
+    Psi is the gradient of the strongly convex (x^2 + y^2)/2 + h, so damped
+    Newton converges from any seed: the affine map of the xi bounding box
+    onto the source rectangle."""
     dom = chart.source.domain
     Ew, Fw, Gw = first_fundamental_form(chart.source, "euclidean").over_area
     t1, t2 = target.meshgrid()
     xi1, xi2 = chart.xi1.values, chart.xi2.values
 
-    # seed from the nearest forward-image node
-    pts = np.stack([xi1.ravel(), xi2.ravel()], axis=1)
-    X, Y = dom.meshgrid()
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    _, nearest = tree.query(np.stack([t1.ravel(), t2.ravel()], axis=1))
-    x = X.ravel()[nearest].reshape(target.shape).copy()
-    y = Y.ravel()[nearest].reshape(target.shape).copy()
-
-    tol = 1e-12
-    for _ in range(50):
+    def residual(x, y):
         cell = _cell(dom, x, y)
         r1 = x + _bilinear(chart.M.values, cell) - t1
         r2 = y + _bilinear(chart.N.values, cell) - t2
-        rnorm = np.hypot(r1, r2)
-        if rnorm.max() <= tol:
+        return r1, r2, np.hypot(r1, r2), cell
+
+    x = dom.x0 + (t1 - xi1.min()) * ((dom.x1 - dom.x0) / np.ptp(xi1))
+    y = dom.y0 + (t2 - xi2.min()) * ((dom.y1 - dom.y0) / np.ptp(xi2))
+    for _ in range(50):
+        r1, r2, rnorm, cell = residual(x, y)
+        if rnorm.max() <= 1e-12:
             break
         a = 1.0 + _bilinear(Ew, cell)
         b = _bilinear(Fw, cell)
@@ -167,23 +157,15 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
         # damped step: halve while the residual does not decrease
         lam = np.ones_like(x)
         for _damp in range(20):
-            xn, yn = x - lam * sx, y - lam * sy
-            cell = _cell(dom, xn, yn)
-            r1n = xn + _bilinear(chart.M.values, cell) - t1
-            r2n = yn + _bilinear(chart.N.values, cell) - t2
-            bad = np.hypot(r1n, r2n) > rnorm
+            bad = residual(x - lam * sx, y - lam * sy)[2] > rnorm
             if not bad.any():
                 break
             lam = np.where(bad, lam / 2.0, lam)
         x, y = x - lam * sx, y - lam * sy
     else:
-        cell = _cell(dom, x, y)
-        r1 = x + _bilinear(chart.M.values, cell) - t1
-        r2 = y + _bilinear(chart.N.values, cell) - t2
-        if np.hypot(r1, r2).max() > 1e-9:
-            raise NewtonDiverged(
-                f"max residual {np.hypot(r1, r2).max():.3e} after 50 iterations"
-            )
+        rmax = residual(x, y)[2].max()
+        if rmax > 1e-9:
+            raise NewtonDiverged(f"max residual {rmax:.3e} after 50 iterations")
 
     eps = 1e-9
     if (

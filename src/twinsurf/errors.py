@@ -67,10 +67,6 @@ class DegenerateFit(TwinsurfError):
     code = "DEGENERATE_FIT"
 
 
-class JacobianBoundViolation(TwinsurfError):
-    code = "JACOBIAN_BOUND_VIOLATION"
-
-
 class NewtonDiverged(TwinsurfError):
     code = "NEWTON_DIVERGED"
 

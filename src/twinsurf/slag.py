@@ -152,10 +152,10 @@ def _sl_residual(h: ScalarField, theta: float, signature) -> ResidualReport:
     if signature == "euclidean":
         c, s, op = np.cos(theta), np.sin(theta), "sl_residual"
     else:
-        space = det**2 - trace**2
-        if space[1:-1, 1:-1].min() <= 0:
+        space = (det**2 - trace**2)[1:-1, 1:-1]
+        if space.min() <= 0:
             raise NotSpacelike(
-                "split spacelike condition fails", nodes=np.argwhere(space <= 0)
+                "split spacelike condition fails", nodes=np.argwhere(space <= 0) + 1
             )
         c, s, op = np.cosh(theta), np.sinh(theta), "split_sl_residual"
     res = c * trace + s * det

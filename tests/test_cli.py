@@ -164,7 +164,7 @@ def test_missing_file_is_validation_error(capsys):
 
 
 def test_cli_import_leaves_scipy_integrate_out():
-    # no scipy module at all: only `solve` and `chart resample` load it, on use
+    # no scipy module at all: only `solve` loads it, on use
     for module in ("twinsurf", "twinsurf.cli"):
         code = (
             "import sys\n"
@@ -181,6 +181,11 @@ _SCIPY_FREE = [
     ["twin", "forward", "--in", "{gf}"],
     ["sl", "lift", "--in", "{gf}"],
     ["chart", "weierstrass", "--in", "{gf}"],
+    ["chart", "resample", "--in", "{gf}", "--out", "{gf}.xi"],
+    ["chart", "build", "--in", "{gf}"],
+    ["chart", "nullcurve", "--in", "{gf}"],
+    ["gauss", "planarity", "--in", "{gf}"],
+    ["residual", "--system", "minimal", "--in", "{gf}"],
 ]
 
 

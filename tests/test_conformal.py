@@ -5,13 +5,14 @@ from twinsurf import conformal
 from twinsurf.conformal import (
     _bilinear,
     _cell,
+    _invert_chart,
     build_chart,
     default_target_grid,
     null_curve,
     resample_to_chart,
     verify_weierstrass_twin,
 )
-from twinsurf.errors import NotMinimal, ValidationError
+from twinsurf.errors import NotMinimal, TargetOutsideImage, ValidationError
 from twinsurf.fields import GridDomain, HeightMap
 from twinsurf.slag import sl_lift
 from twinsurf.twin import TwinPair, default_tol, twin_forward
@@ -92,6 +93,31 @@ def test_default_target_grid_inside_image():
     target = default_target_grid(chart)
     assert target.x0 >= chart.xi1.values[:, 0].max()
     assert target.x1 <= chart.xi1.values[:, -1].min()
+
+
+@pytest.mark.parametrize("name", ["catenoid", "scherk", "helicoid", "holomorphic"])
+def test_invert_chart_solves_psi_inside_the_source_rectangle(name):
+    f = surface(name, 65, 65)
+    chart = build_chart(f)
+    target = default_target_grid(chart)
+    x, y = _invert_chart(chart, target)
+    cell = _cell(f.domain, x, y)
+    t1, t2 = target.meshgrid()
+    r1 = x + _bilinear(chart.M.values, cell) - t1
+    r2 = y + _bilinear(chart.N.values, cell) - t2
+    assert np.hypot(r1, r2).max() <= 1e-12
+    dom = f.domain
+    assert dom.x0 <= x.min() and x.max() <= dom.x1
+    assert dom.y0 <= y.min() and y.max() <= dom.y1
+
+
+def test_invert_chart_rejects_target_past_the_image():
+    chart = build_chart(surface("catenoid", 65, 65))
+    t = default_target_grid(chart)
+    half = (t.x1 - t.x0) / 2
+    shifted = GridDomain.from_bounds(t.x0 + half, t.y0, t.x1 + half, t.y1, t.nx, t.ny)
+    with pytest.raises(TargetOutsideImage):
+        _invert_chart(chart, shifted)
 
 
 def test_null_curve_of_flat_immersion():

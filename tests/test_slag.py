@@ -4,6 +4,7 @@ import pytest
 from twinsurf.errors import (
     DenominatorVanishes,
     NotMinimal,
+    NotSpacelike,
     ParamConstraintViolation,
     PhiOutOfRange,
     ValidationError,
@@ -84,6 +85,17 @@ def test_split_residual_and_angle():
     est, spread = detect_angle(h, "split")
     assert est == pytest.approx(theta, abs=1e-9)
     assert spread < 1e-9
+
+
+def test_split_residual_reports_interior_nodes_only():
+    # the spacelike condition is read on the interior; so are the nodes
+    # the error names: (1 + det)^2 = trace^2 = 4 at every node here
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    X, Y = dom.meshgrid()
+    with pytest.raises(NotSpacelike) as err:
+        split_sl_residual(ScalarField(dom, (X * X + Y * Y) / 2), 0.0)
+    nodes = err.value.nodes
+    assert len(nodes) and ((nodes >= 1) & (nodes <= 7)).all(), nodes
 
 
 def test_split_angle_denominator_guard():
