@@ -38,8 +38,6 @@ class ConformalChart:
     xi1: ScalarField  # x + M
     xi2: ScalarField  # y + N
     J_psi: ScalarField  # 2 + (E+G)/w
-    conformal_factor: ScalarField  # w / J_psi
-    basepoint: tuple
 
 
 @dataclass
@@ -56,24 +54,20 @@ def build_chart(
 ) -> ConformalChart:
     tol = resolve_tol(tol, f.domain)
     M, N, metric, _ = _lift_potentials(f, basepoint, tol)
-    return _build_chart(f, metric, M, N, basepoint)
+    return _build_chart(f, metric, M, N)
 
 
-def _build_chart(f: HeightMap, metric, M, N, basepoint) -> ConformalChart:
+def _build_chart(f: HeightMap, metric, M, N) -> ConformalChart:
     """The chart of ``f`` from its metric and lift potentials M, N."""
     dom = f.domain
-    w = metric.omega
     X, Y = dom.meshgrid()
-    jpsi = 2.0 + (metric.E + metric.G) / w
     return ConformalChart(
         f,
         M,
         N,
         ScalarField(dom, X + M.values),
         ScalarField(dom, Y + N.values),
-        ScalarField(dom, jpsi),
-        ScalarField(dom, w / jpsi),
-        basepoint,
+        ScalarField(dom, 2.0 + (metric.E + metric.G) / metric.omega),
     )
 
 
@@ -130,7 +124,8 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
 
     Psi is the gradient of the strongly convex (x^2 + y^2)/2 + h, so damped
     Newton converges from any seed: the affine map of the xi bounding box
-    onto the source rectangle."""
+    onto the source rectangle.  Each point is evaluated once: the damping
+    trial that ends the halving is the next iterate."""
     dom = chart.source.domain
     Ew, Fw, Gw = first_fundamental_form(chart.source, "euclidean").over_area
     t1, t2 = target.meshgrid()
@@ -144,8 +139,9 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
 
     x = dom.x0 + (t1 - xi1.min()) * ((dom.x1 - dom.x0) / np.ptp(xi1))
     y = dom.y0 + (t2 - xi2.min()) * ((dom.y1 - dom.y0) / np.ptp(xi2))
+    r = residual(x, y)
     for _ in range(50):
-        r1, r2, rnorm, cell = residual(x, y)
+        r1, r2, rnorm, cell = r
         if rnorm.max() <= 1e-12:
             break
         a = 1.0 + _bilinear(Ew, cell)
@@ -157,13 +153,17 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
         # damped step: halve while the residual does not decrease
         lam = np.ones_like(x)
         for _damp in range(20):
-            bad = residual(x - lam * sx, y - lam * sy)[2] > rnorm
+            r = residual(x - lam * sx, y - lam * sy)
+            bad = r[2] > rnorm
             if not bad.any():
                 break
+            r = None  # hold one trial at a time
             lam = np.where(bad, lam / 2.0, lam)
         x, y = x - lam * sx, y - lam * sy
+        if r is None:  # all 20 halvings ran
+            r = residual(x, y)
     else:
-        rmax = residual(x, y)[2].max()
+        rmax = r[2].max()
         if rmax > 1e-9:
             raise NewtonDiverged(f"max residual {rmax:.3e} after 50 iterations")
 

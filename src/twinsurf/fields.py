@@ -11,12 +11,17 @@ behind one closedness guard, in units of a caller-given scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NotClosed, ValidationError
+
+
+def _check_nodes(nx, ny):
+    if nx < 5 or ny < 5:
+        raise ValidationError("need at least 5 nodes per axis")
 
 
 @dataclass(frozen=True)
@@ -39,13 +44,13 @@ class GridDomain:
             raise ValidationError("grid origin and spacings must be finite")
         if not (self.dx > 0 and self.dy > 0):
             raise ValidationError("grid spacings must be positive")
-        if self.nx < 5 or self.ny < 5:
-            raise ValidationError("need at least 5 nodes per axis")
+        _check_nodes(self.nx, self.ny)
 
     @classmethod
     def from_bounds(cls, x0, y0, x1, y1, nx, ny):
         if not (x1 > x0 and y1 > y0):
             raise ValidationError("degenerate rectangle")
+        _check_nodes(nx, ny)  # before dividing by nx - 1, ny - 1
         return cls(x0, y0, (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1), nx, ny)
 
     @property
@@ -189,12 +194,6 @@ class HeightMap:
         """df_k/dy (0-based k)."""
         return self.gradients[k][1]
 
-    def alphas(self):
-        return [self.alpha(k) for k in range(self.n)]
-
-    def betas(self):
-        return [self.beta(k) for k in range(self.n)]
-
 
 @dataclass
 class MetricData:
@@ -230,19 +229,18 @@ class JacobianData:
     domain: GridDomain
     pairs: dict  # {(i, j): array}, 1-based component indices, i < j
     norm: np.ndarray
-    theta: np.ndarray
-    violations: np.ndarray = field(default=None)  # nodes with ||J|| >= 1
+    violations: np.ndarray  # nodes with ||J|| >= 1
 
     @property
     def has_positive_area_angle(self):
-        return self.violations is None or len(self.violations) == 0
+        return len(self.violations) == 0
 
 
 def first_fundamental_form(h: HeightMap, signature: str = "euclidean") -> MetricData:
     """Metric coefficients of the graph of ``h`` in either ambient signature."""
     if signature not in ("euclidean", "split"):
         raise ValidationError(f"unknown signature {signature!r}")
-    alphas, betas = h.alphas(), h.betas()
+    alphas, betas = zip(*h.gradients)
     sa2 = sum(a * a for a in alphas)
     sab = sum(a * b for a, b in zip(alphas, betas))
     sb2 = sum(b * b for b in betas)
@@ -260,12 +258,12 @@ def first_fundamental_form(h: HeightMap, signature: str = "euclidean") -> Metric
 
 
 def jacobian_data(h: HeightMap) -> JacobianData:
-    """All pairwise Jacobians, their norm and the area-angle field.
+    """All pairwise Jacobians and their norm ||J||, the area-angle's cosine.
 
     ||J|| >= 1 nodes are recorded in ``violations`` rather than raised:
     callers that require a positive area-angle decide fatality.
     """
-    alphas, betas = h.alphas(), h.betas()
+    alphas, betas = zip(*h.gradients)
     pairs = {}
     for i in range(h.n):
         for j in range(i + 1, h.n):
@@ -274,9 +272,7 @@ def jacobian_data(h: HeightMap) -> JacobianData:
         norm = np.sqrt(sum(J * J for J in pairs.values()))
     else:
         norm = np.zeros(h.domain.shape)
-    theta = np.arccos(np.minimum(norm, 1.0))
-    violations = np.argwhere(norm >= 1.0)
-    return JacobianData(h.domain, pairs, norm, theta, violations)
+    return JacobianData(h.domain, pairs, norm, np.argwhere(norm >= 1.0))
 
 
 def closedness_residual_field(P: np.ndarray, Q: np.ndarray, domain: GridDomain):

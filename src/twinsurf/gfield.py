@@ -46,10 +46,8 @@ def _parse(lines):
     return np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
 
 
-def _bad_token(path, first, block):
-    """Where the first rejected token of ``block``, kept lines ``first`` on, is."""
-    with open(path, errors="replace") as fh:
-        numbers = [i for i, ln in enumerate(fh, 1) if ln.strip()][first:]
+def _bad_token(numbers, block):
+    """Where the first rejected token of ``block``, on file lines ``numbers``, is."""
     for number, ln in zip(numbers, block):
         try:
             _parse([ln])
@@ -64,8 +62,13 @@ def _bad_token(path, first, block):
 def read_gfield(path):
     """Returns (GridDomain, [arrays])."""
     # undecodable bytes become U+FFFD, which no header or number check accepts
+    numbers, lines = [], []  # the file line number of each kept line
     with open(path, errors="replace") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        for number, ln in enumerate(fh, 1):
+            ln = ln.strip()
+            if ln:
+                numbers.append(number)
+                lines.append(ln)
     if not lines or lines[0].split() != ["GFIELD", "1"]:
         raise ValidationError(f"{path}: not a GFIELD 1 file")
     try:
@@ -89,7 +92,7 @@ def read_gfield(path):
             # rows of unequal length fail the parse; name the row length
             if any(len(ln.split()) != nx for ln in block):
                 raise ValidationError(f"{where}: every row needs {nx} values") from exc
-            bad = _bad_token(path, 3 + k * ny, block) or exc
+            bad = _bad_token(numbers[3 + k * ny :], block) or exc
             raise ValidationError(f"{where}: {bad}") from exc
         if arr.shape != (ny, nx):
             raise ValidationError(f"{where}: every row needs {nx} values")

@@ -41,7 +41,6 @@ class SLLift:
     gradient_symmetry_residual: float  # max |M_y - N_x|
     hessian_det_residual: float  # max |h_xx h_yy - h_xy^2 - 1|
     area_preservation_residual: float  # max |d(M,N)/d(x,y) - 1|
-    basepoint: tuple
 
     def to_report(self):
         return {
@@ -116,7 +115,7 @@ def _sl_lift(M: ScalarField, N: ScalarField, scale, basepoint, tol) -> SLLift:
     area = _interior_max(Mx * Ny - My * Nx - 1.0)
     hxx, hxy, hyy = hessian(h.values, dom)
     det = _interior_max(hxx * hyy - hxy * hxy - 1.0)
-    return SLLift(M, N, h, sym, det, area, basepoint)
+    return SLLift(M, N, h, sym, det, area)
 
 
 def graph_rotate(F: ScalarField, params: SLParams, mode: str = "standard") -> ScalarField:
@@ -198,8 +197,9 @@ def detect_angle(h: ScalarField, mode: str = "euclidean"):
         if np.abs(den).min() < 1e-8:
             raise DenominatorVanishes("1 + det D^2 h vanishes on the grid")
         phi = trace / den
-        if np.abs(phi).max() >= 1.0:
-            raise PhiOutOfRange("|phi| >= 1 somewhere", nodes=np.argwhere(np.abs(phi) >= 1))
+        out = np.abs(phi) >= 1.0
+        if out.any():  # + 1: interior indices to grid nodes
+            raise PhiOutOfRange("|phi| >= 1 somewhere", nodes=np.argwhere(out) + 1)
         mean = float(phi.mean())
         return -float(np.arctanh(mean)), float(np.abs(phi - mean).max())
     vec = np.hypot(trace, den)

@@ -455,3 +455,78 @@ def test_verify_all_matches_the_public_constructions(capsys):
         "chart_jacobian_above_2": 2.0 - float(conformal.build_chart(f).J_psi.values.min()),
     }
     assert {k: value[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_SAMPLE, "plane", "--grid", "17,1", "--out", "{dir}/p.gf"],
+        ["verify-all", "--name", "plane", "--grid", "1,17"],
+    ],
+)
+def test_one_node_axis_exits_1(tmp_path, capsys, argv):
+    assert run([a.format(dir=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "VALIDATION" in err and "5 nodes per axis" in err and "Traceback" not in err
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """33^2 inputs: a holomorphic minimal graph and its twin, the special
+    Lagrangian potential (x^2 + y^2)/2, half of it (split special
+    Lagrangian at theta = -2 artanh(1/2)) and a three-component file."""
+    paths = {k: str(tmp_path / f"{k}.gf") for k in ("holo", "twin", "quad", "half", "three")}
+    assert run([*_SAMPLE, "holomorphic", "--grid", "33,33", "--out", paths["holo"]]) == 0
+    assert run(["twin", "forward", "--in", paths["holo"], "--out", paths["twin"]]) == 0
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 33, 33)
+    X, Y = dom.meshgrid()
+    quad = (X * X + Y * Y) / 2
+    write_gfield(paths["quad"], dom, [quad])
+    write_gfield(paths["half"], dom, [quad / 2])
+    write_gfield(paths["three"], dom, [quad, X, Y])
+    paths["dir"] = str(tmp_path)
+    return paths
+
+
+_RESIDUAL_KEYS = {"op", "signature", "max_abs", "l2", "normalization", "excluded_boundary", "grid"}
+_FIELD_KEYS = {"grid", "components"}
+
+
+@pytest.mark.parametrize(
+    "argv, report, code, keys",
+    [
+        (["twin", "backward", "--in", "{twin}"], "--report", 0,
+         {"c1_residual", "c2_residual", "c3_residual", "c4_residual", "involution_residual"}),
+        (["sl", "residual", "--in", "{quad}"], "--out", 0, _RESIDUAL_KEYS),
+        (["sl", "residual", "--in", "{half}", "--signature", "split",
+          f"--theta={-2 * float(np.arctanh(0.5))!r}"], "--out", 0, _RESIDUAL_KEYS),
+        # (1 + det)^2 = trace^2: on the edge of the split spacelike region
+        (["sl", "residual", "--in", "{quad}", "--signature", "split"], None, 2, "NOT_SPACELIKE"),
+        (["gauss", "map", "--in", "{holo}"], "--out", 0, _FIELD_KEYS),
+        (["gauss", "fit", "--in", "{holo}"], "--out", 0,
+         {"i", "j", "lambda", "residual", "is_nonreal"}),
+        (["gauss", "jorgens", "--in", "{quad}"], "--out", 0, _FIELD_KEYS),
+        (["sl", "detect-angle", "--in", "{three}"], None, 1, "single-component"),
+        ([*_SAMPLE, "catenoid", "--param", "rho", "--out", "{dir}/x.gf"], None, 1, "k=v"),
+        ([*_SAMPLE, "catenoid", "--domain", "0,0,1", "--out", "{dir}/x.gf"], None, 1,
+         "x0,y0,x1,y1"),
+    ],
+    ids=[
+        "twin-backward", "sl-residual", "sl-residual-split", "sl-residual-split-edge",
+        "gauss-map", "gauss-fit", "gauss-jorgens", "multi-component-scalar",
+        "malformed-param", "malformed-domain",
+    ],
+)
+def test_cli_paths_in_process(cli_inputs, capsys, argv, report, code, keys):
+    argv = [a.format(**cli_inputs) for a in argv]
+    capsys.readouterr()
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert keys in err and "Traceback" not in err and not out
+        return
+    assert set(json.loads(out)) == keys
+    path = os.path.join(cli_inputs["dir"], "report.json")
+    assert run([*argv, report, path]) == 0
+    assert capsys.readouterr().out == ""
+    assert open(path).read() == out

@@ -32,7 +32,6 @@ def test_flat_chart_closed_form():
     assert np.abs(chart.M.values - X).max() < 1e-12
     assert np.abs(chart.N.values - Y).max() < 1e-12
     assert np.abs(chart.J_psi.values - 4.0).max() < 1e-12
-    assert np.abs(chart.conformal_factor.values - 0.25).max() < 1e-12
 
 
 def test_affine_graph_chart_is_affine():
@@ -109,6 +108,22 @@ def test_invert_chart_solves_psi_inside_the_source_rectangle(name):
     dom = f.domain
     assert dom.x0 <= x.min() and x.max() <= dom.x1
     assert dom.y0 <= y.min() and y.max() <= dom.y1
+
+
+@pytest.mark.parametrize("name", ["catenoid", "scherk"])
+def test_invert_chart_evaluates_each_point_once(name, monkeypatch):
+    chart = build_chart(surface(name, 65, 65))
+    target = default_target_grid(chart)
+    seen = []
+
+    def recording_cell(dom, x, y):
+        seen.append((x.tobytes(), y.tobytes()))
+        return _cell(dom, x, y)
+
+    monkeypatch.setattr(conformal, "_cell", recording_cell)
+    _invert_chart(chart, target)
+    assert len(seen) > 2
+    assert len(set(seen)) == len(seen)
 
 
 def test_invert_chart_rejects_target_past_the_image():

@@ -40,6 +40,12 @@ def test_grid_domain_rejects_tiny_grids():
         GridDomain(0.0, 0.0, -0.1, 0.1, 9, 9)
 
 
+@pytest.mark.parametrize("nx, ny", [(17, 1), (1, 17)])
+def test_from_bounds_counts_nodes_before_dividing(nx, ny):
+    with pytest.raises(ValidationError, match="5 nodes per axis"):
+        GridDomain.from_bounds(0.0, 0.0, 1.0, 1.0, nx, ny)
+
+
 def test_derivatives_exact_on_quadratics(square_domain):
     X, Y = square_domain.meshgrid()
     u = 1.5 + 0.3 * X - 0.7 * Y + 0.25 * X * X + 0.4 * X * Y - 0.9 * Y * Y

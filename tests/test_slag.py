@@ -114,6 +114,17 @@ def test_split_angle_phi_range_guard():
         detect_angle(ScalarField(dom, (X * X + Y * Y) / 2), "split")
 
 
+def test_split_angle_reports_grid_nodes_out_of_range():
+    # phi = 1.8/1.81 < 1 except at the four neighbours of the bump
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    X, Y = dom.meshgrid()
+    h = 0.45 * (X * X + Y * Y)
+    h[3, 5] += 0.01
+    with pytest.raises(PhiOutOfRange) as err:
+        detect_angle(ScalarField(dom, h), "split")
+    assert err.value.nodes.tolist() == [[2, 5], [3, 4], [3, 6], [4, 5]]
+
+
 def test_detect_angle_unknown_mode():
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
     with pytest.raises(ValidationError):
