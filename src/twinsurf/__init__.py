@@ -39,7 +39,7 @@ from .gauss import (
 )
 from .gfield import read_gfield, read_heightmap, write_gfield, write_heightmap
 from .slag import SLLift, SLParams, detect_angle, graph_rotate, sl_lift, sl_residual, split_sl_residual
-from .solver import SolveOptions, SolveResult, solve_maximal, solve_minimal
+from .solver import SolveResult, solve_maximal, solve_minimal
 from .systems import (
     ResidualReport,
     closedness_identities,

@@ -31,8 +31,6 @@ def _asinh(t):
 
 @dataclass
 class CatalogEntry:
-    name: str
-    params: dict
     n: int
     admissible: callable  # (X, Y) -> bool array
     evaluate: callable  # (X, Y) -> (components, [(d/dx, d/dy), ...])
@@ -79,7 +77,7 @@ def _plane(params):
         comps = [a + b * X + c * Y for a, b, c in coef]
         return comps, [(b * one, c * one) for _, b, c in coef]
 
-    return CatalogEntry("plane", params, n, _everywhere, evaluate)
+    return CatalogEntry(n, _everywhere, evaluate)
 
 
 def _catenoid(params):
@@ -92,8 +90,7 @@ def _catenoid(params):
         return [rho * _acosh(r / rho)], [(rho * X / d, rho * Y / d)]
 
     return CatalogEntry(
-        "catenoid", {"rho": rho}, 1, lambda X, Y: X**2 + Y**2 > rho**2, evaluate,
-        lambda X, Y: _radial(X, Y, -(rho**2)),
+        1, lambda X, Y: X**2 + Y**2 > rho**2, evaluate, lambda X, Y: _radial(X, Y, -(rho**2))
     )
 
 
@@ -104,10 +101,7 @@ def _helicoid(params):
         r2 = X * X + Y * Y
         return [rho * np.arctan(Y / X)], [(-rho * Y / r2, rho * X / r2)]
 
-    return CatalogEntry(
-        "helicoid", {"rho": rho}, 1, lambda X, Y: X > 0, evaluate,
-        lambda X, Y: _radial(X, Y, rho**2),
-    )
+    return CatalogEntry(1, lambda X, Y: X > 0, evaluate, lambda X, Y: _radial(X, Y, rho**2))
 
 
 def _scherk(params):
@@ -124,10 +118,7 @@ def _scherk(params):
             _asinh(np.tan(rho * Y) * np.cos(rho * X)) / rho,
         )
 
-    return CatalogEntry(
-        "scherk", {"rho": rho}, 1,
-        lambda X, Y: (np.abs(X) < lim) & (np.abs(Y) < lim), evaluate, lift,
-    )
+    return CatalogEntry(1, lambda X, Y: (np.abs(X) < lim) & (np.abs(Y) < lim), evaluate, lift)
 
 
 def _lagrangian_catenoid(params):
@@ -141,10 +132,7 @@ def _lagrangian_catenoid(params):
         grads = [(s + t * X * X, t * X * Y), (t * X * Y, s + t * Y * Y)]
         return [s * X, s * Y], grads
 
-    return CatalogEntry(
-        "lagrangian_catenoid", {"rho": rho}, 2, lambda X, Y: X**2 + Y**2 > rho**2,
-        evaluate,
-    )
+    return CatalogEntry(2, lambda X, Y: X**2 + Y**2 > rho**2, evaluate)
 
 
 def _holomorphic(params):
@@ -173,7 +161,7 @@ def _holomorphic(params):
             grads += [(du, -dv), (dv, du)]
         return comps, grads
 
-    return CatalogEntry("holomorphic", params, 2 * len(c), _everywhere, evaluate)
+    return CatalogEntry(2 * len(c), _everywhere, evaluate)
 
 
 def _quadratic_gradient(params):
@@ -186,8 +174,7 @@ def _quadratic_gradient(params):
         one = np.ones_like(X)
         return [a * X + c * Y, c * X + b * Y], [(a * one, c * one), (c * one, b * one)]
 
-    params = {"a": a, "b": b, "c": c}
-    return CatalogEntry("quadratic_gradient", params, 2, _everywhere, evaluate)
+    return CatalogEntry(2, _everywhere, evaluate)
 
 
 def _chamberland_reverse(params):
@@ -204,7 +191,7 @@ def _chamberland_reverse(params):
         grads = [(P.polyval(X, d2f), one), (one, np.zeros_like(X))]
         return [Y + P.polyval(X, df), X.copy()], grads
 
-    return CatalogEntry("chamberland_reverse", params, 2, _everywhere, evaluate)
+    return CatalogEntry(2, _everywhere, evaluate)
 
 
 _FAMILIES = {

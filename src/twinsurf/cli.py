@@ -228,11 +228,8 @@ def _cmd_chart(args):
 
 def _cmd_solve(args):
     domain, comps = read_gfield(args.boundary)
-    opts = solver.SolveOptions()
-    if args.max_outer is not None:
-        opts.max_outer = args.max_outer
     fn = solver.solve_minimal if args.system == "minimal" else solver.solve_maximal
-    result = fn(domain, comps, opts)
+    result = fn(domain, comps, args.max_outer)
     if args.out:
         write_heightmap(args.out, result.surface)
     _emit(
@@ -383,7 +380,7 @@ def build_parser():
     p.add_argument("--boundary", required=True, help="GFIELD; interior ignored")
     p.add_argument("--out")
     p.add_argument("--report")
-    p.add_argument("--max-outer", type=int, default=None)
+    p.add_argument("--max-outer", type=int, default=solver.MAX_OUTER)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("verify-all", help="full invariant suite on a catalog surface")
@@ -409,8 +406,8 @@ def run(argv=None) -> int:
     except TwinsurfError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ValidationError) else 2
-    except OSError as exc:  # a missing, unreadable or directory path
-        print(f"VALIDATION: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # a bad path; a --param that needs TiBs
+        print(f"VALIDATION: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

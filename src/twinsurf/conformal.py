@@ -42,7 +42,6 @@ class ConformalChart:
 
 @dataclass
 class NullCurveField:
-    domain: GridDomain  # the source grid of the chart
     phi: list  # complex arrays phi_1..phi_{n+2}
     holomorphy_residual: float
     nullity_residual: float
@@ -120,7 +119,8 @@ def default_target_grid(chart: ConformalChart) -> GridDomain:
 
 
 def _invert_chart(chart: ConformalChart, target: GridDomain):
-    """Newton-invert Psi at every target node; returns preimages (x, y).
+    """Newton-invert Psi at every target node; returns preimages (x, y)
+    and their ``_cell``, which the last residual already located.
 
     Psi is the gradient of the strongly convex (x^2 + y^2)/2 + h, so damped
     Newton converges from any seed: the affine map of the xi bounding box
@@ -175,7 +175,7 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
         or y.max() > dom.y1 + eps
     ):
         raise TargetOutsideImage("inverted points leave the source rectangle")
-    return x, y
+    return x, y, r[3]
 
 
 def resample_to_chart(chart: ConformalChart, h: HeightMap) -> HeightMap:
@@ -187,8 +187,7 @@ def resample_to_chart(chart: ConformalChart, h: HeightMap) -> HeightMap:
     if h.domain != chart.source.domain:
         raise ValidationError("height map and chart must share the source grid")
     target = default_target_grid(chart)
-    x, y = _invert_chart(chart, target)
-    cell = _cell(chart.source.domain, x, y)
+    x, y, cell = _invert_chart(chart, target)
     return HeightMap(target, [x, y] + [_bilinear(c, cell) for c in h.components])
 
 
@@ -241,7 +240,7 @@ def null_curve(
     A, B = _pullback(chart, h)
     phi = _null_phi(h, A, B)
     holo, null = _holomorphy(phi, A, B, h.domain), _nullity(phi, signature)
-    return NullCurveField(h.domain, phi, holo, null, signature)
+    return NullCurveField(phi, holo, null, signature)
 
 
 def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:

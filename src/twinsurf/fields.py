@@ -226,7 +226,6 @@ class MetricData:
 
 @dataclass
 class JacobianData:
-    domain: GridDomain
     pairs: dict  # {(i, j): array}, 1-based component indices, i < j
     norm: np.ndarray
     violations: np.ndarray  # nodes with ||J|| >= 1
@@ -272,7 +271,7 @@ def jacobian_data(h: HeightMap) -> JacobianData:
         norm = np.sqrt(sum(J * J for J in pairs.values()))
     else:
         norm = np.zeros(h.domain.shape)
-    return JacobianData(h.domain, pairs, norm, np.argwhere(norm >= 1.0))
+    return JacobianData(pairs, norm, np.argwhere(norm >= 1.0))
 
 
 def closedness_residual_field(P: np.ndarray, Q: np.ndarray, domain: GridDomain):

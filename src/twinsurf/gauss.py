@@ -134,6 +134,8 @@ def hyperplane_fit(g: ProjectivePointField, i: int, j: int) -> HyperplaneFit:
 # planarity tiles: an 8 x 8 partition of the grid; tile-pair angle bounds
 # are padded past arccos's rounding near 1 (~1.5e-8 rad)
 _TILES, _ANGLE_PAD = 8, 1e-6
+# planarity_score takes all pairs among a fixed-seed subsample above this
+_MAX_NODES = 4096
 
 
 def _live_tiles(z, iy, ix, shape):
@@ -151,11 +153,11 @@ def _live_tiles(z, iy, ix, shape):
     return groups, np.sin(np.minimum(bound, np.pi / 2)) ** 2 >= lower - 1e-12
 
 
-def planarity_score(g: ProjectivePointField, max_nodes: int = 4096) -> float:
+def planarity_score(g: ProjectivePointField) -> float:
     """Max pairwise Fubini-Study chordal distance sqrt(1 - |<z_p, z_q>|^2).
 
-    All node pairs when the grid has at most ``max_nodes`` nodes; otherwise
-    a fixed-seed subsample of ``max_nodes`` nodes (all pairs among them),
+    All node pairs when the grid has at most ``_MAX_NODES`` nodes; otherwise
+    a fixed-seed subsample of ``_MAX_NODES`` nodes (all pairs among them),
     deterministic across runs and thread counts.
 
     A BLAS Gram pass gives each row p its largest 1 - |<p,q>|^2; only rows
@@ -172,9 +174,9 @@ def planarity_score(g: ProjectivePointField, max_nodes: int = 4096) -> float:
     """
     z = g.stack().reshape(-1, g.n_plus_2)
     nodes = np.arange(z.shape[0])
-    if z.shape[0] > max_nodes:
+    if z.shape[0] > _MAX_NODES:
         rng = np.random.default_rng(2024)
-        nodes = np.sort(rng.choice(z.shape[0], size=max_nodes, replace=False))
+        nodes = np.sort(rng.choice(z.shape[0], size=_MAX_NODES, replace=False))
         z = z[nodes]
     groups, live = _live_tiles(z, *np.divmod(nodes, g.domain.nx), g.domain.shape)
     far = np.full(z.shape[0], -np.inf)

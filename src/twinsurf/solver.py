@@ -7,18 +7,19 @@ neighbors).  The discrete solution is the fixed point A(u) u = 0 on the
 interior nodes, with A the stencil at the metric of u and the Dirichlet
 edges held.  We reach it by a chord step (residual correction): the
 operator is assembled over the interior nodes as one sparse matrix and
-LU-factored at the initial guess; each step forms the residual
+LU-factored at the initial guess, the transfinite interpolation of the
+edges; each step forms the residual
 R = -A(u) u at the current metric and corrects u by the solve of that one
 factor against R, for every component at once.  The operator is factored
 again, at the current metric, only when an update shrinks by less than 2x
 from the step before or the residual is not the smallest so far.
 Iteration stops when both the update and the scaled residual
-max|R| / max|diag A| / max(1, max|u|) are below `outer_tol`; when
+max|R| / max|diag A| / max(1, max|u|) are below `_OUTER_TOL`.  When
 `_STALL_STEPS` consecutive steps, each refactored, bring the residual no
-lower than its smallest value, it has stalled and `MaxIterations` is
-raised.  The maximal system uses the hatted (split-signature) coefficients
-in the same stencil and halves each step until the iterate stays strictly
-spacelike.
+lower than its smallest value, it has stalled; that, or `max_outer` steps
+(`MAX_OUTER` by default) without convergence, raises `MaxIterations`.  The
+maximal system uses the hatted (split-signature) coefficients in the same
+stencil and halves each step until the iterate stays strictly spacelike.
 
 scipy (the sparse matrix and SuperLU) is imported at the first
 factorisation, not with this module: importing twinsurf loads no scipy.
@@ -36,12 +37,6 @@ from .systems import maximal_residual, minimal_residual
 
 
 @dataclass
-class SolveOptions:
-    max_outer: int = 200
-    outer_tol: float = 1e-9
-
-
-@dataclass
 class SolveResult:
     surface: HeightMap
     outer_iterations: int
@@ -49,6 +44,10 @@ class SolveResult:
     update_history: list = field(default_factory=list)
 
 
+# Default cap on chord steps; `solve --max-outer` starts from it.
+MAX_OUTER = 200
+# Both the update and the scaled residual must fall below this to converge.
+_OUTER_TOL = 1e-9
 # The max-norm residual of a converging iteration can rise for a step or
 # two; this many steps without a new smallest residual count as a stall.
 _STALL_STEPS = 5
@@ -134,7 +133,7 @@ def _check_boundary(boundary, domain):
     return bcs
 
 
-def _chord(domain, boundary, options, initial, signature):
+def _chord(domain, boundary, max_outer, signature):
     """Chord iteration shared by both systems.
 
     Each step moves along the correction of the current factor, halving
@@ -144,16 +143,11 @@ def _chord(domain, boundary, options, initial, signature):
     spacelike).  Only the split signature can fail that test; for it the
     floor is `_SPACELIKE_MARGIN` times the margin of the initial guess.
     """
-    opts = options or SolveOptions()
-    if opts.max_outer < 1:
-        raise ValidationError(f"max_outer must be at least 1, got {opts.max_outer}")
+    if max_outer < 1:
+        raise ValidationError(f"max_outer must be at least 1, got {max_outer}")
     bcs = _check_boundary(boundary, domain)
-    if initial is not None:
-        if initial.n != len(bcs):
-            raise ValidationError("initial guess needs one component per boundary")
-        us = [c.copy() for c in initial.components]
-    else:
-        us = [_transfinite(domain, b) for b in bcs]
+    us = [_transfinite(domain, b) for b in bcs]
+    # the Coons patch gives (b + A) - A on the edges, not b bit for bit
     for u, b in zip(us, bcs):
         u[0, :], u[-1, :] = b[0, :], b[-1, :]
         u[:, 0], u[:, -1] = b[:, 0], b[:, -1]
@@ -172,7 +166,7 @@ def _chord(domain, boundary, options, initial, signature):
 
     inner = (slice(None), slice(1, -1), slice(1, -1))
     lu, history, best, since_best = None, [], np.inf, 0
-    for outer in range(1, opts.max_outer + 1):
+    for outer in range(1, max_outer + 1):
         weights = _stencil(met, domain)
         R = np.stack([-_apply(weights, u) for u in us])
         scale = np.max(np.abs(weights[(0, 0)])) * max(1.0, *(np.max(np.abs(u)) for u in us))
@@ -206,40 +200,30 @@ def _chord(domain, boundary, options, initial, signature):
         history.append(delta)
         if delta > 1e6:
             raise Diverged(f"update grew to {delta:.3e}")
-        if delta < opts.outer_tol and residual < opts.outer_tol:
+        if delta < _OUTER_TOL and residual < _OUTER_TOL:
             return HeightMap(domain, us), outer, history
     raise MaxIterations(
-        f"no convergence in {opts.max_outer} steps "
+        f"no convergence in {max_outer} steps "
         f"(last update {history[-1]:.3e}, residual {residual:.3e})"
     )
 
 
-def solve_minimal(
-    domain: GridDomain,
-    boundary: list,
-    options: SolveOptions | None = None,
-    initial: HeightMap | None = None,
-) -> SolveResult:
+def solve_minimal(domain: GridDomain, boundary: list, max_outer: int = MAX_OUTER) -> SolveResult:
     """Solve the minimal graph system with Dirichlet data.
 
     `boundary` holds one (ny, nx) array per component; only its edge
-    values are used.  Interior values of `initial`, when given, seed the
-    iteration; otherwise transfinite interpolation of the edges.
+    values are used.  The iteration starts from the transfinite
+    interpolation of the edges and takes at most `max_outer` steps.
     """
-    f, outer, history = _chord(domain, boundary, options, initial, "euclidean")
+    f, outer, history = _chord(domain, boundary, max_outer, "euclidean")
     return SolveResult(f, outer, minimal_residual(f), history)
 
 
-def solve_maximal(
-    domain: GridDomain,
-    boundary: list,
-    options: SolveOptions | None = None,
-    initial: HeightMap | None = None,
-) -> SolveResult:
+def solve_maximal(domain: GridDomain, boundary: list, max_outer: int = MAX_OUTER) -> SolveResult:
     """Maximal-graph Dirichlet solver; iterates stay strictly spacelike.
 
     Each step is damped toward the previous iterate until the
     spacelike discriminant keeps a relative margin of `_SPACELIKE_MARGIN`.
     """
-    g, outer, history = _chord(domain, boundary, options, initial, "split")
+    g, outer, history = _chord(domain, boundary, max_outer, "split")
     return SolveResult(g, outer, maximal_residual(g), history)

@@ -1,8 +1,9 @@
 """Residual evaluators for the minimal and maximal surface systems.
 
 These are the correctness oracles every other module calls: the
-quasilinear second-order forms, the divergence-zero forms, and the two
-closedness identities of the metric-over-area fields.
+quasilinear second-order forms, the divergence-zero form, and the two
+closedness identities of the euclidean metric-over-area fields.  Each is
+one field formula over the private builder ``_report``.
 
 Boundary nodes are excluded from max/l2 aggregation (one-sided second
 derivatives are noisier); the residual fields still cover the full grid.
@@ -94,20 +95,17 @@ def _residual_scale(metric: MetricData, seconds):
     return np.maximum(np.abs(metric.E + metric.G), 1e-12) * m
 
 
-def _quasilinear_residual(h: HeightMap, signature) -> ResidualReport:
-    """G h_xx - 2 F h_xy + E h_yy per component, with the coefficients of
-    ``signature``; nodes outside the metric's mask (only split data can
-    have any) are left out of the aggregates instead of raising."""
+def _report(op: str, h: HeightMap, signature: str, fields_of) -> ResidualReport:
+    """The report ``op`` of ``h``: ``fields_of(metric, seconds)`` gives the
+    residual fields from the metric of ``signature`` and each component's
+    second derivatives.  Nodes outside the metric's mask (only split data
+    can have any) are left out of the aggregates instead of raising."""
     metric = first_fundamental_form(h, signature)
     seconds = [_second_derivatives(h, k) for k in range(h.n)]
-    fields = [
-        metric.G * hxx - 2.0 * metric.F * hxy + metric.E * hyy
-        for hxx, hxy, hyy in seconds
-    ]
     return ResidualReport(
-        "minimal_residual" if signature == "euclidean" else "maximal_residual",
+        op,
         signature,
-        fields,
+        fields_of(metric, seconds),
         _residual_scale(metric, seconds),
         h.domain,
         mask=metric.mask,
@@ -115,52 +113,45 @@ def _quasilinear_residual(h: HeightMap, signature) -> ResidualReport:
     )
 
 
+def _quasilinear(metric: MetricData, seconds) -> list:
+    """G h_xx - 2 F h_xy + E h_yy per component."""
+    return [
+        metric.G * hxx - 2.0 * metric.F * hxy + metric.E * hyy
+        for hxx, hxy, hyy in seconds
+    ]
+
+
 def minimal_residual(f: HeightMap) -> ResidualReport:
     """G f_xx - 2 F f_xy + E f_yy per component."""
-    return _quasilinear_residual(f, "euclidean")
+    return _report("minimal_residual", f, "euclidean", _quasilinear)
 
 
 def maximal_residual(g: HeightMap) -> ResidualReport:
     """Hatted quasilinear form; non-spacelike nodes are masked out of the
     aggregates instead of raising."""
-    return _quasilinear_residual(g, "split")
+    return _report("maximal_residual", g, "split", _quasilinear)
 
 
 def divergence_residual(f: HeightMap) -> ResidualReport:
     """d/dx((G a_k - F b_k)/w) + d/dy((E b_k - F a_k)/w)."""
     dom = f.domain
-    metric = first_fundamental_form(f, "euclidean")
-    E, F, G, w = metric.E, metric.F, metric.G, metric.omega
-    fields = []
-    for k in range(f.n):
-        a, b = f.alpha(k), f.beta(k)
-        fields.append(
+
+    def fields_of(metric, _seconds):
+        E, F, G, w = metric.E, metric.F, metric.G, metric.omega
+        return [
             diff_x((G * a - F * b) / w, dom.dx) + diff_y((E * b - F * a) / w, dom.dy)
-        )
-    seconds = [_second_derivatives(f, k) for k in range(f.n)]
-    return ResidualReport(
-        "divergence_residual",
-        "euclidean",
-        fields,
-        _residual_scale(metric, seconds),
-        dom,
-        metric=metric,
-    )
+            for a, b in f.gradients
+        ]
+
+    return _report("divergence_residual", f, "euclidean", fields_of)
 
 
-def closedness_identities(f: HeightMap, signature="euclidean") -> ResidualReport:
-    """|d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)| (hatted under split)."""
+def closedness_identities(f: HeightMap) -> ResidualReport:
+    """|d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)|."""
     dom = f.domain
-    metric = first_fundamental_form(f, signature)
-    Ew, Fw, Gw = metric.over_area  # masked nodes contribute 0
-    fields = [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
-    seconds = [_second_derivatives(f, k) for k in range(f.n)]
-    return ResidualReport(
-        "closedness_identities",
-        signature,
-        fields,
-        _residual_scale(metric, seconds),
-        dom,
-        mask=metric.mask,
-        metric=metric,
-    )
+
+    def fields_of(metric, _seconds):
+        Ew, Fw, Gw = metric.over_area
+        return [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
+
+    return _report("closedness_identities", f, "euclidean", fields_of)

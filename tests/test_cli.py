@@ -210,6 +210,22 @@ def test_bad_arguments_exit_1():
     assert run(["catalog", "sample", "--name", "catenoid", "--threads", "0"]) == 1
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 14.6 TiB for an array", ""])
+def test_oversized_input_exits_1_without_traceback(tmp_path, capsys, monkeypatch, message):
+    # a --param such as c0_1000000000000_re=1 asks numpy for TiBs at once;
+    # the refusal is stubbed here so that nothing is allocated
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(twinsurf.catalog, "make_surface", refuse)
+    argv = ["catalog", "sample", "--name", "holomorphic", "--grid", "9,9"]
+    code = run(argv + ["--param", "c0_1000000000000_re=1", "--out", str(tmp_path / "x.gf")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"VALIDATION: {message or 'MemoryError'}\n"
+    assert not os.path.exists(tmp_path / "x.gf")
+
+
 def test_unicode_minus_accepted_in_domain(tmp_path):
     path = str(tmp_path / "cat.gf")
     code = run(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import twinsurf.gauss
 from twinsurf.catalog import make_surface
 from twinsurf.errors import DegenerateFit, NotUnimodular, ValidationError
 from twinsurf.fields import GridDomain, HeightMap, ScalarField, first_fundamental_form
@@ -118,7 +119,7 @@ def _brute_planarity(z):
     return worst
 
 
-def test_planarity_matches_brute_force_on_random_maps(square_domain):
+def test_planarity_matches_brute_force_on_random_maps(square_domain, monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(3):
         g = gauss_map(random_heightmap(rng, square_domain, n=2, amplitude=0.8))
@@ -127,7 +128,9 @@ def test_planarity_matches_brute_force_on_random_maps(square_domain):
         # subsample path: planarity_score's fixed-seed node choice
         idx = np.random.default_rng(2024).choice(z.shape[0], size=500, replace=False)
         idx.sort()
-        assert abs(planarity_score(g, max_nodes=500) - _brute_planarity(z[idx])) <= 1e-15
+        with monkeypatch.context() as m:
+            m.setattr(twinsurf.gauss, "_MAX_NODES", 500)
+            assert abs(planarity_score(g) - _brute_planarity(z[idx])) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -172,10 +175,11 @@ _CATALOG = ["catenoid", "helicoid", "scherk", "holomorphic"]
 
 @pytest.mark.parametrize("n", [33, 65, 129])
 @pytest.mark.parametrize("name", _CATALOG)
-def test_planarity_equals_the_all_pairs_pass(name, n):
+def test_planarity_equals_the_all_pairs_pass(name, n, monkeypatch):
+    monkeypatch.setattr(twinsurf.gauss, "_MAX_NODES", n * n)
     g = gauss_map(surface(name, n, n))
     z = g.stack().reshape(-1, g.n_plus_2)
-    assert planarity_score(g, max_nodes=n * n) == _gram_band_planarity(z)
+    assert planarity_score(g) == _gram_band_planarity(z)
 
 
 @pytest.mark.parametrize("name", _CATALOG)

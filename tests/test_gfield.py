@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twinsurf.errors import ValidationError
@@ -188,3 +188,42 @@ def test_read_rejects_a_one_row_or_one_column_grid(tmp_path, nx, ny):
     p.write_text(f"GFIELD 1\n{nx} {ny} 1\n0 0 1 1\n" + (" ".join(["0"] * nx) + "\n") * ny)
     with pytest.raises(ValidationError, match="at least 5 nodes"):
         read_gfield(p)
+
+
+_BAD_TOKENS = ["nan", "inf", "1e400", "x", "1_0", "0x1", "#", "\u0661", "\x00", "1.0.0"]
+_MUTATIONS = ["token", "drop", "duplicate", "truncate", "extend", "blank"]
+
+
+@given(st.data())
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_read_returns_or_raises_validation_error_after_one_mutation(tmp_path, data):
+    # a valid 5..7^2 file with one or two components, changed in one place
+    nx, ny = data.draw(st.integers(5, 7)), data.draw(st.integers(5, 7))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    comps = [rng.standard_normal((ny, nx)) for _ in range(data.draw(st.integers(1, 2)))]
+    p = tmp_path / "mutated.gf"
+    write_gfield(p, GridDomain(-1.0, 0.5, 0.25, 0.125, nx, ny), comps)
+    lines = p.read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    mutation = data.draw(st.sampled_from(_MUTATIONS))
+    if mutation == "token":
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(_BAD_TOKENS))
+        lines[i] = " ".join(tokens)
+    elif mutation == "drop":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "truncate":
+        lines[i] = " ".join(tokens[:-1])
+    elif mutation == "extend":
+        lines[i] += " 0.5"
+    else:
+        lines.insert(i, "")
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        read_gfield(p)
+    except ValidationError:
+        pass  # any other exception fails the test

@@ -4,8 +4,8 @@ import pytest
 import twinsurf.solver
 from twinsurf.catalog import make_surface
 from twinsurf.errors import MaxIterations, SpacelikeUnreachable, ValidationError
-from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
-from twinsurf.solver import SolveOptions, solve_maximal, solve_minimal
+from twinsurf.fields import GridDomain, first_fundamental_form
+from twinsurf.solver import _OUTER_TOL, solve_maximal, solve_minimal
 from twinsurf.twin import twin_forward
 
 from conftest import surface
@@ -103,39 +103,20 @@ def test_boundary_shape_validated():
         solve_minimal(dom, [np.zeros((5, 5))])
 
 
-def test_initial_guess_seeds_iteration():
-    f = surface("scherk", 33, 33)
-    initial = HeightMap(f.domain, [c.copy() for c in f.components])
-    res = solve_minimal(f.domain, [f.components[0].copy()], initial=initial)
-    err = np.abs(res.surface.components[0] - f.components[0])[1:-1, 1:-1].max()
-    assert err <= 1e-3
-
-
-def test_initial_guess_component_count_validated():
-    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
-    X, Y = dom.meshgrid()
-    initial = HeightMap(dom, [0.3 * X, 0.1 * Y])
-    with pytest.raises(ValidationError):
-        solve_minimal(dom, [0.3 * X], initial=initial)
-
-
 def test_options_respected():
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
     X, Y = dom.meshgrid()
-    opts = SolveOptions(max_outer=1)
-    from twinsurf.errors import MaxIterations
-
     with pytest.raises(MaxIterations):
-        solve_minimal(dom, [np.log(np.cos(0.5 * X) / np.cos(0.5 * Y))], options=opts)
+        solve_minimal(dom, [np.log(np.cos(0.5 * X) / np.cos(0.5 * Y))], max_outer=1)
 
 
-def test_stalled_residual_raises_max_iterations():
-    # with outer_tol 0 no step converges: only the stall test ends the loop,
+def test_stalled_residual_raises_max_iterations(monkeypatch):
+    # with tolerance 0 no step converges: only the stall test ends the loop,
     # once rounding keeps the residual from falling after a fresh factor
+    monkeypatch.setattr(twinsurf.solver, "_OUTER_TOL", 0.0)
     f = surface("scherk", 33, 33)
-    opts = SolveOptions(outer_tol=0.0, max_outer=50)
     with pytest.raises(MaxIterations, match="residual stalled"):
-        solve_minimal(f.domain, [f.components[0].copy()], options=opts)
+        solve_minimal(f.domain, [f.components[0].copy()], max_outer=50)
 
 
 def test_oscillating_residual_is_not_a_stall():
@@ -145,7 +126,7 @@ def test_oscillating_residual_is_not_a_stall():
     dom = GridDomain.from_bounds(-a, -a, a, a, 65, 65)
     f = make_surface("scherk", None, dom)
     res = solve_minimal(dom, [f.components[0].copy()])
-    assert res.update_history[-1] < SolveOptions().outer_tol
+    assert res.update_history[-1] < _OUTER_TOL
 
 
 @pytest.mark.parametrize("system, iterations", [("minimal", 7), ("maximal", 6)])
@@ -182,4 +163,4 @@ def test_result_is_discrete_fixed_point(system, name):
         u_yy = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / dom.dy**2
         u_xy = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4.0 * dom.dx * dom.dy)
         r = np.abs(G * u_xx - 2.0 * F * u_xy + E * u_yy).max()
-        assert r / diag / max(1.0, np.abs(u).max()) <= SolveOptions().outer_tol
+        assert r / diag / max(1.0, np.abs(u).max()) <= _OUTER_TOL
