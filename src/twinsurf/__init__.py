@@ -30,7 +30,6 @@ from .fields import (
     jacobian_data,
 )
 from .gauss import (
-    ProjectivePointField,
     gauss_map,
     hyperplane_fit,
     jorgens_gauss,

@@ -235,15 +235,21 @@ def default_domain(name: str, params: dict | None, nx: int, ny: int) -> GridDoma
 
 
 def make_surface(name: str, params: dict | None, domain: GridDomain) -> HeightMap:
-    """Sample a catalog surface with analytic gradients attached."""
+    """Sample a catalog surface with analytic gradients attached.  A closed
+    form that overflows or divides by zero on the grid is a VALIDATION
+    error (a rho of 1e300 squares past the largest float)."""
     entry = make_entry(name, params)
     X, Y = domain.meshgrid()
-    ok = entry.admissible(X, Y)
-    if not np.all(ok):
-        raise DomainNotAdmissible(
-            f"{name}: domain leaves the admissible region", nodes=np.argwhere(~ok)
-        )
-    comps, grads = entry.evaluate(X, Y)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            ok = entry.admissible(X, Y)
+            if not np.all(ok):
+                raise DomainNotAdmissible(
+                    f"{name}: domain leaves the admissible region", nodes=np.argwhere(~ok)
+                )
+            comps, grads = entry.evaluate(X, Y)
+    except (FloatingPointError, OverflowError) as exc:  # numpy; float ** float
+        raise ValidationError(f"{name}: {exc} on this domain") from exc
     return HeightMap(domain, comps, grads)
 
 

@@ -183,8 +183,8 @@ def _cmd_gauss(args):
     else:  # map / jorgens: dump the normalized field
         _emit(
             {
-                "grid": {"nx": g.domain.nx, "ny": g.domain.ny},
-                "components": [c for c in g.components],
+                "grid": {"nx": g.shape[1], "ny": g.shape[0]},
+                "components": np.moveaxis(g, -1, 0),
             },
             args.out,
         )

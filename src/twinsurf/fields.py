@@ -44,6 +44,9 @@ class GridDomain:
             raise ValidationError("grid origin and spacings must be finite")
         if not (self.dx > 0 and self.dy > 0):
             raise ValidationError("grid spacings must be positive")
+        small = min(self.dx, self.dy)
+        if small * small < np.finfo(float).tiny:  # the stencils divide by h^2
+            raise ValidationError(f"grid spacing {small:.3e} squares below the float range")
         _check_nodes(self.nx, self.ny)
 
     @classmethod
@@ -150,6 +153,11 @@ def hessian(values: np.ndarray, domain: GridDomain):
     )
 
 
+def interior_max(values: np.ndarray) -> float:
+    """max |values| off the boundary rows and columns."""
+    return float(np.abs(values[1:-1, 1:-1]).max())
+
+
 @dataclass
 class HeightMap:
     """An n-component map on a grid with (optionally analytic) gradients.
@@ -207,7 +215,6 @@ class MetricData:
     """
 
     signature: str
-    domain: GridDomain
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
@@ -253,7 +260,7 @@ def first_fundamental_form(h: HeightMap, signature: str = "euclidean") -> Metric
     if signature == "euclidean" and not mask.all():
         # cannot happen analytically (EG - F^2 >= 1); numerical garbage in
         raise ValidationError("euclidean metric with non-positive discriminant")
-    return MetricData(signature, h.domain, E, F, G, omega, mask)
+    return MetricData(signature, E, F, G, omega, mask)
 
 
 def jacobian_data(h: HeightMap) -> JacobianData:

@@ -2,10 +2,13 @@
 hyperplane-degeneracy fits, planarity scoring, and the closed-form Gauss
 field of unimodular-Hessian gradient graphs.
 
-Projective points are stored as concrete unit vectors with a fixed
-representative: unit norm and positive real part of the first component
-whose modulus exceeds a small threshold.  That gauge makes fields
-continuous wherever the underlying map is and comparable nodewise.
+A Gauss field is one complex ``(ny, nx, n+2)`` array: the homogeneous
+coordinates z_1 .. z_{n+2} of one point of the quadric per grid node
+(1-based component indices in the API).  Points are stored as concrete
+unit vectors with a fixed representative: unit norm and positive real
+part of the first component whose modulus exceeds a small threshold.
+That gauge makes fields continuous wherever the underlying map is and
+comparable nodewise.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from .errors import (
     ValidationError,
 )
 from .fields import (
-    GridDomain,
     HeightMap,
     ScalarField,
     first_fundamental_form,
     hessian,
+    interior_max,
 )
 
 _FIRST_NONZERO_TOL = 1e-13
@@ -38,36 +41,6 @@ _DET_TOL = 1e-6
 
 
 @dataclass
-class ProjectivePointField:
-    """Normalized homogeneous coordinates per node; components[k] is the
-    complex array of z_{k+1} (1-based indexing in the API)."""
-
-    domain: GridDomain
-    components: list  # complex arrays
-
-    def __post_init__(self):
-        self.components = [np.asarray(c, dtype=complex) for c in self.components]
-        for c in self.components:
-            if c.shape != self.domain.shape:
-                raise ValidationError("component shape mismatch")
-
-    @property
-    def n_plus_2(self):
-        return len(self.components)
-
-    def stack(self):
-        """(ny, nx, n+2) complex array."""
-        return np.stack(self.components, axis=-1)
-
-    def component(self, index_1based: int):
-        if not 1 <= index_1based <= len(self.components):
-            raise ValidationError(
-                f"component index {index_1based} out of range 1..{len(self.components)}"
-            )
-        return self.components[index_1based - 1]
-
-
-@dataclass
 class HyperplaneFit:
     i: int
     j: int
@@ -76,8 +49,9 @@ class HyperplaneFit:
     is_nonreal: bool
 
 
-def normalize_projective(components) -> list:
-    """Unit norm + positive-real first non-negligible component."""
+def normalize_projective(components) -> np.ndarray:
+    """The ``(ny, nx, n+2)`` field of ``components``, each node scaled to
+    unit norm and a positive-real first non-negligible component."""
     z = np.stack([np.asarray(c, dtype=complex) for c in components], axis=-1)
     norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))
     if np.any(norm == 0):
@@ -91,10 +65,10 @@ def normalize_projective(components) -> list:
         zk = z[..., k][sel]
         phase[sel] = np.conj(zk) / np.abs(zk)
         fixed |= sel
-    return list(np.moveaxis(z * phase[..., None], -1, 0))
+    return z * phase[..., None]
 
 
-def gauss_map(f: HeightMap) -> ProjectivePointField:
+def gauss_map(f: HeightMap) -> np.ndarray:
     """[G/w, i - F/w, (G/w) f_k,x + (i - F/w) f_k,y, ...] normalized.
 
     The formula is evaluated for any height map; it lands on the
@@ -107,19 +81,22 @@ def gauss_map(f: HeightMap) -> ProjectivePointField:
     comps = [z1, z2]
     for k in range(f.n):
         comps.append(z1 * f.alpha(k) + z2 * f.beta(k))
-    return ProjectivePointField(f.domain, normalize_projective(comps))
+    return normalize_projective(comps)
 
 
-def quadric_residual(g: ProjectivePointField) -> float:
+def quadric_residual(g: np.ndarray) -> float:
     """max nodewise |sum_k z_k^2| (0 exactly on the hyperquadric)."""
-    s = sum(c * c for c in g.components)
+    s = sum(c * c for c in np.moveaxis(g, -1, 0))
     return float(np.abs(s).max())
 
 
-def hyperplane_fit(g: ProjectivePointField, i: int, j: int) -> HyperplaneFit:
+def hyperplane_fit(g: np.ndarray, i: int, j: int) -> HyperplaneFit:
     """Least-squares lambda with z_i ~ lambda z_j over nodes where z_j is
     bounded away from zero (1-based component indices)."""
-    zi, zj = g.component(i), g.component(j)
+    for k in (i, j):
+        if not 1 <= k <= g.shape[-1]:
+            raise ValidationError(f"component index {k} out of range 1..{g.shape[-1]}")
+    zi, zj = g[..., i - 1], g[..., j - 1]
     valid = np.abs(zj) > _FIRST_NONZERO_TOL
     if valid.mean() < _MIN_VALID_FRACTION:
         raise DegenerateFit(
@@ -153,7 +130,7 @@ def _live_tiles(z, iy, ix, shape):
     return groups, np.sin(np.minimum(bound, np.pi / 2)) ** 2 >= lower - 1e-12
 
 
-def planarity_score(g: ProjectivePointField) -> float:
+def planarity_score(g: np.ndarray) -> float:
     """Max pairwise Fubini-Study chordal distance sqrt(1 - |<z_p, z_q>|^2).
 
     All node pairs when the grid has at most ``_MAX_NODES`` nodes; otherwise
@@ -172,13 +149,13 @@ def planarity_score(g: ProjectivePointField) -> float:
     the band, so band and value are those of all pairs.  On a
     (near-)constant map no pair is skipped and every row is refined.
     """
-    z = g.stack().reshape(-1, g.n_plus_2)
+    z = g.reshape(-1, g.shape[-1])
     nodes = np.arange(z.shape[0])
     if z.shape[0] > _MAX_NODES:
         rng = np.random.default_rng(2024)
         nodes = np.sort(rng.choice(z.shape[0], size=_MAX_NODES, replace=False))
         z = z[nodes]
-    groups, live = _live_tiles(z, *np.divmod(nodes, g.domain.nx), g.domain.shape)
+    groups, live = _live_tiles(z, *np.divmod(nodes, g.shape[1]), g.shape[:2])
     far = np.full(z.shape[0], -np.inf)
     for rows, partners in zip(groups, live):
         if partners.any():
@@ -203,16 +180,15 @@ def planarity_score(g: ProjectivePointField) -> float:
     return worst
 
 
-def jorgens_gauss(F: ScalarField) -> ProjectivePointField:
+def jorgens_gauss(F: ScalarField) -> np.ndarray:
     """Closed-form Gauss field [eps F_yy, i - eps F_xy, eps + i F_xy, i F_yy]
     of the gradient graph of a unimodular-Hessian potential F.
 
     eps is the constant sign of F_xx + F_yy, which the unimodular Hessian
     equation forces to vanish nowhere.
     """
-    dom = F.domain
-    Fxx, Fxy, Fyy = hessian(F.values, dom)
-    det_err = np.abs(Fxx * Fyy - Fxy * Fxy - 1.0)[1:-1, 1:-1].max()
+    Fxx, Fxy, Fyy = hessian(F.values, F.domain)
+    det_err = interior_max(Fxx * Fyy - Fxy * Fxy - 1.0)
     if det_err > _DET_TOL:
         raise NotUnimodular(f"max |det D^2 F - 1| = {det_err:.3e} > tol {_DET_TOL:.3e}")
     trace = Fxx + Fyy
@@ -227,4 +203,4 @@ def jorgens_gauss(F: ScalarField) -> ProjectivePointField:
         eps + 1j * Fxy,
         1j * Fyy,
     ]
-    return ProjectivePointField(dom, normalize_projective(comps))
+    return normalize_projective(comps)

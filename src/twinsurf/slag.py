@@ -23,9 +23,10 @@ from .fields import (
     diff_y,
     hessian,
     integrate_exact_form,
+    interior_max,
 )
 from .systems import ResidualReport, minimal_residual
-from .twin import _interior_max, require_residual, resolve_tol
+from .twin import require_residual, resolve_tol
 
 PARAM_TOL = 1e-12
 
@@ -111,10 +112,10 @@ def _sl_lift(M: ScalarField, N: ScalarField, scale, basepoint, tol) -> SLLift:
 
     Mx, My = diff_x(M.values, dom.dx), diff_y(M.values, dom.dy)
     Nx, Ny = diff_x(N.values, dom.dx), diff_y(N.values, dom.dy)
-    sym = _interior_max(My - Nx)
-    area = _interior_max(Mx * Ny - My * Nx - 1.0)
+    sym = interior_max(My - Nx)
+    area = interior_max(Mx * Ny - My * Nx - 1.0)
     hxx, hxy, hyy = hessian(h.values, dom)
-    det = _interior_max(hxx * hyy - hxy * hxy - 1.0)
+    det = interior_max(hxx * hyy - hxy * hxy - 1.0)
     return SLLift(M, N, h, sym, det, area)
 
 
@@ -137,31 +138,35 @@ def graph_rotate(F: ScalarField, params: SLParams, mode: str = "standard") -> Sc
 
 
 def _sl_terms(h: ScalarField, signature):
-    """Hessian of h, its trace and 1 - s h_xx h_yy + s h_xy^2 with s = +1
-    (euclidean) or -1 (split)."""
+    """The trace of the Hessian of h and 1 - s h_xx h_yy + s h_xy^2 with
+    s = +1 (euclidean) or -1 (split)."""
     if signature not in ("euclidean", "split"):
         raise ValidationError(f"unknown mode {signature!r}")
     s = 1.0 if signature == "euclidean" else -1.0
     hxx, hxy, hyy = hessian(h.values, h.domain)
-    return hxx, hxy, hyy, hxx + hyy, 1.0 - s * hxx * hyy + s * hxy * hxy
+    return hxx + hyy, 1.0 - s * hxx * hyy + s * hxy * hxy
 
 
 def _sl_residual(h: ScalarField, theta: float, signature) -> ResidualReport:
-    hxx, hxy, hyy, trace, det = _sl_terms(h, signature)
+    """The raw (unscaled) report; ``theta`` is checked before any grid work."""
     if signature == "euclidean":
-        c, s, op = np.cos(theta), np.sin(theta), "sl_residual"
+        cos, sin, op = np.cos, np.sin, "sl_residual"
     else:
+        cos, sin, op = np.cosh, np.sinh, "split_sl_residual"
+    with np.errstate(all="ignore"):
+        c, s = cos(theta), sin(theta)
+    if not (np.isfinite(c) and np.isfinite(s)):
+        raise ValidationError(f"theta {theta!r} has non-finite {cos.__name__}/{sin.__name__}")
+    trace, det = _sl_terms(h, signature)
+    if signature == "split":
         space = (det**2 - trace**2)[1:-1, 1:-1]
         if space.min() <= 0:
             raise NotSpacelike(
                 "split spacelike condition fails", nodes=np.argwhere(space <= 0) + 1
             )
-        c, s, op = np.cosh(theta), np.sinh(theta), "split_sl_residual"
-    res = c * trace + s * det
-    scale = np.maximum(
-        1.0, np.maximum(np.abs(hxx), np.maximum(np.abs(hxy), np.abs(hyy)))
-    ) ** 2
-    return ResidualReport(op, signature, [res], scale, h.domain, "raw")
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
+        res = c * trace + s * det
+    return ResidualReport(op, signature, [res], None, h.domain)
 
 
 def sl_residual(h: ScalarField, theta: float) -> ResidualReport:
@@ -190,7 +195,7 @@ def detect_angle(h: ScalarField, mode: str = "euclidean"):
     spread mod pi.  theta = pi/2 (not -pi/2) is the reported representative
     for lifted potentials.
     """
-    _, _, _, trace, den = _sl_terms(h, mode)
+    trace, den = _sl_terms(h, mode)
     sl = slice(1, -1)
     trace, den = trace[sl, sl], den[sl, sl]
     if mode == "split":

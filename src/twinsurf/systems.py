@@ -37,21 +37,27 @@ def _second_derivatives(h: HeightMap, k: int):
 
 @dataclass
 class ResidualReport:
+    """Residual fields over a grid.  A report with a ``scale`` aggregates
+    scaled by default, one without only raw; a report read from a metric
+    leaves the nodes outside the metric's mask out of the aggregates."""
+
     op: str
     signature: str
     fields: list  # raw residual per component
-    scale: np.ndarray  # nodewise scaling divisor
+    scale: np.ndarray | None  # nodewise scaling divisor
     domain: GridDomain
-    normalization: str = "scaled"
-    mask: np.ndarray | None = None  # nodes included in aggregation (interior)
     metric: MetricData | None = None  # the first fundamental form it was read from
+
+    @property
+    def normalization(self):
+        return "raw" if self.scale is None else "scaled"
 
     def _aggregated(self, normalization):
         """The fields in ``normalization`` on the interior nodes of the mask."""
         m = np.zeros(self.domain.shape, dtype=bool)
         m[1:-1, 1:-1] = True
-        if self.mask is not None:
-            m &= self.mask
+        if self.metric is not None:
+            m &= self.metric.mask
         if not m.any():
             raise ValidationError("no interior nodes left to aggregate")
         normalization = normalization or self.normalization
@@ -59,6 +65,8 @@ class ResidualReport:
             return [f[m] for f in self.fields]
         if normalization != "scaled":
             raise ValidationError(f"unknown normalization {normalization!r}")
+        if self.scale is None:
+            raise ValidationError(f"{self.op} has no scale; read it raw")
         return [(f / self.scale)[m] for f in self.fields]
 
     def max_abs(self, normalization=None):
@@ -66,7 +74,8 @@ class ResidualReport:
 
     def l2(self, normalization=None):
         vals = self._aggregated(normalization)
-        return float(np.sqrt(sum(np.mean(np.square(v)) for v in vals) / len(vals)))
+        with np.errstate(over="ignore"):  # past the float range it reads inf
+            return float(np.sqrt(sum(np.mean(np.square(v)) for v in vals) / len(vals)))
 
     def to_report(self):
         dom = self.domain
@@ -87,7 +96,7 @@ def _residual_scale(metric: MetricData, seconds):
     E + G is clamped away from 0 so split-signature data near the light
     cone cannot blow the scaled residual up to inf.
     """
-    m = np.ones(metric.domain.shape)
+    m = np.ones(metric.E.shape)
     for fxx, fxy, fyy in seconds:
         m = np.maximum(m, np.abs(fxx))
         m = np.maximum(m, np.abs(fxy))
@@ -108,8 +117,7 @@ def _report(op: str, h: HeightMap, signature: str, fields_of) -> ResidualReport:
         fields_of(metric, seconds),
         _residual_scale(metric, seconds),
         h.domain,
-        mask=metric.mask,
-        metric=metric,
+        metric,
     )
 
 

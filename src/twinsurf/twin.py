@@ -37,6 +37,7 @@ from .fields import (
     ScalarField,
     first_fundamental_form,
     integrate_exact_form,
+    interior_max,
     jacobian_data,
 )
 from .systems import maximal_residual, minimal_residual
@@ -97,10 +98,6 @@ def _twin_gradient(h: HeightMap, metric: MetricData, k: int):
     return (s * Ew * b - s * Fw * a, s * Fw * b - s * Gw * a)
 
 
-def _interior_max(arr):
-    return float(np.abs(arr[1:-1, 1:-1]).max())
-
-
 def require_residual(res, tol):
     """Residual precondition: NOT_MINIMAL when the scaled residual of the
     minimal (or maximal) system exceeds ``tol``."""
@@ -153,8 +150,8 @@ def _diagnostics(out_raw: HeightMap, grads, metric_src: MetricData, jac_src, out
     for k, (P, Q) in enumerate(grads):
         c1 = max(
             c1,
-            _interior_max(out_raw.alpha(k) - P),
-            _interior_max(out_raw.beta(k) - Q),
+            interior_max(out_raw.alpha(k) - P),
+            interior_max(out_raw.beta(k) - Q),
         )
     minimal = metric_src.signature == "euclidean"
     if out_data is None:
@@ -165,10 +162,10 @@ def _diagnostics(out_raw: HeightMap, grads, metric_src: MetricData, jac_src, out
     metric_out, jac_out = out_data
     metric_f, metric_g = (metric_src, metric_out) if minimal else (metric_out, metric_src)
     jac_f, jac_g = (jac_src, jac_out) if minimal else (jac_out, jac_src)
-    c2 = max([0.0] + [_interior_max(J - jac_g.pairs[key]) for key, J in jac_f.pairs.items()])
+    c2 = max([0.0] + [interior_max(J - jac_g.pairs[key]) for key, J in jac_f.pairs.items()])
     sin2 = 1.0 - np.minimum(jac_f.norm, 1.0) ** 2  # sin^2(arccos ||J||)
-    c3 = _interior_max(metric_f.omega * metric_g.omega - sin2)
-    c4 = max(_interior_max(a - b) for a, b in zip(metric_f.over_area, metric_g.over_area))
+    c3 = interior_max(metric_f.omega * metric_g.omega - sin2)
+    c4 = max(interior_max(a - b) for a, b in zip(metric_f.over_area, metric_g.over_area))
     return c1, c2, c3, c4
 
 

@@ -339,6 +339,25 @@ def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, argv, tol):
     assert "tolerance must be finite and >= 0" in err[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--theta=inf"],
+        ["--theta=nan"],
+        ["--theta=-inf"],
+        ["--signature", "split", "--theta=1000"],
+        ["--signature", "split", "--theta=-1000"],
+    ],
+)
+def test_sl_residual_rejects_theta_with_non_finite_coefficients(tmp_path, capsys, argv):
+    # numpy warned, then the report failed as non-finite; now one VALIDATION line
+    gf = _write_field(str(tmp_path / "quad.gf"), lambda X, Y: (X * X + Y * Y) / 2)
+    assert run(["sl", "residual", "--in", gf] + argv) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("VALIDATION: theta") and len(err.splitlines()) == 1, err
+
+
 _SAMPLE = ["catalog", "sample", "--name"]
 
 
@@ -484,6 +503,26 @@ def test_one_node_axis_exits_1(tmp_path, capsys, argv):
     assert run([a.format(dir=tmp_path) for a in argv]) == 1
     err = capsys.readouterr().err
     assert "VALIDATION" in err and "5 nodes per axis" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # numpy overflows squaring the default domain's x
+        (["--name", "catenoid", "--param", "rho=1e300"], "overflow"),
+        # rho ** 2 overflows as a Python float
+        (["--name", "catenoid", "--param", "rho=1e300", "--domain=-1,-1,1,1"],
+         "out of range"),
+        (["--name", "helicoid", "--param", "rho=1e200"], "overflow"),
+        (["--name", "plane", "--domain", "0,0,1e-300,1e-300"], "squares below the float range"),
+    ],
+)
+def test_catalog_overflow_exits_1_without_warning(tmp_path, capsys, argv, message):
+    for command in ([*_SAMPLE[:2], "--out", str(tmp_path / "x.gf")], ["verify-all"]):
+        assert run(command + argv + ["--grid", "9,9"]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("VALIDATION") and message in err, err
+        assert len(err.splitlines()) == 1
 
 
 @pytest.fixture

@@ -40,6 +40,14 @@ def test_grid_domain_rejects_tiny_grids():
         GridDomain(0.0, 0.0, -0.1, 0.1, 9, 9)
 
 
+@pytest.mark.parametrize("dx, dy", [(1e-160, 0.1), (0.1, 5e-300)])
+def test_grid_domain_rejects_spacing_whose_square_underflows(dx, dy):
+    # the second-derivative stencils divide by h^2, which would be 0 or subnormal
+    with pytest.raises(ValidationError, match="squares below the float range"):
+        GridDomain(0.0, 0.0, dx, dy, 9, 9)
+    GridDomain(0.0, 0.0, 1e-150, 1e-150, 9, 9)
+
+
 @pytest.mark.parametrize("nx, ny", [(17, 1), (1, 17)])
 def test_from_bounds_counts_nodes_before_dividing(nx, ny):
     with pytest.raises(ValidationError, match="5 nodes per axis"):

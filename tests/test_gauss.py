@@ -6,7 +6,6 @@ from twinsurf.catalog import make_surface
 from twinsurf.errors import DegenerateFit, NotUnimodular, ValidationError
 from twinsurf.fields import GridDomain, HeightMap, ScalarField, first_fundamental_form
 from twinsurf.gauss import (
-    ProjectivePointField,
     _live_tiles,
     gauss_map,
     hyperplane_fit,
@@ -19,7 +18,7 @@ from twinsurf.gauss import (
 from conftest import random_heightmap, surface
 
 
-def gauss_map_alt(f: HeightMap) -> ProjectivePointField:
+def gauss_map_alt(f: HeightMap) -> np.ndarray:
     """The equivalent [1 - iF/w, iE/w, ...] form; cross-oracle for gauss_map."""
     metric = first_fundamental_form(f, "euclidean")
     z1 = 1.0 - 1j * metric.F / metric.omega
@@ -27,13 +26,21 @@ def gauss_map_alt(f: HeightMap) -> ProjectivePointField:
     comps = [z1, z2]
     for k in range(f.n):
         comps.append(z1 * f.alpha(k) + z2 * f.beta(k))
-    return ProjectivePointField(f.domain, normalize_projective(comps))
+    return normalize_projective(comps)
+
+
+def test_gauss_field_is_one_array():
+    f = surface("catenoid", 17, 9)
+    g = gauss_map(f)
+    assert g.shape == (9, 17, 3) and g.dtype == complex
+    # planarity_score reads the nodes as rows of g without a copy
+    assert g.flags.c_contiguous
 
 
 def test_flat_graph_gauss_map(square_domain):
     f = HeightMap(square_domain, [np.zeros(square_domain.shape)])
     g = gauss_map(f)
-    assert g.n_plus_2 == 3
+    assert g.shape[-1] == 3
     assert quadric_residual(g) < 1e-14
     assert planarity_score(g) < 1e-14
 
@@ -48,19 +55,20 @@ def test_quadric_membership_random_maps(square_domain):
 
 def test_two_chart_forms_agree_projectively():
     f = surface("catenoid", 33, 33)
-    a = gauss_map(f).stack()
-    b = gauss_map_alt(f).stack()
+    a = gauss_map(f)
+    b = gauss_map_alt(f)
     inner = np.abs(np.einsum("yxk,yxk->yx", a.conj(), b))
     assert np.abs(inner - 1.0).max() < 1e-10
 
 
 def test_normalize_projective_gauge():
-    comps = normalize_projective([np.full((5, 5), 2j), np.full((5, 5), 2.0)])
-    norm = sum(np.abs(c) ** 2 for c in comps)
+    z = normalize_projective([np.full((5, 5), 2j), np.full((5, 5), 2.0)])
+    assert z.shape == (5, 5, 2)
+    norm = np.sum(np.abs(z) ** 2, axis=-1)
     assert np.abs(norm - 1.0).max() < 1e-14
     # first non-negligible component is rotated to the positive real axis
-    assert np.abs(comps[0].imag).max() < 1e-14
-    assert comps[0].real.min() > 0
+    assert np.abs(z[..., 0].imag).max() < 1e-14
+    assert z[..., 0].real.min() > 0
 
 
 def test_jorgens_field_of_rotational_quadratic(square_domain):
@@ -104,10 +112,14 @@ def test_catenoid_has_no_hyperplane_relation():
 
 def test_component_indexing_is_one_based(square_domain):
     f = HeightMap(square_domain, [np.zeros(square_domain.shape)])
-    g = gauss_map(f)
-    assert g.component(1) is g.components[0]
-    with pytest.raises(ValidationError):
+    g = gauss_map(f)  # [1, i, 0] / sqrt 2 at every node
+    fit = hyperplane_fit(g, 2, 1)
+    assert abs(fit.lam - 1j) < 1e-15 and fit.residual < 1e-15
+    with pytest.raises(ValidationError, match="component index 0 out of range 1..3"):
         hyperplane_fit(g, 0, 1)
+    # i is checked before j
+    with pytest.raises(ValidationError, match="component index 4 out of range 1..3"):
+        hyperplane_fit(g, 4, 0)
 
 
 def _brute_planarity(z):
@@ -123,7 +135,7 @@ def test_planarity_matches_brute_force_on_random_maps(square_domain, monkeypatch
     rng = np.random.default_rng(7)
     for _ in range(3):
         g = gauss_map(random_heightmap(rng, square_domain, n=2, amplitude=0.8))
-        z = g.stack().reshape(-1, g.n_plus_2)
+        z = g.reshape(-1, g.shape[-1])
         assert abs(planarity_score(g) - _brute_planarity(z)) <= 1e-15
         # subsample path: planarity_score's fixed-seed node choice
         idx = np.random.default_rng(2024).choice(z.shape[0], size=500, replace=False)
@@ -144,8 +156,8 @@ def test_planarity_of_nearly_constant_map_uses_rejection_form(square_domain, see
         c + eps * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         for c in (1.0, 1j, 1.0, 1j)
     ]
-    g = ProjectivePointField(square_domain, normalize_projective(comps))
-    z = g.stack().reshape(-1, 4)
+    g = normalize_projective(comps)
+    z = g.reshape(-1, 4)
     ref = _brute_planarity(z)
     gram = np.sqrt(np.max(1.0 - np.abs(z.conj() @ z.T) ** 2))
     assert abs(gram - ref) > 1e-10  # the Gram form alone is off
@@ -178,7 +190,7 @@ _CATALOG = ["catenoid", "helicoid", "scherk", "holomorphic"]
 def test_planarity_equals_the_all_pairs_pass(name, n, monkeypatch):
     monkeypatch.setattr(twinsurf.gauss, "_MAX_NODES", n * n)
     g = gauss_map(surface(name, n, n))
-    z = g.stack().reshape(-1, g.n_plus_2)
+    z = g.reshape(-1, g.shape[-1])
     assert planarity_score(g) == _gram_band_planarity(z)
 
 
@@ -187,7 +199,7 @@ def test_planarity_subsample_equals_the_all_pairs_pass_at_513(name):
     g = gauss_map(surface(name, 513, 513))
     idx = np.random.default_rng(2024).choice(513 * 513, size=4096, replace=False)
     idx.sort()
-    z = g.stack().reshape(-1, g.n_plus_2)[idx]
+    z = g.reshape(-1, g.shape[-1])[idx]
     assert planarity_score(g) == _gram_band_planarity(z)
 
 
@@ -196,7 +208,7 @@ def test_planarity_on_grids_with_empty_tiles(nx, ny):
     # fewer than 8 nodes on an axis leaves some of the 8 x 8 tiles empty
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, nx, ny)
     g = gauss_map(random_heightmap(np.random.default_rng(nx * ny), dom, n=2, amplitude=0.8))
-    z = g.stack().reshape(-1, g.n_plus_2)
+    z = g.reshape(-1, g.shape[-1])
     assert planarity_score(g) == _gram_band_planarity(z)
 
 
@@ -209,8 +221,8 @@ def test_planarity_reads_an_orthogonal_pair():
 
 def test_tile_bounds_prune_most_tile_pairs():
     g = gauss_map(surface("catenoid", 129, 129))
-    z = g.stack().reshape(-1, g.n_plus_2)
+    z = g.reshape(-1, g.shape[-1])
     iy, ix = np.divmod(np.arange(len(z)), 129)
-    groups, live = _live_tiles(z, iy, ix, g.domain.shape)
+    groups, live = _live_tiles(z, iy, ix, g.shape[:2])
     assert len(groups) == 64 and sorted(np.concatenate(groups)) == list(range(len(z)))
     assert 0 < live.mean() < 0.1

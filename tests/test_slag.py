@@ -9,6 +9,7 @@ from twinsurf.errors import (
     PhiOutOfRange,
     ValidationError,
 )
+from twinsurf import reports
 from twinsurf.fields import GridDomain, HeightMap, ScalarField
 from twinsurf.slag import SLParams, detect_angle, graph_rotate, sl_lift, sl_residual, split_sl_residual
 
@@ -85,6 +86,46 @@ def test_split_residual_and_angle():
     est, spread = detect_angle(h, "split")
     assert est == pytest.approx(theta, abs=1e-9)
     assert spread < 1e-9
+
+
+def test_sl_residual_report_is_raw():
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    X, Y = dom.meshgrid()
+    rep = sl_residual(ScalarField(dom, (X * X + Y * Y) / 2), np.pi / 2)
+    assert rep.to_report()["normalization"] == "raw"
+    assert rep.max_abs() == rep.max_abs("raw")
+    with pytest.raises(ValidationError, match="no scale"):
+        rep.max_abs("scaled")
+
+
+@pytest.mark.parametrize(
+    "residual, theta",
+    [
+        (sl_residual, np.inf),
+        (sl_residual, np.nan),
+        (split_sl_residual, 1000.0),  # cosh overflows
+        (split_sl_residual, -np.inf),
+        (split_sl_residual, np.nan),
+    ],
+)
+def test_theta_with_non_finite_coefficients_rejected(residual, theta):
+    # checked before any grid work: this h is not split spacelike either
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    X, Y = dom.meshgrid()
+    with pytest.raises(ValidationError, match="non-finite"):
+        residual(ScalarField(dom, (X * X + Y * Y) / 2), theta)
+
+
+@pytest.mark.parametrize("a, theta", [(0.3, 700.0), (2.0, 709.7), (2.0, -709.7)])
+def test_residual_past_the_float_range_reads_non_finite_without_warning(a, theta):
+    # cosh and sinh are finite, the residual or its mean square is not; the
+    # suite turns a numpy warning into an error
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    X, Y = dom.meshgrid()
+    rep = split_sl_residual(ScalarField(dom, a * (X * X + Y * Y) / 2), theta)
+    assert not np.isfinite(rep.l2())
+    with pytest.raises(ValidationError, match="non-finite value in report"):
+        reports.dumps(rep.to_report())
 
 
 def test_split_residual_reports_interior_nodes_only():
