@@ -47,6 +47,7 @@ from .systems import (
     minimal_residual,
 )
 from .twin import TwinDiagnostics, TwinPair, twin_backward, twin_forward, verify_twin
+from .verify import verify_surface
 
 __version__ = "0.1.0"
 

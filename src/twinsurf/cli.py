@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from . import catalog, conformal, gauss, reports, slag, solver, systems, twin
+from . import catalog, conformal, gauss, reports, slag, solver, systems, twin, verify
 from .errors import TwinsurfError, ValidationError
-from .fields import GridDomain, HeightMap, ScalarField, jacobian_data
+from .fields import GridDomain, ScalarField
 from .gfield import read_gfield, read_heightmap, write_gfield, write_heightmap
 
 
@@ -117,10 +117,8 @@ def _cmd_twin(args):
     else:  # verify: recompute diagnostics from two saved sides
         if not args.twin:
             raise ValidationError("twin verify needs --twin")
-        pair = twin.TwinPair(
-            read_heightmap(args.inp), read_heightmap(args.twin), None, bp, args.tol
-        )
-        _emit(twin.verify_twin(pair).to_report(), args.report)
+        f, g = read_heightmap(args.inp), read_heightmap(args.twin)
+        _emit(twin.verify_twin(f, g, bp, args.tol).to_report(), args.report)
         return 0
     _emit(pair.diagnostics.to_report(), args.report)
     return 0
@@ -243,59 +241,12 @@ def _cmd_solve(args):
     return 0
 
 
-def _verify_checks(name, params, dom, tol):
-    f = catalog.make_surface(name, params, dom)
-    checks = []
-
-    def add(check_name, value, check_tol):
-        checks.append(
-            {
-                "name": check_name,
-                "value": float(value),
-                "tol": float(check_tol),
-                "pass": bool(value <= check_tol),
-            }
-        )
-
-    add("quadric_residual", gauss.quadric_residual(gauss.gauss_map(f)), 1e-10)
-    res = systems.minimal_residual(f)
-    worst = res.max_abs("scaled")
-    add("minimal_residual", worst, tol)
-    if not worst <= tol:
-        return f, checks
-    add(
-        "closedness_identities",
-        systems.closedness_identities(f).max_abs("scaled"),
-        tol,
-    )
-    add("divergence_residual", systems.divergence_residual(f).max_abs("scaled"), tol)
-    jac = jacobian_data(f)
-    if not jac.has_positive_area_angle:
-        return f, checks  # twin/lift constructions need ||J|| < 1
-    # the twin, the lift and the chart share the residual, the Jacobian
-    # data and the potentials
-    pair, twin_res = twin._twin(f, "euclidean", (0, 0), tol, res, jac)
-    d = pair.diagnostics
-    add("twin_c1", d.c1_residual, tol)
-    add("twin_c2", d.c2_residual, tol)
-    add("twin_c3", d.c3_residual, tol)
-    add("twin_c4", d.c4_residual, tol)
-    add("twin_involution", d.involution_residual, tol)
-    add("twin_maximal_residual", twin_res.max_abs("scaled"), tol)
-    M, N, metric, scale = slag._lift_potentials(f, (0, 0), tol, res)
-    lift = slag._sl_lift(M, N, scale, (0, 0), tol)
-    add("lift_gradient_symmetry", lift.gradient_symmetry_residual, tol)
-    add("lift_hessian_det", lift.hessian_det_residual, tol)
-    add("lift_area_preservation", lift.area_preservation_residual, tol)
-    chart = conformal._build_chart(f, metric, M, N)
-    add("chart_jacobian_above_2", 2.0 - float(chart.J_psi.values.min()), 0.0)
-    return f, checks
-
-
 def _cmd_verify_all(args):
     params, dom = _catalog_input(args)
     tol = twin.resolve_tol(args.tol, dom)
-    f, checks = _verify_checks(args.name, params, dom, tol)
+    f = catalog.make_surface(args.name, params, dom)
+    rows = verify.verify_surface(f, tol)
+    checks = [{"name": n, "value": v, "tol": t, "pass": v <= t} for n, v, t in rows]
     report = {
         "surface": args.name,
         "grid": {"nx": dom.nx, "ny": dom.ny, "dx": dom.dx, "dy": dom.dy},

@@ -158,13 +158,23 @@ def interior_max(values: np.ndarray) -> float:
     return float(np.abs(values[1:-1, 1:-1]).max())
 
 
+def _grid_array(values, domain: GridDomain, what: str) -> np.ndarray:
+    """``values`` as a float array, which must be finite and on the grid."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != domain.shape:
+        raise ValidationError(f"{what} shape mismatch")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{what} contains non-finite values")
+    return values
+
+
 @dataclass
 class HeightMap:
     """An n-component map on a grid with (optionally analytic) gradients.
 
-    ``gradients[k]`` holds the pair (df_k/dx, df_k/dy).  When none are
-    given they are taken once, at construction, by finite differences of
-    the sampled values; ``alpha``/``beta`` only look them up.
+    ``gradients[k]`` holds the pair (df_k/dx, df_k/dy), checked like the
+    components.  When none are given they are taken once, at construction,
+    by finite differences of the values; ``alpha``/``beta`` look them up.
     """
 
     domain: GridDomain
@@ -174,19 +184,15 @@ class HeightMap:
     def __post_init__(self):
         if not self.components:
             raise ValidationError("height map needs at least one component")
-        self.components = [np.asarray(c, dtype=float) for c in self.components]
-        for c in self.components:
-            if c.shape != self.domain.shape:
-                raise ValidationError("component shape mismatch")
-            if not np.all(np.isfinite(c)):
-                raise ValidationError("component contains non-finite values")
         dom = self.domain
+        self.components = [_grid_array(c, dom, "component") for c in self.components]
         if self.gradients is None:
             self.gradients = [(diff_x(c, dom.dx), diff_y(c, dom.dy)) for c in self.components]
+            return
         if len(self.gradients) != len(self.components):
             raise ValidationError("one gradient pair per component required")
         self.gradients = [
-            (np.asarray(gx, dtype=float), np.asarray(gy, dtype=float))
+            (_grid_array(gx, dom, "gradient"), _grid_array(gy, dom, "gradient"))
             for gx, gy in self.gradients
         ]
 

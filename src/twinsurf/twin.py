@@ -15,8 +15,7 @@ signature of its source, serves both directions and their involution.
 ``_diagnostics`` reads c1..c4 off the raw node values of one side;
 construction, the involution and ``verify_twin`` share both, passing
 each map's residual, metric and Jacobian data along instead of
-recomputing them.  ``_twin`` takes the source's residual and Jacobian data
-from a caller that has them: ``verify-all`` reads each once.
+recomputing them.
 """
 
 from __future__ import annotations
@@ -84,8 +83,6 @@ class TwinPair:
     f: HeightMap
     g: HeightMap
     diagnostics: TwinDiagnostics
-    basepoint: tuple
-    tol: float
 
 
 def _twin_gradient(h: HeightMap, metric: MetricData, k: int):
@@ -197,7 +194,7 @@ def _twin(src: HeightMap, signature, basepoint, tol, res=None, jac=None):
     back = _integrate_twin(out, other, basepoint, tol, back_res)[0]
     diag = TwinDiagnostics(*checks, _anchored_difference(src.components, back, basepoint))
     f, g = (src, out) if minimal else (out, src)
-    return TwinPair(f, g, diag, basepoint, tol), back_res
+    return TwinPair(f, g, diag), back_res
 
 
 def twin_forward(
@@ -214,21 +211,23 @@ def twin_backward(
     return _twin(g, "split", basepoint, tol)[0]
 
 
-def verify_twin(pair: TwinPair) -> TwinDiagnostics:
-    """Recompute every diagnostic from the raw node values of the pair.
+def verify_twin(
+    f: HeightMap, g: HeightMap, basepoint: tuple = (0, 0), tol: float | None = None
+) -> TwinDiagnostics:
+    """Every diagnostic of the minimal side ``f`` and its twin ``g``, from raw node values.
 
     The maximal side is integrated back first, so a side that is not
     spacelike fails before anything divides by its area element."""
-    f = HeightMap(pair.f.domain, pair.f.components)
-    g = HeightMap(pair.g.domain, pair.g.components)
+    f = HeightMap(f.domain, f.components)
+    g = HeightMap(g.domain, g.components)
     if f.domain != g.domain or f.n != g.n:
         raise ValidationError(
             f"twin sides differ: {f.n} component(s) on {f.domain} "
             f"and {g.n} on {g.domain}"
         )
-    tol = resolve_tol(pair.tol, g.domain)
-    back, _, metric_g, jac_g = _integrate_twin(g, "split", pair.basepoint, tol)
+    tol = resolve_tol(tol, g.domain)
+    back, _, metric_g, jac_g = _integrate_twin(g, "split", basepoint, tol)
     metric_f = first_fundamental_form(f, "euclidean")
     grads = [_twin_gradient(f, metric_f, k) for k in range(f.n)]
     checks = _diagnostics(g, grads, metric_f, jacobian_data(f), (metric_g, jac_g))
-    return TwinDiagnostics(*checks, _anchored_difference(f.components, back, pair.basepoint))
+    return TwinDiagnostics(*checks, _anchored_difference(f.components, back, basepoint))

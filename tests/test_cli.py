@@ -158,6 +158,18 @@ def test_verify_all_fails_with_exit_3(tmp_path, capsys):
     assert report["pass"] is False
 
 
+@pytest.mark.parametrize("name", ["lagrangian_catenoid", "quadratic_gradient"])
+def test_verify_all_fails_where_the_twin_cannot_be_built(name, capsys):
+    # ||J|| >= 1 at the default domain: the twin, lift and chart rows are
+    # not computed, and the report says why instead of passing
+    assert run(["verify-all", "--name", name, "--grid", "17,17"]) == 3
+    report = _json_out(capsys)
+    assert report["pass"] is False
+    last = report["checks"][-1]
+    assert last["name"] == "area_angle_violations" and last["pass"] is False
+    assert last["value"] > 0 and last["tol"] == 0
+
+
 def test_missing_file_is_validation_error(capsys):
     assert run(["residual", "--system", "minimal", "--in", "/no/such.gf"]) == 1
     assert "VALIDATION" in capsys.readouterr().err
@@ -474,10 +486,9 @@ def test_verify_all_takes_the_jacobian_data_once_per_map(monkeypatch, capsys):
     assert calls == {"jacobian_data": 3}
 
 
-def test_verify_all_matches_the_public_constructions(capsys):
-    assert run(["verify-all", "--name", "helicoid", "--grid", "65,65"]) == 0
-    value = {c["name"]: c["value"] for c in _json_out(capsys)["checks"]}
+def test_verify_all_matches_the_public_constructions():
     f = twinsurf.make_surface("helicoid", None, twinsurf.default_domain("helicoid", {}, 65, 65))
+    value = {name: v for name, v, _ in twinsurf.verify_surface(f)}
     pair = twin_forward(f)
     lift = twinsurf.sl_lift(f)
     expected = {

@@ -15,7 +15,7 @@ from twinsurf.conformal import (
 from twinsurf.errors import NotMinimal, TargetOutsideImage, ValidationError
 from twinsurf.fields import GridDomain, HeightMap
 from twinsurf.slag import sl_lift
-from twinsurf.twin import TwinPair, default_tol, twin_forward
+from twinsurf.twin import TwinPair, twin_forward
 
 from conftest import surface
 
@@ -239,7 +239,7 @@ def test_weierstrass_twin_pulls_back_once_and_equals_two_null_curves(name, monke
 def test_weierstrass_twin_rejects_twin_on_other_grid():
     f, chart = flat_chart(33)
     g = HeightMap(GridDomain.from_bounds(0.0, 0.0, 1.0, 1.0, 17, 17), [np.zeros((17, 17))])
-    pair = TwinPair(f, g, None, (0, 0), default_tol(f.domain))
+    pair = TwinPair(f, g, None)
     with pytest.raises(ValidationError):
         verify_weierstrass_twin(pair, chart)
 

@@ -19,6 +19,7 @@ from twinsurf.fields import (
     integrate_exact_form,
     jacobian_data,
 )
+from twinsurf.systems import minimal_residual
 
 from conftest import random_heightmap
 
@@ -106,6 +107,19 @@ def test_heightmap_differentiates_once_at_construction(square_domain):
 def test_heightmap_rejects_shape_mismatch(square_domain):
     with pytest.raises(ValidationError):
         HeightMap(square_domain, [np.zeros((3, 3))])
+
+
+@pytest.mark.parametrize(
+    "gradient",
+    [np.zeros((3, 3)), np.float64(1.0), np.full((9, 9), np.nan), np.full((9, 9), np.inf)],
+    ids=["shape", "0-d", "nan", "inf"],
+)
+def test_heightmap_rejects_bad_gradients(gradient):
+    # checked at construction, not left to fail in a later evaluator
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    X, Y = dom.meshgrid()
+    with pytest.raises(ValidationError, match="gradient"):
+        minimal_residual(HeightMap(dom, [X * Y], [(Y, gradient)]))
 
 
 def test_metric_plane(square_domain):

@@ -6,7 +6,7 @@ import pytest
 from twinsurf import fields
 from twinsurf.errors import AreaAngleViolation, NotClosed, NotSpacelike, ValidationError
 from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
-from twinsurf.twin import TwinPair, default_tol, twin_backward, twin_forward, verify_twin
+from twinsurf.twin import default_tol, twin_backward, twin_forward, verify_twin
 
 from conftest import surface
 
@@ -71,8 +71,9 @@ def test_backward_inverts_forward():
 
 def test_verify_twin_recomputes_from_node_values():
     pair = twin_forward(surface("catenoid", 65, 33))
-    d = verify_twin(pair)
-    tol = 2 * pair.tol  # FD gradients only, so slightly noisier than pair.diagnostics
+    d = verify_twin(pair.f, pair.g)
+    # FD gradients only, so slightly noisier than pair.diagnostics
+    tol = 2 * default_tol(pair.f.domain)
     assert d.c1_residual <= tol
     assert max(d.c2_residual, d.c3_residual, d.c4_residual) <= tol
 
@@ -120,10 +121,10 @@ def test_verify_twin_rejects_mismatched_sides():
     coarse = twin_forward(surface("catenoid", 17, 17))
     fine = twin_forward(surface("catenoid", 33, 33))
     with pytest.raises(ValidationError):
-        verify_twin(TwinPair(coarse.f, fine.g, None, (0, 0), coarse.tol))
+        verify_twin(coarse.f, fine.g)
     two = HeightMap(coarse.g.domain, coarse.g.components * 2)
     with pytest.raises(ValidationError):
-        verify_twin(TwinPair(coarse.f, two, None, (0, 0), coarse.tol))
+        verify_twin(coarse.f, two)
 
 
 def test_holomorphic_twin_is_exact():
@@ -152,11 +153,11 @@ def _count_metric_calls(monkeypatch):
 def test_twin_takes_each_metric_once(monkeypatch):
     f = surface("catenoid", 33, 17)
     pair = twin_forward(f)
-    raw = TwinPair(f, HeightMap(f.domain, pair.g.components), None, (0, 0), pair.tol)
+    raw = HeightMap(f.domain, pair.g.components)
     calls = _count_metric_calls(monkeypatch)
     twin_forward(f)
     # source (via its residual), raw twin, and the involution's source
     assert len(calls) <= 3
     calls.clear()
-    verify_twin(raw)
+    verify_twin(f, raw)
     assert len(calls) <= 3
