@@ -202,32 +202,87 @@ def _pullback(chart: ConformalChart, *maps: HeightMap):
     xi1, xi2 = chart.xi1.values, chart.xi2.values
     xi1_x, xi1_y = diff_x(xi1, dom.dx), diff_y(xi1, dom.dy)
     xi2_x, xi2_y = diff_x(xi2, dom.dx), diff_y(xi2, dom.dy)
-    det = xi1_x * xi2_y - xi1_y * xi2_x
-    return (xi2_y + 1j * xi1_y) / det, -(xi2_x + 1j * xi1_x) / det
+    det = xi1_x * xi2_y
+    det -= xi1_y * xi2_x
+    A = np.multiply(1j, xi1_y)
+    np.add(xi2_y, A, out=A)
+    A /= det
+    B = np.multiply(1j, xi1_x)
+    np.add(xi2_x, B, out=B)
+    np.negative(B, out=B)
+    B /= det
+    return A, B
+
+
+def _phi(c: np.ndarray, A, B, dom: GridDomain) -> np.ndarray:
+    """A c_x + B c_y: the null-curve component of the height ``c``."""
+    p = np.multiply(A, diff_x(c, dom.dx))
+    p += B * diff_y(c, dom.dy)
+    return p
 
 
 def _null_phi(h: HeightMap, A, B) -> list:
-    dom = h.domain
-    return [A, B] + [A * diff_x(c, dom.dx) + B * diff_y(c, dom.dy) for c in h.components]
+    return [A, B] + [_phi(c, A, B, h.domain) for c in h.components]
+
+
+def _ring_max(v: np.ndarray, rings: int) -> float:
+    """max |v| ``rings`` rings in from the boundary."""
+    sl = slice(rings, -rings)
+    return float(np.abs(v[sl, sl]).max())
+
+
+def _dbar(p: np.ndarray, Ac, Bc, dom: GridDomain) -> np.ndarray:
+    """dbar p = conj(A) p_x + conj(B) p_y; ``Ac``, ``Bc`` are conj(A), conj(B).
+
+    Each complex product goes to an array that is neither operand: numpy
+    may take another loop for an aliased output, and its SIMD complex
+    multiply is not bitwise commutative."""
+    px = diff_x(p, dom.dx)
+    d = np.multiply(Ac, px)
+    d += np.multiply(Bc, diff_y(p, dom.dy), out=px)
+    return d
+
+
+def _dbar_max(p: np.ndarray, Ac, Bc, dom: GridDomain) -> float:
+    """max |dbar p|, ``_MARGIN_CELLS`` + 1 rings in."""
+    return _ring_max(_dbar(p, Ac, Bc, dom), _MARGIN_CELLS + 1)
 
 
 def _holomorphy(phi, A, B, dom: GridDomain) -> float:
     """max |dbar phi_k|, ``_MARGIN_CELLS`` + 1 rings in."""
-    sl = slice(_MARGIN_CELLS + 1, -_MARGIN_CELLS - 1)
-    cr = (A.conj() * diff_x(p, dom.dx) + B.conj() * diff_y(p, dom.dy) for p in phi)
-    return max([0.0] + [float(np.abs(c[sl, sl]).max()) for c in cr])
+    Ac, Bc = A.conj(), B.conj()
+    return max([0.0] + [_dbar_max(p, Ac, Bc, dom) for p in phi])
+
+
+def _square_sum(terms, acc=None) -> np.ndarray:
+    """``acc`` plus p * p for each of ``terms``, added in the order of
+    Python's sum from 0 (which turns a first -0.0 into 0.0) in one array."""
+    for p in terms:
+        if acc is None:
+            acc = p * p
+            acc += 0
+        else:
+            acc += p * p
+    return acc
+
+
+def _split_null(a, b, tail) -> np.ndarray:
+    """a^2 + b^2 - ``tail``: the split <phi, phi> from its height sum."""
+    null = a**2
+    null += b**2
+    null -= tail
+    return null
 
 
 def _nullity(phi, signature: str) -> float:
     """max |<phi, phi>| in ``signature``, ``_MARGIN_CELLS`` rings in."""
     if signature == "euclidean":
-        null = sum(p * p for p in phi)
+        null = _square_sum(phi)
     elif signature == "split":
-        null = phi[0] ** 2 + phi[1] ** 2 - sum(p * p for p in phi[2:])
+        null = _split_null(phi[0], phi[1], _square_sum(phi[2:]))
     else:
         raise ValidationError(f"unknown signature {signature!r}")
-    m = _MARGIN_CELLS
-    return float(np.abs(null[m:-m, m:-m]).max())
+    return _ring_max(null, _MARGIN_CELLS)
 
 
 def null_curve(
@@ -250,16 +305,29 @@ def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:
 
     phihat_1 = phi_1 and phihat_2 = phi_2 hold exactly: both sides read
     (x, y) through the one chart.  So ``max_residual``, the largest
-    relation residual, equals ``height_residual``."""
+    relation residual, equals ``height_residual``.  phi_{k+2} and
+    phihat_{k+2} are taken one height component at a time, and each is
+    dropped once read."""
     A, B = _pullback(chart, pair.f, pair.g)
-    phi, phihat = _null_phi(pair.f, A, B), _null_phi(pair.g, A, B)
-    sl = slice(_MARGIN_CELLS, -_MARGIN_CELLS)
-    rel = (np.abs((p + 1j * q)[sl, sl]).max() for p, q in zip(phihat[2:], phi[2:]))
-    r = max([0.0] + [float(v) for v in rel])
+    dom = pair.f.domain
+    Ac, Bc = A.conj(), B.conj()
+    holo = max(0.0, _dbar_max(A, Ac, Bc, dom), _dbar_max(B, Ac, Bc, dom))
+    null_f, tail_g = _square_sum([A, B]), None
+    r = 0.0
+    for c, chat in zip(pair.f.components, pair.g.components):
+        p = _phi(c, A, B, dom)
+        holo = max(holo, _dbar_max(p, Ac, Bc, dom))
+        null_f = _square_sum([p], null_f)
+        rel = np.multiply(1j, p)
+        del p
+        q = _phi(chat, A, B, dom)
+        tail_g = _square_sum([q], tail_g)
+        r = max(r, _ring_max(np.add(q, rel, out=rel), _MARGIN_CELLS))
+        del q, rel
     return {
         "height_residual": r,
         "max_residual": r,
-        "holomorphy_residual_min_side": _holomorphy(phi, A, B, pair.f.domain),
-        "nullity_residual_min_side": _nullity(phi, "euclidean"),
-        "nullity_residual_max_side": _nullity(phihat, "split"),
+        "holomorphy_residual_min_side": holo,
+        "nullity_residual_min_side": _ring_max(null_f, _MARGIN_CELLS),
+        "nullity_residual_max_side": _ring_max(_split_null(A, B, tail_g), _MARGIN_CELLS),
     }

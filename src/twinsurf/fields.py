@@ -4,9 +4,10 @@ Arrays are stored with shape ``(ny, nx)``: the y index is the slow (row)
 axis, so a row-major flatten runs through x fastest.  All derivative
 stencils are second order: central in the interior, one-sided three/four
 point stencils on the boundary rows and columns.  There is one stencil
-per derivative order, along the last axis; the y derivatives apply it to
-the transpose.  Exact 1-forms are integrated by cumulative trapezoids
-behind one closedness guard, in units of a caller-given scale.
+per derivative order, along a given axis (the last for x, the first for y),
+written into one output array.  Exact 1-forms are integrated by cumulative
+trapezoids behind one closedness guard, in units of a caller-given scale.
+The kernels write only into arrays they allocated.
 """
 
 from __future__ import annotations
@@ -100,44 +101,50 @@ class ScalarField:
             raise ValidationError("field contains non-finite values")
 
 
-def _diff1(v: np.ndarray, h: float) -> np.ndarray:
-    """First derivative along the last axis: central, three-point one-sided
-    at the two ends."""
+def _diff1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """First derivative along ``axis``: central, three-point one-sided at
+    the two ends."""
     d = np.empty_like(v, dtype=np.result_type(v, float))
-    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
-    d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
-    d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    v, e = v.swapaxes(axis, -1), d.swapaxes(axis, -1)
+    inner = np.subtract(v[..., 2:], v[..., :-2], out=e[..., 1:-1])
+    inner /= 2.0 * h
+    e[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
+    e[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
     return d
 
 
-def _diff2(v: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative along the last axis: central, four-point one-sided
-    at the two ends."""
+def _diff2(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Second derivative along ``axis``: central, four-point one-sided at
+    the two ends."""
     d = np.empty_like(v, dtype=np.result_type(v, float))
-    d[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / h**2
-    d[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h**2
-    d[..., -1] = (
+    v, e = v.swapaxes(axis, -1), d.swapaxes(axis, -1)
+    inner = np.multiply(2.0, v[..., 1:-1], out=e[..., 1:-1])
+    np.subtract(v[..., 2:], inner, out=inner)
+    inner += v[..., :-2]
+    inner /= h**2
+    e[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h**2
+    e[..., -1] = (
         2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]
     ) / h**2
     return d
 
 
-# the y stencils run on the transpose; transposed back, the result has the
+# x runs along the last axis and y along the first; the result has the
 # memory layout of ``values``
 def diff_x(values: np.ndarray, dx: float) -> np.ndarray:
-    return _diff1(values, dx)
+    return _diff1(values, dx, -1)
 
 
 def diff_y(values: np.ndarray, dy: float) -> np.ndarray:
-    return _diff1(values.T, dy).T
+    return _diff1(values, dy, 0)
 
 
 def diff2_x(values: np.ndarray, dx: float) -> np.ndarray:
-    return _diff2(values, dx)
+    return _diff2(values, dx, -1)
 
 
 def diff2_y(values: np.ndarray, dy: float) -> np.ndarray:
-    return _diff2(values.T, dy).T
+    return _diff2(values, dy, 0)
 
 
 def diff_xy(values: np.ndarray, dx: float, dy: float) -> np.ndarray:
@@ -248,21 +255,39 @@ class JacobianData:
         return len(self.violations) == 0
 
 
+def _sum_of_products(xs, ys) -> np.ndarray:
+    """sum(x * y for x, y in zip(xs, ys)) in one array: the additions of
+    Python's sum from 0, which turns a first -0.0 into 0.0."""
+    acc = np.multiply(xs[0], ys[0])
+    acc += 0
+    t = None
+    for x, y in zip(xs[1:], ys[1:]):
+        t = np.multiply(x, y, out=t)
+        acc += t
+    return acc
+
+
 def first_fundamental_form(h: HeightMap, signature: str = "euclidean") -> MetricData:
     """Metric coefficients of the graph of ``h`` in either ambient signature."""
     if signature not in ("euclidean", "split"):
         raise ValidationError(f"unknown signature {signature!r}")
     alphas, betas = zip(*h.gradients)
-    sa2 = sum(a * a for a in alphas)
-    sab = sum(a * b for a, b in zip(alphas, betas))
-    sb2 = sum(b * b for b in betas)
+    sa2 = _sum_of_products(alphas, alphas)
+    sab = _sum_of_products(alphas, betas)
+    sb2 = _sum_of_products(betas, betas)
     if signature == "euclidean":
-        E, F, G = 1.0 + sa2, sab, 1.0 + sb2
+        E, F, G = np.add(1.0, sa2, out=sa2), sab, np.add(1.0, sb2, out=sb2)
     else:
-        E, F, G = 1.0 - sa2, -sab, 1.0 - sb2
-    disc = E * G - F * F
+        E, F, G = (
+            np.subtract(1.0, sa2, out=sa2),
+            np.negative(sab, out=sab),
+            np.subtract(1.0, sb2, out=sb2),
+        )
+    disc = E * G
+    disc -= F * F
     mask = (E > 0) & (disc > 0)
-    omega = np.sqrt(np.where(mask, disc, 0.0))
+    np.copyto(disc, 0.0, where=~mask)
+    omega = np.sqrt(disc, out=disc)
     if signature == "euclidean" and not mask.all():
         # cannot happen analytically (EG - F^2 >= 1); numerical garbage in
         raise ValidationError("euclidean metric with non-positive discriminant")
@@ -281,7 +306,9 @@ def jacobian_data(h: HeightMap) -> JacobianData:
         for j in range(i + 1, h.n):
             pairs[(i + 1, j + 1)] = alphas[i] * betas[j] - alphas[j] * betas[i]
     if pairs:
-        norm = np.sqrt(sum(J * J for J in pairs.values()))
+        Js = list(pairs.values())
+        norm = _sum_of_products(Js, Js)
+        np.sqrt(norm, out=norm)
     else:
         norm = np.zeros(h.domain.shape)
     return JacobianData(pairs, norm, np.argwhere(norm >= 1.0))
@@ -289,13 +316,19 @@ def jacobian_data(h: HeightMap) -> JacobianData:
 
 def closedness_residual_field(P: np.ndarray, Q: np.ndarray, domain: GridDomain):
     """Pointwise |dP/dy - dQ/dx| of the 1-form P dx + Q dy."""
-    return np.abs(diff_y(P, domain.dy) - diff_x(Q, domain.dx))
+    r = diff_y(P, domain.dy)
+    r -= diff_x(Q, domain.dx)
+    return np.abs(r, out=r)
 
 
-def _cumtrapz(v: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative trapezoid along the last axis, 0 at the first node."""
+def _cumtrapz(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Cumulative trapezoid along ``axis``, 0 at the first node."""
     out = np.zeros_like(v)
-    np.cumsum(h * (v[..., 1:] + v[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    v, o = v.swapaxes(axis, -1), out.swapaxes(axis, -1)
+    step = np.add(v[..., 1:], v[..., :-1], out=o[..., 1:])
+    np.multiply(h, step, out=step)
+    step /= 2.0
+    np.cumsum(step, axis=-1, out=step)
     return out
 
 
@@ -326,18 +359,24 @@ def integrate_exact_form(
         raise ValidationError(f"basepoint {basepoint} outside grid")
 
     if tol is not None:
-        closed = closedness_residual_field(P.values, Q.values, dom) / scale
+        closed = closedness_residual_field(P.values, Q.values, dom)
+        closed /= scale
         worst = float(closed[1:-1, 1:-1].max())
         if worst > tol:
             raise NotClosed(f"scaled closedness residual {worst:.3e} > tol {tol:.3e}")
+        del closed
 
-    cumx = _cumtrapz(P.values, dom.dx)
+    cumx = _cumtrapz(P.values, dom.dx, -1)
     cumx -= cumx[:, ix][:, None]
-    cumy = _cumtrapz(Q.values.T, dom.dy).T
+    cumy = _cumtrapz(Q.values, dom.dy, 0)
     cumy -= cumy[iy, :][None, :]
 
-    u_xfirst = cumx[iy, :][None, :] + cumy
-    u_yfirst = cumy[:, ix][:, None] + cumx
-    u = 0.5 * (u_xfirst + u_yfirst)
+    # u = (x-first + y-first) / 2, the x-first path summed into cumy and
+    # the y-first path into cumx
+    col = cumy[:, ix][:, None].copy()
+    u = np.add(cumx[iy, :][None, :], cumy, out=cumy)
+    np.add(col, cumx, out=cumx)
+    u += cumx
+    np.multiply(0.5, u, out=u)
     u[iy, ix] = 0.0  # exact by construction; enforce against rounding
     return ScalarField(dom, u)

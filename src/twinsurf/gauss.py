@@ -51,21 +51,43 @@ class HyperplaneFit:
 
 def normalize_projective(components) -> np.ndarray:
     """The ``(ny, nx, n+2)`` field of ``components``, each node scaled to
-    unit norm and a positive-real first non-negligible component."""
+    unit norm and a positive-real first non-negligible component; the
+    stacked copy is normalized and gauged in place."""
     z = np.stack([np.asarray(c, dtype=complex) for c in components], axis=-1)
-    norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))
+    return _normalize(z)
+
+
+def _normalize(z: np.ndarray) -> np.ndarray:
+    """Scale each node of the field ``z``, which the caller allocated, to
+    unit norm and gauge it, in place; returns ``z``."""
+    z /= _node_norms(z)[..., None]
+    _gauge(z)
+    return z
+
+
+def _node_norms(z: np.ndarray) -> np.ndarray:
+    """The norm of each node of ``z``; a zero vector fails."""
+    sq = np.abs(z)
+    sq **= 2
+    norm = np.sum(sq, axis=-1)
+    np.sqrt(norm, out=norm)
     if np.any(norm == 0):
         raise ValidationError("zero homogeneous vector")
-    z = z / norm[..., None]
-    # phase gauge from the first component with |z_k| > tol
+    return norm
+
+
+def _gauge(z: np.ndarray) -> None:
+    """Turn each node of ``z`` in place by the phase that makes its first
+    component with |z_k| > tol positive real."""
     phase = np.ones(z.shape[:-1], dtype=complex)
     fixed = np.zeros(z.shape[:-1], dtype=bool)
     for k in range(z.shape[-1]):
         sel = (~fixed) & (np.abs(z[..., k]) > _FIRST_NONZERO_TOL)
         zk = z[..., k][sel]
-        phase[sel] = np.conj(zk) / np.abs(zk)
+        r = np.abs(zk)
+        phase[sel] = np.divide(np.conj(zk, out=zk), r, out=zk)
         fixed |= sel
-    return z * phase[..., None]
+    z *= phase[..., None]
 
 
 def gauss_map(f: HeightMap) -> np.ndarray:
@@ -73,15 +95,18 @@ def gauss_map(f: HeightMap) -> np.ndarray:
 
     The formula is evaluated for any height map; it lands on the
     hyperquadric identically (an algebraic identity), minimality is only
-    needed for the geometric interpretation.
+    needed for the geometric interpretation.  Each z_k is written into
+    the ``(ny, nx, n+2)`` result, which is then normalized in place.
     """
-    _, Fw, Gw = first_fundamental_form(f, "euclidean").over_area
-    z1 = Gw + 0j
-    z2 = 1j - Fw
-    comps = [z1, z2]
+    Fw, Gw = first_fundamental_form(f, "euclidean").over_area[1:]
+    z = np.empty(f.domain.shape + (f.n + 2,), dtype=complex)
+    z1 = np.add(Gw, 0j, out=z[..., 0])
+    z2 = np.subtract(1j, Fw, out=z[..., 1])
+    del Fw, Gw  # z1 and z2 are views of z
     for k in range(f.n):
-        comps.append(z1 * f.alpha(k) + z2 * f.beta(k))
-    return normalize_projective(comps)
+        zk = np.multiply(z1, f.alpha(k), out=z[..., k + 2])
+        zk += z2 * f.beta(k)
+    return _normalize(z)
 
 
 def quadric_residual(g: np.ndarray) -> float:

@@ -97,11 +97,13 @@ def _residual_scale(metric: MetricData, seconds):
     cone cannot blow the scaled residual up to inf.
     """
     m = np.ones(metric.E.shape)
-    for fxx, fxy, fyy in seconds:
-        m = np.maximum(m, np.abs(fxx))
-        m = np.maximum(m, np.abs(fxy))
-        m = np.maximum(m, np.abs(fyy))
-    return np.maximum(np.abs(metric.E + metric.G), 1e-12) * m
+    t = np.empty_like(m)
+    for second in seconds:
+        for d in second:
+            np.maximum(m, np.abs(d, out=t), out=m)
+    s = np.add(metric.E, metric.G, out=t)
+    np.maximum(np.abs(s, out=s), 1e-12, out=s)
+    return np.multiply(s, m, out=s)
 
 
 def _report(op: str, h: HeightMap, signature: str, fields_of) -> ResidualReport:
@@ -123,10 +125,15 @@ def _report(op: str, h: HeightMap, signature: str, fields_of) -> ResidualReport:
 
 def _quasilinear(metric: MetricData, seconds) -> list:
     """G h_xx - 2 F h_xy + E h_yy per component."""
-    return [
-        metric.G * hxx - 2.0 * metric.F * hxy + metric.E * hyy
-        for hxx, hxy, hyy in seconds
-    ]
+    out = []
+    t = np.empty_like(metric.E)
+    for hxx, hxy, hyy in seconds:
+        r = metric.G * hxx
+        np.multiply(2.0, metric.F, out=t)
+        r -= np.multiply(t, hxy, out=t)
+        r += np.multiply(metric.E, hyy, out=t)
+        out.append(r)
+    return out
 
 
 def minimal_residual(f: HeightMap) -> ResidualReport:

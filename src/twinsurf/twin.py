@@ -11,11 +11,13 @@ divergence form; it is integrated to g_k anchored at the basepoint.  The
 backward direction is the same relation read with the hatted (split)
 coefficients and the opposite sign, so one routine, parameterised by the
 signature of its source, serves both directions and their involution.
-``_integrate_twin`` checks a source and integrates its twin, and
-``_diagnostics`` reads c1..c4 off the raw node values of one side;
-construction, the involution and ``verify_twin`` share both, passing
-each map's residual, metric and Jacobian data along instead of
-recomputing them.
+``_integrate_twin`` checks a source and integrates its twin one
+component at a time; ``_integrability`` reads c1 off the raw node values
+of one side and ``_correspondence`` reads c2..c4 off the metric and
+Jacobian data of both.  Construction, the involution and ``verify_twin``
+share them, passing each map's residual, metric and Jacobian data along
+instead of recomputing them, and construction drops the source's data
+before it integrates back.
 """
 
 from __future__ import annotations
@@ -108,13 +110,15 @@ def _residual(h: HeightMap, signature):
     return minimal_residual(h) if signature == "euclidean" else maximal_residual(h)
 
 
-def _integrate_twin(src: HeightMap, signature, basepoint, tol, res=None, jac=None):
+def _integrate_twin(src: HeightMap, signature, basepoint, tol, res=None, jac=None, grads=None):
     """Check ``src`` (spacelike, area-angle, closedness of each twin
     gradient, which is the surface system in divergence form, then the
-    residual) and integrate its twin.  ``res`` and ``jac`` are the
-    residual and Jacobian data of ``src`` when the caller has them.
-    Returns the twin's node values, the twin-relation gradients and the
-    metric and Jacobian data of ``src``."""
+    residual) and integrate its twin one component at a time.  ``res``
+    and ``jac`` are the residual and Jacobian data of ``src`` when the
+    caller has them.  Each twin-relation gradient is appended to
+    ``grads`` when a list is given, and dropped once integrated otherwise.
+    Returns the twin's node values and the metric and Jacobian data of
+    ``src``."""
     dom = src.domain
     if res is None:
         res = _residual(src, signature)
@@ -125,45 +129,51 @@ def _integrate_twin(src: HeightMap, signature, basepoint, tol, res=None, jac=Non
         jac = jacobian_data(src)
     if not jac.has_positive_area_angle:
         raise AreaAngleViolation("||J|| >= 1", nodes=jac.violations)
-    grads = [_twin_gradient(src, metric, k) for k in range(src.n)]
-    comps = [
-        integrate_exact_form(
+    comps = []
+    for k in range(src.n):
+        P, Q = _twin_gradient(src, metric, k)
+        u = integrate_exact_form(
             ScalarField(dom, P), ScalarField(dom, Q), basepoint, tol, res.scale
-        ).values
-        for P, Q in grads
-    ]
+        )
+        comps.append(u.values)
+        if grads is not None:
+            grads.append((P, Q))
     require_residual(res, tol)
-    return comps, grads, metric, jac
+    return comps, metric, jac
 
 
-def _diagnostics(out_raw: HeightMap, grads, metric_src: MetricData, jac_src, out_data=None):
-    """c1..c4 of a twin pair, read from the raw node values ``out_raw`` of
-    one side (finite-difference gradients, so the identities are checked
-    honestly) and the twin-relation ``grads``, metric and Jacobian data of
-    the other side, its source.  ``out_data`` is the metric and Jacobian
-    data of ``out_raw`` when the caller has them; they are taken here
-    otherwise, and a side that is not spacelike fails."""
+def _integrability(raw: HeightMap, grads) -> float:
+    """c1: the largest gap between the finite-difference gradients of the
+    raw node values ``raw`` of one side (so the identities are checked
+    honestly) and the twin-relation ``grads`` read from the other."""
     c1 = 0.0
     for k, (P, Q) in enumerate(grads):
-        c1 = max(
-            c1,
-            interior_max(out_raw.alpha(k) - P),
-            interior_max(out_raw.beta(k) - Q),
-        )
-    minimal = metric_src.signature == "euclidean"
-    if out_data is None:
-        metric_out = first_fundamental_form(out_raw, "split" if minimal else "euclidean")
-        if not metric_out.mask.all():
-            raise NotSpacelike("twin output not spacelike", nodes=metric_out.invalid_nodes)
-        out_data = metric_out, jacobian_data(out_raw)
-    metric_out, jac_out = out_data
-    metric_f, metric_g = (metric_src, metric_out) if minimal else (metric_out, metric_src)
-    jac_f, jac_g = (jac_src, jac_out) if minimal else (jac_out, jac_src)
+        c1 = max(c1, interior_max(raw.alpha(k) - P), interior_max(raw.beta(k) - Q))
+    return c1
+
+
+def _built_side(raw: HeightMap, grads, signature):
+    """c1 of a built twin side from its raw node values ``raw``, and their
+    metric in ``signature`` and Jacobian data; a side that is not
+    spacelike fails."""
+    c1 = _integrability(raw, grads)
+    metric = first_fundamental_form(raw, signature)
+    if not metric.mask.all():
+        raise NotSpacelike("twin output not spacelike", nodes=metric.invalid_nodes)
+    return c1, (metric, jacobian_data(raw))
+
+
+def _correspondence(src_data, out_data, minimal: bool):
+    """c2..c4 of a twin pair from the metric and Jacobian data of its source
+    and of its other side; ``minimal`` when the source is the minimal one."""
+    f_data, g_data = (src_data, out_data) if minimal else (out_data, src_data)
+    (metric_f, jac_f), (metric_g, jac_g) = f_data, g_data
     c2 = max([0.0] + [interior_max(J - jac_g.pairs[key]) for key, J in jac_f.pairs.items()])
     sin2 = 1.0 - np.minimum(jac_f.norm, 1.0) ** 2  # sin^2(arccos ||J||)
     c3 = interior_max(metric_f.omega * metric_g.omega - sin2)
+    del sin2
     c4 = max(interior_max(a - b) for a, b in zip(metric_f.over_area, metric_g.over_area))
-    return c1, c2, c3, c4
+    return c2, c3, c4
 
 
 def _anchored_difference(a: list, b: list, basepoint):
@@ -182,14 +192,18 @@ def _twin(src: HeightMap, signature, basepoint, tol, res=None, jac=None):
     involution reads."""
     tol = resolve_tol(tol, src.domain)
     dom = src.domain
-    comps, grads, metric, jac = _integrate_twin(src, signature, basepoint, tol, res, jac)
-    checks = _diagnostics(HeightMap(dom, comps), grads, metric, jac)
+    minimal = signature == "euclidean"
+    other = "split" if minimal else "euclidean"
+    grads = []
+    comps, metric, jac = _integrate_twin(src, signature, basepoint, tol, res, jac, grads)
+    # the raw map and its finite-difference gradients live through this call only
+    c1, built = _built_side(HeightMap(dom, comps), grads, other)
+    checks = (c1, *_correspondence((metric, jac), built, minimal))
+    del metric, jac, built  # the involution reads only the built side
     # the returned map carries the twin-relation gradients, which define
     # the twin exactly; re-differencing the integrated values would stack
     # one-sided stencils twice near the boundary
     out = HeightMap(dom, comps, grads)
-    minimal = signature == "euclidean"
-    other = "split" if minimal else "euclidean"
     back_res = _residual(out, other)
     back = _integrate_twin(out, other, basepoint, tol, back_res)[0]
     diag = TwinDiagnostics(*checks, _anchored_difference(src.components, back, basepoint))
@@ -226,8 +240,9 @@ def verify_twin(
             f"and {g.n} on {g.domain}"
         )
     tol = resolve_tol(tol, g.domain)
-    back, _, metric_g, jac_g = _integrate_twin(g, "split", basepoint, tol)
+    back, metric_g, jac_g = _integrate_twin(g, "split", basepoint, tol)
     metric_f = first_fundamental_form(f, "euclidean")
     grads = [_twin_gradient(f, metric_f, k) for k in range(f.n)]
-    checks = _diagnostics(g, grads, metric_f, jacobian_data(f), (metric_g, jac_g))
-    return TwinDiagnostics(*checks, _anchored_difference(f.components, back, basepoint))
+    c2, c3, c4 = _correspondence((metric_f, jacobian_data(f)), (metric_g, jac_g), True)
+    c1 = _integrability(g, grads)
+    return TwinDiagnostics(c1, c2, c3, c4, _anchored_difference(f.components, back, basepoint))

@@ -13,11 +13,11 @@ from twinsurf.conformal import (
     verify_weierstrass_twin,
 )
 from twinsurf.errors import NotMinimal, TargetOutsideImage, ValidationError
-from twinsurf.fields import GridDomain, HeightMap
+from twinsurf.fields import GridDomain, HeightMap, diff_x, diff_y
 from twinsurf.slag import sl_lift
 from twinsurf.twin import TwinPair, twin_forward
 
-from conftest import surface
+from conftest import random_heightmap, same_bits, surface
 
 
 def flat_chart(nx=33):
@@ -253,3 +253,96 @@ def test_bilinear_exact_on_bilinear_functions():
     y = rng.uniform(dom.y0, dom.y1, (40, 30))
     v = _bilinear(a + b * X + c * Y + d * X * Y, _cell(dom, x, y))
     assert np.abs(v - (a + b * x + c * y + d * x * y)).max() < 1e-13
+
+
+# ---------------------------------------------------------------- bitwise oracles
+# the expressions of the null-curve kernels that held every phi_k at once
+
+
+def _ref_pullback(chart):
+    dom = chart.source.domain
+    xi1, xi2 = chart.xi1.values, chart.xi2.values
+    xi1_x, xi1_y = diff_x(xi1, dom.dx), diff_y(xi1, dom.dy)
+    xi2_x, xi2_y = diff_x(xi2, dom.dx), diff_y(xi2, dom.dy)
+    det = xi1_x * xi2_y - xi1_y * xi2_x
+    return (xi2_y + 1j * xi1_y) / det, -(xi2_x + 1j * xi1_x) / det
+
+
+def _ref_null_phi(h, A, B):
+    dom = h.domain
+    return [A, B] + [A * diff_x(c, dom.dx) + B * diff_y(c, dom.dy) for c in h.components]
+
+
+def _ref_holomorphy(phi, A, B, dom):
+    cr = (A.conj() * diff_x(p, dom.dx) + B.conj() * diff_y(p, dom.dy) for p in phi)
+    return max([0.0] + [float(np.abs(c[3:-3, 3:-3]).max()) for c in cr])
+
+
+def _ref_nullity(phi, signature):
+    if signature == "euclidean":
+        null = sum(p * p for p in phi)
+    else:
+        null = phi[0] ** 2 + phi[1] ** 2 - sum(p * p for p in phi[2:])
+    return float(np.abs(null[2:-2, 2:-2]).max())
+
+
+def _ref_weierstrass(pair, chart):
+    A, B = _ref_pullback(chart)
+    phi, phihat = _ref_null_phi(pair.f, A, B), _ref_null_phi(pair.g, A, B)
+    rel = (np.abs((p + 1j * q)[2:-2, 2:-2]).max() for p, q in zip(phihat[2:], phi[2:]))
+    r = max([0.0] + [float(v) for v in rel])
+    return {
+        "height_residual": r,
+        "max_residual": r,
+        "holomorphy_residual_min_side": _ref_holomorphy(phi, A, B, pair.f.domain),
+        "nullity_residual_min_side": _ref_nullity(phi, "euclidean"),
+        "nullity_residual_max_side": _ref_nullity(phihat, "split"),
+    }
+
+
+def _bit_pairs():
+    for name in ("catenoid", "scherk", "holomorphic"):
+        f = surface(name, 33, 33)
+        yield twin_forward(f), build_chart(f)
+    # no identity holds on random maps, so every residual reads well above
+    # rounding and its largest node moves from seed to seed
+    rng = np.random.default_rng(9)
+    dom = surface("holomorphic", 33, 33).domain
+    for _ in range(8):
+        f = random_heightmap(rng, dom, n=2, amplitude=0.1)
+        yield TwinPair(f, random_heightmap(rng, dom, n=2), None), build_chart(f, tol=1e6)
+
+
+def test_null_curve_kernels_match_their_reference_bit_for_bit():
+    for pair, chart in _bit_pairs():
+        dom = chart.source.domain
+        A, B = conformal._pullback(chart)
+        assert all(same_bits(a, b) for a, b in zip((A, B), _ref_pullback(chart)))
+        Ac, Bc = A.conj(), B.conj()
+        for h, signature in ((pair.f, "euclidean"), (pair.g, "split")):
+            phi = conformal._null_phi(h, A, B)
+            ref = _ref_null_phi(h, A, B)
+            assert all(same_bits(a, b) for a, b in zip(phi, ref))
+            # the fields behind the maxima, whose largest node hides most bits
+            for p in phi:
+                dbar = conformal._dbar(p, Ac, Bc, dom)
+                assert same_bits(dbar, A.conj() * diff_x(p, dom.dx) + B.conj() * diff_y(p, dom.dy))
+            assert same_bits(conformal._square_sum(phi), sum(p * p for p in phi))
+            split = conformal._split_null(phi[0], phi[1], conformal._square_sum(phi[2:]))
+            assert same_bits(split, phi[0] ** 2 + phi[1] ** 2 - sum(p * p for p in phi[2:]))
+            holo = conformal._holomorphy(phi, A, B, dom)
+            assert same_bits(holo, _ref_holomorphy(ref, A, B, dom))
+            assert same_bits(conformal._nullity(phi, signature), _ref_nullity(ref, signature))
+            curve = null_curve(h, chart, signature)
+            assert same_bits(curve.holomorphy_residual, _ref_holomorphy(ref, A, B, dom))
+            assert same_bits(curve.nullity_residual, _ref_nullity(ref, signature))
+    # a first square with -0.0 parts, which Python's sum from 0 turns into 0.0
+    terms = [np.array([1.0 - 0.0j, -0.0 + 0.0j, 2.0 + 1j]), np.array([3.0, -0.0 - 0.0j, 1j])]
+    assert same_bits(conformal._square_sum(terms), sum(p * p for p in terms))
+
+
+def test_weierstrass_twin_matches_its_reference_bit_for_bit():
+    for pair, chart in _bit_pairs():
+        out, ref = verify_weierstrass_twin(pair, chart), _ref_weierstrass(pair, chart)
+        assert list(out) == list(ref)
+        assert all(same_bits(out[key], ref[key]) for key in ref), (out, ref)

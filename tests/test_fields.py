@@ -8,6 +8,7 @@ from twinsurf.fields import (
     GridDomain,
     HeightMap,
     ScalarField,
+    _cumtrapz,
     closedness_residual_field,
     diff2_x,
     diff2_y,
@@ -21,7 +22,7 @@ from twinsurf.fields import (
 )
 from twinsurf.systems import minimal_residual
 
-from conftest import random_heightmap
+from conftest import bit_inputs, random_heightmap, same_bits, surface
 
 
 def test_grid_domain_axes():
@@ -257,3 +258,124 @@ def test_integrate_validates_basepoint(square_domain):
     Z = ScalarField(square_domain, np.zeros(square_domain.shape))
     with pytest.raises(ValidationError):
         integrate_exact_form(Z, Z, basepoint=(99, 0))
+
+
+# ---------------------------------------------------------------- bitwise oracles
+# The kernels write into arrays they allocate; these are the expressions
+# they replaced, which they must match bit for bit.
+
+
+def _ref_diff1(v, h):
+    d = np.empty_like(v, dtype=np.result_type(v, float))
+    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
+    d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    return d
+
+
+def _ref_diff2(v, h):
+    d = np.empty_like(v, dtype=np.result_type(v, float))
+    d[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / h**2
+    d[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h**2
+    d[..., -1] = (2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]) / h**2
+    return d
+
+
+_REF_STENCILS = {
+    "diff_x": (diff_x, lambda v: _ref_diff1(v, 0.3)),
+    "diff_y": (diff_y, lambda v: _ref_diff1(v.T, 0.7).T),
+    "diff2_x": (diff2_x, lambda v: _ref_diff2(v, 0.3)),
+    "diff2_y": (diff2_y, lambda v: _ref_diff2(v.T, 0.7).T),
+    "diff_xy": (diff_xy, lambda v: _ref_diff1(_ref_diff1(v, 0.3).T, 0.7).T),
+}
+
+
+def _ref_cumtrapz(v, h):
+    out = np.zeros_like(v)
+    np.cumsum(h * (v[..., 1:] + v[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _ref_integrate(P, Q, dom, basepoint):
+    ix, iy = basepoint
+    cumx = _ref_cumtrapz(P, dom.dx)
+    cumx -= cumx[:, ix][:, None]
+    cumy = _ref_cumtrapz(Q.T, dom.dy).T
+    cumy -= cumy[iy, :][None, :]
+    u = 0.5 * ((cumx[iy, :][None, :] + cumy) + (cumy[:, ix][:, None] + cumx))
+    u[iy, ix] = 0.0
+    return u
+
+
+def _ref_metric(h, signature):
+    alphas, betas = zip(*h.gradients)
+    sa2 = sum(a * a for a in alphas)
+    sab = sum(a * b for a, b in zip(alphas, betas))
+    sb2 = sum(b * b for b in betas)
+    if signature == "euclidean":
+        E, F, G = 1.0 + sa2, sab, 1.0 + sb2
+    else:
+        E, F, G = 1.0 - sa2, -sab, 1.0 - sb2
+    disc = E * G - F * F
+    mask = (E > 0) & (disc > 0)
+    return E, F, G, np.sqrt(np.where(mask, disc, 0.0)), mask
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (33, 65)])
+@pytest.mark.parametrize("stencil", sorted(_REF_STENCILS))
+def test_stencils_match_their_reference_bit_for_bit(stencil, shape):
+    fn, ref = _REF_STENCILS[stencil]
+    args = (0.3, 0.7) if stencil == "diff_xy" else (0.7 if stencil.endswith("y") else 0.3,)
+    for kind, v in bit_inputs(np.random.default_rng(11), shape).items():
+        got = fn(v, *args)
+        assert same_bits(got, ref(v)), kind
+        assert got.flags.c_contiguous, kind  # the layout downstream kernels read
+
+
+@pytest.mark.parametrize("axis", [-1, 0])
+def test_cumtrapz_matches_its_reference_bit_for_bit(axis):
+    for kind, v in bit_inputs(np.random.default_rng(12), (17, 33)).items():
+        if np.iscomplexobj(v):
+            continue
+        ref = _ref_cumtrapz(v, 0.3) if axis == -1 else _ref_cumtrapz(v.T, 0.3).T
+        assert same_bits(_cumtrapz(v, 0.3, axis), ref), kind
+
+
+@pytest.mark.parametrize("name", ["catenoid", "scherk", "holomorphic"])
+def test_integration_matches_its_reference_bit_for_bit(name):
+    f = surface(name, 33, 17)
+    dom = f.domain
+    P, Q = f.alpha(0), f.beta(0)
+    ref_closed = np.abs(_ref_diff1(P.T, dom.dy).T - _ref_diff1(Q, dom.dx))
+    assert same_bits(closedness_residual_field(P, Q, dom), ref_closed)
+    Pf, Qf = ScalarField(dom, P), ScalarField(dom, Q)
+    for basepoint in [(0, 0), (5, 3), (32, 16)]:
+        ref = _ref_integrate(P, Q, dom, basepoint)
+        for tol, scale in [(None, 1.0), (1e6, 2.0), (1e6, np.abs(P) + 1.0)]:
+            u = integrate_exact_form(Pf, Qf, basepoint, tol, scale)
+            assert same_bits(u.values, ref), (basepoint, tol)
+
+
+@pytest.mark.parametrize("name", ["catenoid", "holomorphic", "quadratic_gradient"])
+@pytest.mark.parametrize("signature", ["euclidean", "split"])
+def test_metric_and_jacobians_match_their_reference_bit_for_bit(name, signature):
+    f = surface(name, 17, 17)
+    metric = first_fundamental_form(f, signature)
+    E, F, G, omega, mask = _ref_metric(f, signature)
+    if name == "quadratic_gradient" and signature == "split":
+        assert not mask.any()  # ||J|| = 1: omega is zeroed at every node
+    got = (metric.E, metric.F, metric.G, metric.omega)
+    assert all(same_bits(a, b) for a, b in zip(got, (E, F, G, omega)))
+    assert np.array_equal(metric.mask, mask)
+    jac = jacobian_data(f)
+    if jac.pairs:
+        assert same_bits(jac.norm, np.sqrt(sum(J * J for J in jac.pairs.values())))
+
+
+def test_metric_sums_start_from_zero_as_python_sum():
+    # a lone product -0.0 * 1.0: Python's sum from 0 reads 0.0, so F does
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    f = HeightMap(dom, [np.zeros(dom.shape)], [(np.full(dom.shape, -0.0), np.ones(dom.shape))])
+    metric = first_fundamental_form(f)
+    assert same_bits(metric.F, _ref_metric(f, "euclidean")[1])
+    assert not np.signbit(metric.F).any()

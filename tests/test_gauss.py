@@ -15,7 +15,7 @@ from twinsurf.gauss import (
     quadric_residual,
 )
 
-from conftest import random_heightmap, surface
+from conftest import random_heightmap, same_bits, surface
 
 
 def gauss_map_alt(f: HeightMap) -> np.ndarray:
@@ -226,3 +226,55 @@ def test_tile_bounds_prune_most_tile_pairs():
     groups, live = _live_tiles(z, iy, ix, g.shape[:2])
     assert len(groups) == 64 and sorted(np.concatenate(groups)) == list(range(len(z)))
     assert 0 < live.mean() < 0.1
+
+
+# ---------------------------------------------------------------- bitwise oracles
+# the expressions of the field built from a list and normalized by copies
+
+
+def _ref_normalize_projective(components):
+    z = np.stack([np.asarray(c, dtype=complex) for c in components], axis=-1)
+    norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))
+    z = z / norm[..., None]
+    phase = np.ones(z.shape[:-1], dtype=complex)
+    fixed = np.zeros(z.shape[:-1], dtype=bool)
+    for k in range(z.shape[-1]):
+        sel = (~fixed) & (np.abs(z[..., k]) > 1e-13)
+        zk = z[..., k][sel]
+        phase[sel] = np.conj(zk) / np.abs(zk)
+        fixed |= sel
+    return z * phase[..., None]
+
+
+def _ref_gauss_map(f):
+    _, Fw, Gw = first_fundamental_form(f, "euclidean").over_area
+    z1 = Gw + 0j
+    z2 = 1j - Fw
+    return _ref_normalize_projective(
+        [z1, z2] + [z1 * f.alpha(k) + z2 * f.beta(k) for k in range(f.n)]
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 8, 9])
+def test_normalize_projective_matches_its_reference_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    comps = [
+        rng.standard_normal((17, 33)) * 10.0 ** rng.integers(-6, 7, (17, 33))
+        + 1j * rng.standard_normal((17, 33))
+        for _ in range(m)
+    ]
+    comps[0][:4, :4] = 0.0  # the gauge falls to a later component there
+    comps[0][4, :4] = -0.0
+    comps[-1][:2, :2] = 1e-15  # below the gauge threshold
+    assert same_bits(normalize_projective(comps), _ref_normalize_projective(comps))
+
+
+def test_gauss_map_matches_its_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 33)
+    maps = [surface(name, 33, 17) for name in ("plane", "catenoid", "scherk", "holomorphic")]
+    maps += [random_heightmap(rng, dom, n=n) for n in (1, 6, 7)]
+    for f in maps:
+        g = gauss_map(f)
+        assert same_bits(g, _ref_gauss_map(f))
+        assert g.flags.c_contiguous

@@ -1,0 +1,86 @@
+"""The grid kernels write only into arrays they allocated, and hold few
+grid arrays at once."""
+
+import tracemalloc
+
+import pytest
+
+from twinsurf import (
+    TwinPair,
+    build_chart,
+    gauss_map,
+    minimal_residual,
+    planarity_score,
+    sl_lift,
+    twin_backward,
+    twin_forward,
+    verify_surface,
+    verify_twin,
+    verify_weierstrass_twin,
+)
+
+from conftest import surface
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _read_only_map(h):
+    _read_only(*h.components, *(a for pair in h.gradients for a in pair))
+    return h
+
+
+@pytest.mark.parametrize("name", ["holomorphic", "scherk"])
+def test_kernels_write_only_into_arrays_they_allocated(name):
+    # catalog holomorphic shares one array between two gradient slots, so a
+    # kernel that wrote into its input would also corrupt the other slot
+    f = _read_only_map(surface(name, 33, 33))
+    minimal_residual(f)
+    pair = twin_forward(f)
+    g = _read_only_map(pair.g)
+    twin_backward(g)
+    verify_twin(f, g)
+    sl_lift(f)
+    chart = build_chart(f)
+    _read_only(*(s.values for s in (chart.M, chart.N, chart.xi1, chart.xi2, chart.J_psi)))
+    verify_weierstrass_twin(TwinPair(f, g, pair.diagnostics), chart)
+    field = gauss_map(f)
+    _read_only(field)
+    planarity_score(field)
+    verify_surface(f)
+
+
+def _peak_units(fn, *args):
+    """Traced peak of ``fn(*args)`` above its entry, in grid arrays of
+    8 ny nx bytes (all inputs here are 257 x 257)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * 257 * 257)
+
+
+# measured peaks plus one grid array; the copying kernels these replaced
+# read 30.5 (gauss_map), 38.5, 22.0 and 17.3
+_PEAK_BOUNDS = {
+    "gauss_map": 15.5,
+    "twin_forward": 27.5,
+    "verify_weierstrass_twin": 21.0,
+    "build_chart": 16.5,
+}
+
+
+def test_stage_peaks_stay_under_their_bounds():
+    f = surface("holomorphic", 257, 257)  # n = 2
+    pair, chart = twin_forward(f), build_chart(f)
+    peaks = {
+        "gauss_map": _peak_units(gauss_map, f),
+        "twin_forward": _peak_units(twin_forward, f),
+        "verify_weierstrass_twin": _peak_units(verify_weierstrass_twin, pair, chart),
+        "build_chart": _peak_units(build_chart, f),
+    }
+    assert all(peaks[k] <= _PEAK_BOUNDS[k] for k in peaks), peaks

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from twinsurf.errors import ValidationError
-from twinsurf.fields import GridDomain, HeightMap
+from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
 from twinsurf.systems import (
+    _quasilinear,
+    _residual_scale,
+    _second_derivatives,
     closedness_identities,
     divergence_residual,
     maximal_residual,
     minimal_residual,
 )
 
-from conftest import surface
+from conftest import random_heightmap, same_bits, surface
 
 
 def test_affine_graph_is_exactly_minimal(square_domain):
@@ -72,3 +75,40 @@ def test_unknown_normalization_rejected(square_domain):
     f = HeightMap(square_domain, [np.zeros(square_domain.shape)])
     with pytest.raises(ValidationError):
         minimal_residual(f).max_abs("percent")
+
+
+# ---------------------------------------------------------------- bitwise oracles
+# the expressions the in-place kernels replaced
+
+
+def _ref_residual_scale(metric, seconds):
+    m = np.ones(metric.E.shape)
+    for fxx, fxy, fyy in seconds:
+        m = np.maximum(m, np.abs(fxx))
+        m = np.maximum(m, np.abs(fxy))
+        m = np.maximum(m, np.abs(fyy))
+    return np.maximum(np.abs(metric.E + metric.G), 1e-12) * m
+
+
+def _ref_quasilinear(metric, seconds):
+    return [metric.G * hxx - 2.0 * metric.F * hxy + metric.E * hyy for hxx, hxy, hyy in seconds]
+
+
+def _bit_maps():
+    rng = np.random.default_rng(5)
+    yield surface("catenoid", 33, 17)
+    yield surface("holomorphic", 17, 33)
+    yield random_heightmap(rng, GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17), n=3)
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
+    X, Y = dom.meshgrid()
+    yield HeightMap(dom, [0.8 * X * X, -0.0 * Y])  # split data not spacelike everywhere; -0.0
+
+
+@pytest.mark.parametrize("signature", ["euclidean", "split"])
+def test_residual_kernels_match_their_reference_bit_for_bit(signature):
+    for f in _bit_maps():
+        metric = first_fundamental_form(f, signature)
+        seconds = [_second_derivatives(f, k) for k in range(f.n)]
+        assert same_bits(_residual_scale(metric, seconds), _ref_residual_scale(metric, seconds))
+        got, ref = _quasilinear(metric, seconds), _ref_quasilinear(metric, seconds)
+        assert len(got) == len(ref) and all(same_bits(a, b) for a, b in zip(got, ref))
