@@ -3,11 +3,12 @@ xi-grid, holomorphic null curves, and the Weierstrass twin relation.
 
 The transformation is Psi(x, y) = (x + M, y + N) with M, N integrated from
 (E/w, F/w) and (F/w, G/w); its Jacobian 2 + (E+G)/w is at least 4, as
-E + G >= 2 sqrt(EG) >= 2w.  Null curves and the Weierstrass relation are
-read on the source grid by pulling xi-derivatives back through DPsi, so
-they keep second order; the pullback is taken once per call, and the
-Weierstrass relation reads both sides and the minimal side's holomorphy
-through it.  Only ``resample_to_chart`` inverts the chart: damped Newton
+E + G >= 2 sqrt(EG) >= 2w; the chart stores M, N and J_psi and reads xi
+from M and N.  Null curves and the Weierstrass relation are read on the
+source grid by pulling xi-derivatives back through DPsi (second order),
+once per call, holding one height component's phi at a time; the relation
+reads both sides and the minimal side's holomorphy through the one
+pullback.  Only ``resample_to_chart`` inverts the chart: damped Newton
 from an affine seed (no nearest-node search), bilinear interpolation.
 """
 
@@ -35,14 +36,19 @@ class ConformalChart:
     source: HeightMap
     M: ScalarField
     N: ScalarField
-    xi1: ScalarField  # x + M
-    xi2: ScalarField  # y + N
     J_psi: ScalarField  # 2 + (E+G)/w
+
+    @property
+    def xi1(self) -> ScalarField:  # x + M
+        return ScalarField(self.source.domain, self.M.values + self.source.domain.xs)
+
+    @property
+    def xi2(self) -> ScalarField:  # y + N
+        return ScalarField(self.source.domain, self.N.values + self.source.domain.ys[:, None])
 
 
 @dataclass
 class NullCurveField:
-    phi: list  # complex arrays phi_1..phi_{n+2}
     holomorphy_residual: float
     nullity_residual: float
     signature: str
@@ -58,16 +64,8 @@ def build_chart(
 
 def _build_chart(f: HeightMap, metric, M, N) -> ConformalChart:
     """The chart of ``f`` from its metric and lift potentials M, N."""
-    dom = f.domain
-    X, Y = dom.meshgrid()
-    return ConformalChart(
-        f,
-        M,
-        N,
-        ScalarField(dom, X + M.values),
-        ScalarField(dom, Y + N.values),
-        ScalarField(dom, 2.0 + (metric.E + metric.G) / metric.omega),
-    )
+    J_psi = ScalarField(f.domain, 2.0 + (metric.E + metric.G) / metric.omega)
+    return ConformalChart(f, M, N, J_psi)
 
 
 def _cell(dom: GridDomain, x: np.ndarray, y: np.ndarray):
@@ -129,7 +127,6 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
     dom = chart.source.domain
     Ew, Fw, Gw = first_fundamental_form(chart.source, "euclidean").over_area
     t1, t2 = target.meshgrid()
-    xi1, xi2 = chart.xi1.values, chart.xi2.values
 
     def residual(x, y):
         cell = _cell(dom, x, y)
@@ -137,8 +134,10 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
         r2 = y + _bilinear(chart.N.values, cell) - t2
         return r1, r2, np.hypot(r1, r2), cell
 
-    x = dom.x0 + (t1 - xi1.min()) * ((dom.x1 - dom.x0) / np.ptp(xi1))
-    y = dom.y0 + (t2 - xi2.min()) * ((dom.y1 - dom.y0) / np.ptp(xi2))
+    def seed(t, xi, a, b):  # the affine map of xi's range onto [a, b]
+        return a + (t - xi.min()) * ((b - a) / np.ptp(xi))
+
+    x, y = seed(t1, chart.xi1.values, dom.x0, dom.x1), seed(t2, chart.xi2.values, dom.y0, dom.y1)
     r = residual(x, y)
     for _ in range(50):
         r1, r2, rnorm, cell = r
@@ -199,9 +198,10 @@ def _pullback(chart: ConformalChart, *maps: HeightMap):
         raise ValidationError("height map and chart must share the source grid")
     if min(dom.nx, dom.ny) < 2 * _MARGIN_CELLS + 3:
         raise ValidationError(f"null curve needs at least {2 * _MARGIN_CELLS + 3} nodes per axis")
-    xi1, xi2 = chart.xi1.values, chart.xi2.values
-    xi1_x, xi1_y = diff_x(xi1, dom.dx), diff_y(xi1, dom.dy)
-    xi2_x, xi2_y = diff_x(xi2, dom.dx), diff_y(xi2, dom.dy)
+    def grad(xi):  # each xi is dropped once differenced
+        return diff_x(xi.values, dom.dx), diff_y(xi.values, dom.dy)
+
+    (xi1_x, xi1_y), (xi2_x, xi2_y) = grad(chart.xi1), grad(chart.xi2)
     det = xi1_x * xi2_y
     det -= xi1_y * xi2_x
     A = np.multiply(1j, xi1_y)
@@ -219,10 +219,6 @@ def _phi(c: np.ndarray, A, B, dom: GridDomain) -> np.ndarray:
     p = np.multiply(A, diff_x(c, dom.dx))
     p += B * diff_y(c, dom.dy)
     return p
-
-
-def _null_phi(h: HeightMap, A, B) -> list:
-    return [A, B] + [_phi(c, A, B, h.domain) for c in h.components]
 
 
 def _ring_max(v: np.ndarray, rings: int) -> float:
@@ -248,12 +244,6 @@ def _dbar_max(p: np.ndarray, Ac, Bc, dom: GridDomain) -> float:
     return _ring_max(_dbar(p, Ac, Bc, dom), _MARGIN_CELLS + 1)
 
 
-def _holomorphy(phi, A, B, dom: GridDomain) -> float:
-    """max |dbar phi_k|, ``_MARGIN_CELLS`` + 1 rings in."""
-    Ac, Bc = A.conj(), B.conj()
-    return max([0.0] + [_dbar_max(p, Ac, Bc, dom) for p in phi])
-
-
 def _square_sum(terms, acc=None) -> np.ndarray:
     """``acc`` plus p * p for each of ``terms``, added in the order of
     Python's sum from 0 (which turns a first -0.0 into 0.0) in one array."""
@@ -274,28 +264,30 @@ def _split_null(a, b, tail) -> np.ndarray:
     return null
 
 
-def _nullity(phi, signature: str) -> float:
-    """max |<phi, phi>| in ``signature``, ``_MARGIN_CELLS`` rings in."""
-    if signature == "euclidean":
-        null = _square_sum(phi)
-    elif signature == "split":
-        null = _split_null(phi[0], phi[1], _square_sum(phi[2:]))
-    else:
-        raise ValidationError(f"unknown signature {signature!r}")
-    return _ring_max(null, _MARGIN_CELLS)
-
-
 def null_curve(
     h: HeightMap, chart: ConformalChart, signature: str = "euclidean"
 ) -> NullCurveField:
     """phi_k = dF_k/dxi1 - i dF_k/dxi2 of F = (x, y, h_1..h_n) on the source
     grid: d = A d/dx + B d/dy and dbar = conj(A) d/dx + conj(B) d/dy from
     ``_pullback``.  Nullity is taken ``_MARGIN_CELLS`` rings in, holomorphy
-    a ring further."""
+    a ring further.  phi_{k+2} is taken one height component at a time and
+    dropped once read: the euclidean sum starts from phi_1^2 + phi_2^2, the
+    split one subtracts its height tail from them."""
+    if signature not in ("euclidean", "split"):
+        raise ValidationError(f"unknown signature {signature!r}")
     A, B = _pullback(chart, h)
-    phi = _null_phi(h, A, B)
-    holo, null = _holomorphy(phi, A, B, h.domain), _nullity(phi, signature)
-    return NullCurveField(phi, holo, null, signature)
+    dom = h.domain
+    Ac, Bc = A.conj(), B.conj()
+    holo = max(0.0, _dbar_max(A, Ac, Bc, dom), _dbar_max(B, Ac, Bc, dom))
+    euclidean = signature == "euclidean"
+    acc = _square_sum([A, B]) if euclidean else None
+    for c in h.components:
+        p = _phi(c, A, B, dom)
+        holo = max(holo, _dbar_max(p, Ac, Bc, dom))
+        acc = _square_sum([p], acc)
+        del p
+    null = acc if euclidean else _split_null(A, B, acc)
+    return NullCurveField(holo, _ring_max(null, _MARGIN_CELLS), signature)
 
 
 def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:
@@ -308,13 +300,18 @@ def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:
     relation residual, equals ``height_residual``.  phi_{k+2} and
     phihat_{k+2} are taken one height component at a time, and each is
     dropped once read."""
-    A, B = _pullback(chart, pair.f, pair.g)
-    dom = pair.f.domain
+    f, g = pair.f, pair.g
+    if f.n != g.n:
+        raise ValidationError(
+            f"twin sides differ: {f.n} component(s) on {f.domain} and {g.n} on {g.domain}"
+        )
+    A, B = _pullback(chart, f, g)
+    dom = f.domain
     Ac, Bc = A.conj(), B.conj()
     holo = max(0.0, _dbar_max(A, Ac, Bc, dom), _dbar_max(B, Ac, Bc, dom))
     null_f, tail_g = _square_sum([A, B]), None
     r = 0.0
-    for c, chat in zip(pair.f.components, pair.g.components):
+    for c, chat in zip(f.components, g.components):
         p = _phi(c, A, B, dom)
         holo = max(holo, _dbar_max(p, Ac, Bc, dom))
         null_f = _square_sum([p], null_f)

@@ -98,7 +98,9 @@ def gauss_map(f: HeightMap) -> np.ndarray:
     needed for the geometric interpretation.  Each z_k is written into
     the ``(ny, nx, n+2)`` result, which is then normalized in place.
     """
-    Fw, Gw = first_fundamental_form(f, "euclidean").over_area[1:]
+    m = first_fundamental_form(f, "euclidean")  # its mask is all true
+    Fw, Gw = m.F / m.omega, m.G / m.omega
+    del m
     z = np.empty(f.domain.shape + (f.n + 2,), dtype=complex)
     z1 = np.add(Gw, 0j, out=z[..., 0])
     z2 = np.subtract(1j, Fw, out=z[..., 1])

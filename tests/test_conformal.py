@@ -139,9 +139,10 @@ def test_invert_chart_rejects_target_past_the_image():
 def test_null_curve_of_flat_immersion():
     f, chart = flat_chart()
     nc = null_curve(f, chart, "euclidean")
-    assert np.abs(nc.phi[0] - 0.5).max() < 1e-8
-    assert np.abs(nc.phi[1] + 0.5j).max() < 1e-8
-    assert np.abs(nc.phi[2]).max() < 1e-8
+    phi = _ref_null_phi(f, *conformal._pullback(chart))
+    assert np.abs(phi[0] - 0.5).max() < 1e-8
+    assert np.abs(phi[1] + 0.5j).max() < 1e-8
+    assert np.abs(phi[2]).max() < 1e-8
     assert nc.holomorphy_residual < 1e-7
     assert nc.nullity_residual < 1e-7
 
@@ -205,9 +206,11 @@ def test_weierstrass_residuals_vanish_on_holomorphic_pair(values_only):
 def _weierstrass_from_null_curves(pair, chart):
     nf = null_curve(pair.f, chart, "euclidean")
     ng = null_curve(pair.g, chart, "split")
+    A, B = conformal._pullback(chart)
+    phi, phihat = _ref_null_phi(pair.f, A, B), _ref_null_phi(pair.g, A, B)
     r = max(
-        float(np.abs((ng.phi[k] + 1j * nf.phi[k])[2:-2, 2:-2]).max())
-        for k in range(2, len(nf.phi))
+        float(np.abs((phihat[k] + 1j * phi[k])[2:-2, 2:-2]).max())
+        for k in range(2, len(phi))
     )
     return {
         "height_residual": r,
@@ -242,6 +245,14 @@ def test_weierstrass_twin_rejects_twin_on_other_grid():
     pair = TwinPair(f, g, None)
     with pytest.raises(ValidationError):
         verify_weierstrass_twin(pair, chart)
+
+
+def test_weierstrass_twin_rejects_sides_with_other_component_counts():
+    f = surface("holomorphic", 33, 33)  # n = 2
+    g = twin_forward(f).g
+    pair = TwinPair(f, HeightMap(g.domain, g.components[:1]), None)
+    with pytest.raises(ValidationError, match="twin sides differ"):
+        verify_weierstrass_twin(pair, build_chart(f))
 
 
 def test_bilinear_exact_on_bilinear_functions():
@@ -313,6 +324,13 @@ def _bit_pairs():
         yield TwinPair(f, random_heightmap(rng, dom, n=2), None), build_chart(f, tol=1e6)
 
 
+def test_chart_xi_equals_its_meshgrid_form_bit_for_bit():
+    for _, chart in _bit_pairs():
+        X, Y = chart.source.domain.meshgrid()
+        assert same_bits(chart.xi1.values, X + chart.M.values)
+        assert same_bits(chart.xi2.values, Y + chart.N.values)
+
+
 def test_null_curve_kernels_match_their_reference_bit_for_bit():
     for pair, chart in _bit_pairs():
         dom = chart.source.domain
@@ -320,9 +338,11 @@ def test_null_curve_kernels_match_their_reference_bit_for_bit():
         assert all(same_bits(a, b) for a, b in zip((A, B), _ref_pullback(chart)))
         Ac, Bc = A.conj(), B.conj()
         for h, signature in ((pair.f, "euclidean"), (pair.g, "split")):
-            phi = conformal._null_phi(h, A, B)
-            ref = _ref_null_phi(h, A, B)
-            assert all(same_bits(a, b) for a, b in zip(phi, ref))
+            phi = _ref_null_phi(h, A, B)
+            assert all(
+                same_bits(conformal._phi(c, A, B, dom), p)
+                for c, p in zip(h.components, phi[2:])
+            )
             # the fields behind the maxima, whose largest node hides most bits
             for p in phi:
                 dbar = conformal._dbar(p, Ac, Bc, dom)
@@ -330,12 +350,9 @@ def test_null_curve_kernels_match_their_reference_bit_for_bit():
             assert same_bits(conformal._square_sum(phi), sum(p * p for p in phi))
             split = conformal._split_null(phi[0], phi[1], conformal._square_sum(phi[2:]))
             assert same_bits(split, phi[0] ** 2 + phi[1] ** 2 - sum(p * p for p in phi[2:]))
-            holo = conformal._holomorphy(phi, A, B, dom)
-            assert same_bits(holo, _ref_holomorphy(ref, A, B, dom))
-            assert same_bits(conformal._nullity(phi, signature), _ref_nullity(ref, signature))
             curve = null_curve(h, chart, signature)
-            assert same_bits(curve.holomorphy_residual, _ref_holomorphy(ref, A, B, dom))
-            assert same_bits(curve.nullity_residual, _ref_nullity(ref, signature))
+            assert same_bits(curve.holomorphy_residual, _ref_holomorphy(phi, A, B, dom))
+            assert same_bits(curve.nullity_residual, _ref_nullity(phi, signature))
     # a first square with -0.0 parts, which Python's sum from 0 turns into 0.0
     terms = [np.array([1.0 - 0.0j, -0.0 + 0.0j, 2.0 + 1j]), np.array([3.0, -0.0 - 0.0j, 1j])]
     assert same_bits(conformal._square_sum(terms), sum(p * p for p in terms))

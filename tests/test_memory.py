@@ -10,6 +10,7 @@ from twinsurf import (
     build_chart,
     gauss_map,
     minimal_residual,
+    null_curve,
     planarity_score,
     sl_lift,
     twin_backward,
@@ -44,7 +45,9 @@ def test_kernels_write_only_into_arrays_they_allocated(name):
     verify_twin(f, g)
     sl_lift(f)
     chart = build_chart(f)
-    _read_only(*(s.values for s in (chart.M, chart.N, chart.xi1, chart.xi2, chart.J_psi)))
+    _read_only(*(s.values for s in (chart.M, chart.N, chart.J_psi)))
+    null_curve(f, chart, "euclidean")
+    null_curve(g, chart, "split")
     verify_weierstrass_twin(TwinPair(f, g, pair.diagnostics), chart)
     field = gauss_map(f)
     _read_only(field)
@@ -71,6 +74,8 @@ _PEAK_BOUNDS = {
     "twin_forward": 27.5,
     "verify_weierstrass_twin": 21.0,
     "build_chart": 16.5,
+    "null_curve_euclidean": 19.0,
+    "null_curve_split": 19.0,
 }
 
 
@@ -82,5 +87,7 @@ def test_stage_peaks_stay_under_their_bounds():
         "twin_forward": _peak_units(twin_forward, f),
         "verify_weierstrass_twin": _peak_units(verify_weierstrass_twin, pair, chart),
         "build_chart": _peak_units(build_chart, f),
+        "null_curve_euclidean": _peak_units(null_curve, f, chart, "euclidean"),
+        "null_curve_split": _peak_units(null_curve, f, chart, "split"),
     }
     assert all(peaks[k] <= _PEAK_BOUNDS[k] for k in peaks), peaks
