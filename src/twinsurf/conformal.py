@@ -106,13 +106,15 @@ def default_target_grid(chart: ConformalChart) -> GridDomain:
     of the shrunk grid lies inside the image.
     """
     m = _MARGIN_CELLS
+    dom = chart.source.domain
+    if min(dom.nx, dom.ny) < 2 * m + 2:
+        raise ValidationError(f"target grid needs at least {2 * m + 2} nodes per axis")
     xi1 = chart.xi1.values[m:-m, m:-m]
     xi2 = chart.xi2.values[m:-m, m:-m]
     lo1, hi1 = xi1[:, 0].max(), xi1[:, -1].min()
     lo2, hi2 = xi2[0, :].max(), xi2[-1, :].min()
     if not (hi1 > lo1 and hi2 > lo2):
         raise TargetOutsideImage("image of the interior has no inscribed rectangle")
-    dom = chart.source.domain
     return GridDomain.from_bounds(lo1, lo2, hi1, hi2, dom.nx, dom.ny)
 
 

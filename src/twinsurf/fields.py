@@ -175,6 +175,15 @@ def _grid_array(values, domain: GridDomain, what: str) -> np.ndarray:
     return values
 
 
+def _pair(gradient):
+    """``gradient`` unpacked as (d/dx, d/dy); anything else is rejected."""
+    try:
+        gx, gy = gradient
+    except (TypeError, ValueError):
+        raise ValidationError("each gradient entry must be a pair (d/dx, d/dy)") from None
+    return gx, gy
+
+
 @dataclass
 class HeightMap:
     """An n-component map on a grid with (optionally analytic) gradients.
@@ -199,8 +208,8 @@ class HeightMap:
         if len(self.gradients) != len(self.components):
             raise ValidationError("one gradient pair per component required")
         self.gradients = [
-            (_grid_array(gx, dom, "gradient"), _grid_array(gy, dom, "gradient"))
-            for gx, gy in self.gradients
+            tuple(_grid_array(g, dom, "gradient") for g in _pair(pair))
+            for pair in self.gradients
         ]
 
     @property

@@ -453,6 +453,18 @@ def test_chart_null_curve_on_tiny_grid_exits_1(tmp_path, capsys, action, n):
     assert "VALIDATION" in err and "7 nodes per axis" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid, code", [("5,9", 1), ("9,5", 1), ("6,6", 0)])
+def test_chart_resample_grid_size(tmp_path, capsys, grid, code):
+    # the target grid drops _MARGIN_CELLS rings on each side and needs two
+    # nodes left per axis: too few is a validation error, not a missing image
+    path = _sample(str(tmp_path / "small.gf"), grid)
+    capsys.readouterr()
+    assert run(["chart", "resample", "--in", path, "--out", path + ".xi"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "VALIDATION" in err and "6 nodes per axis" in err and "Traceback" not in err
+
+
 def _count_calls(monkeypatch, names):
     """Count calls of each named twinsurf function in every module binding it."""
     calls = dict.fromkeys(names, 0)

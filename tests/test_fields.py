@@ -123,6 +123,15 @@ def test_heightmap_rejects_bad_gradients(gradient):
         minimal_residual(HeightMap(dom, [X * Y], [(Y, gradient)]))
 
 
+@pytest.mark.parametrize("entry", ["array", "1-tuple", "3-tuple", "scalar"])
+def test_heightmap_rejects_gradient_entries_that_are_not_pairs(entry):
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    X, Y = dom.meshgrid()
+    bad = {"array": Y, "1-tuple": (Y,), "3-tuple": (Y, X, X), "scalar": 1.0}[entry]
+    with pytest.raises(ValidationError, match="pair"):
+        HeightMap(dom, [X * Y], [bad])
+
+
 def test_metric_plane(square_domain):
     f = HeightMap(square_domain, [np.zeros(square_domain.shape)])
     m = first_fundamental_form(f, "euclidean")

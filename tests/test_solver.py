@@ -8,7 +8,7 @@ from twinsurf.fields import GridDomain, first_fundamental_form
 from twinsurf.solver import _OUTER_TOL, solve_maximal, solve_minimal
 from twinsurf.twin import twin_forward
 
-from conftest import surface
+from conftest import same_bits, surface
 
 
 def test_zero_boundary_gives_zero_solution():
@@ -129,7 +129,7 @@ def test_oscillating_residual_is_not_a_stall():
     assert res.update_history[-1] < _OUTER_TOL
 
 
-@pytest.mark.parametrize("system, iterations", [("minimal", 7), ("maximal", 6)])
+@pytest.mark.parametrize("system, iterations", [("minimal", 8), ("maximal", 6)])
 def test_one_factorisation_per_solve(monkeypatch, system, iterations):
     calls = []
     splu = twinsurf.solver.splu
@@ -142,6 +142,58 @@ def test_one_factorisation_per_solve(monkeypatch, system, iterations):
     res = solve(exact.domain, [c.copy() for c in exact.components])
     assert len(calls) == 1
     assert res.outer_iterations == iterations
+
+
+def _scherk_square(n, margin):
+    a = np.pi / 2 - margin
+    dom = GridDomain.from_bounds(-a, -a, a, a, n, n)
+    return make_surface("scherk", None, dom)
+
+
+@pytest.mark.parametrize(
+    "name, first", [("catenoid", 5), ("helicoid", 5), ("scherk", 5), ("square", 9)]
+)
+def test_factored_stencil_points(monkeypatch, name, first):
+    # the first factor drops the mixed term where max |F| / sqrt(E G) <= 1/2:
+    # the catalog defaults read 0.17 to 0.31, the square 0.89; with
+    # tolerance 0 the iteration stalls, refactoring at every late step
+    monkeypatch.setattr(twinsurf.solver, "_OUTER_TOL", 0.0)
+    keys = []
+    factor = twinsurf.solver._factor
+    monkeypatch.setattr(
+        twinsurf.solver, "_factor", lambda w: keys.append(sorted(w)) or factor(w)
+    )
+    f = _scherk_square(65, 0.3) if name == "square" else surface(name, 33, 33)
+    with pytest.raises(MaxIterations, match="residual stalled"):
+        solve_minimal(f.domain, [c.copy() for c in f.components], max_outer=60)
+    assert len(keys[0]) == first
+    if first == 5:
+        assert keys[0] == sorted([(0, 0), (0, -1), (0, 1), (-1, 0), (1, 0)])
+    assert len(keys) > 1 and all(len(k) == 9 for k in keys[1:])
+
+
+def _both_paths(monkeypatch, solve, f):
+    """The default solve of f and one whose first factor is forced to 9 points."""
+    default = solve(f.domain, [c.copy() for c in f.components])
+    monkeypatch.setattr(twinsurf.solver, "_mixed_ratio", lambda met: np.inf)
+    nine = solve(f.domain, [c.copy() for c in f.components])
+    return default, nine
+
+
+@pytest.mark.parametrize("system", ["minimal", "maximal"])
+def test_five_point_first_factor_reaches_the_same_fixed_point(monkeypatch, system):
+    f = surface("catenoid", 65, 65)
+    exact = f if system == "minimal" else twin_forward(f).g
+    solve = solve_minimal if system == "minimal" else solve_maximal
+    default, nine = _both_paths(monkeypatch, solve, exact)
+    for u, v in zip(default.surface.components, nine.surface.components):
+        assert np.abs(u - v).max() <= 1e-9 * max(1.0, np.abs(v).max())
+
+
+def test_steep_square_keeps_the_nine_point_path(monkeypatch):
+    default, nine = _both_paths(monkeypatch, solve_minimal, _scherk_square(65, 0.3))
+    assert same_bits(default.surface.components[0], nine.surface.components[0])
+    assert default.update_history == nine.update_history
 
 
 @pytest.mark.parametrize("system, name", [("minimal", "scherk"), ("maximal", "catenoid")])
