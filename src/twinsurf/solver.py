@@ -5,32 +5,23 @@ satisfies the linear equation G u_xx - 2 F u_xy + E u_yy = 0, discretised
 by the standard 9-point stencil (the mixed term on the four diagonal
 neighbors).  The discrete solution is the fixed point A(u) u = 0 on the
 interior nodes, with A the stencil at the metric of u and the Dirichlet
-edges held.  We reach it by a chord step (residual correction): the
-operator is assembled over the interior nodes as one sparse matrix and
-LU-factored at the initial guess, the transfinite interpolation of the
-edges; each step forms the residual
-R = -A(u) u at the current metric and corrects u by the solve of that one
-factor against R, for every component at once.  When max |F| / sqrt(E G)
-over the interior of the initial guess is at most `_CONTRACTION` (1/2),
-that first factor keeps only the 5-point part of the stencil (centre and
-the four axis neighbors): at frozen coefficients the mixed term is then
-bounded, by AM-GM on the stencil symbol, by that ratio times the 5-point
-part, so the chord step still shrinks the error at least 2x per step, and
-the factor has about 40 % less fill.  R is always the 9-point residual, so
-the fixed point and the stop rule are the same either way.  The operator is
-factored again, with all 9 points at the current metric, only when an
-update exceeds `_CONTRACTION` times the one before or the residual is not
-the smallest so far.
-Iteration stops when both the update and the scaled residual
-max|R| / max|diag A| / max(1, max|u|) are below `_OUTER_TOL`.  When
-`_STALL_STEPS` consecutive steps, each refactored, bring the residual no
-lower than its smallest value, it has stalled; that, or `max_outer` steps
-(`MAX_OUTER` by default) without convergence, raises `MaxIterations`.  The
-maximal system uses the hatted (split-signature) coefficients in the same
-stencil and halves each step until the iterate stays strictly spacelike.
-
-scipy (the sparse matrix and SuperLU) is imported at the first
-factorisation, not with this module: importing twinsurf loads no scipy.
+edges held.  From the transfinite interpolation of the edges, each step
+forms the residual R = -A(u) u at the current metric and the correction
+d = P^-1 (R / (E+G)) for every component at once.  P = a d_xx + (1-a) d_yy
+is the 5-point operator with Dirichlet edges, a the interior mean of
+G / (E+G) on the initial guess: a separable preconditioner for the
+nonseparable operator (Concus & Golub, SIAM J. Numer. Anal. 10(6), 1973),
+diagonalised by the discrete sine transform, which `numpy.fft.rfft` gives.
+The steps are mixed by Anderson acceleration of depth `_DEPTH` (Walker &
+Ni, SIAM J. Numer. Anal. 49(4), 2011), its least squares solved on the
+small Gram matrix; the mixing restarts on every step that sets no new
+smallest residual.  Iteration stops when both the update and the scaled
+residual max|R| / max|diag A| / max(1, max|u|) are below `_OUTER_TOL`.
+When `_STALL_STEPS` consecutive steps bring the residual no lower than its
+smallest value, it has stalled; that, or `max_outer` steps (`MAX_OUTER` by
+default) without convergence, raises `MaxIterations`.  The maximal system
+uses the hatted (split-signature) coefficients in the same stencil and
+halves each mixed step until the iterate stays strictly spacelike.
 """
 
 from __future__ import annotations
@@ -52,7 +43,7 @@ class SolveResult:
     update_history: list = field(default_factory=list)
 
 
-# Default cap on chord steps; `solve --max-outer` starts from it.
+# Default cap on iteration steps; `solve --max-outer` starts from it.
 MAX_OUTER = 200
 # Both the update and the scaled residual must fall below this to converge.
 _OUTER_TOL = 1e-9
@@ -61,10 +52,8 @@ _OUTER_TOL = 1e-9
 _STALL_STEPS = 5
 # A maximal iterate keeps this share of the initial guess's spacelike margin.
 _SPACELIKE_MARGIN = 0.05
-# The operator is factored again when an update is more than this times
-# the one before; the first factor leaves out the mixed term when its chord
-# step contracts at least as fast: max |F| / sqrt(E G) at most this.
-_CONTRACTION = 0.5
+# Anderson mixing combines at most this many previous steps.
+_DEPTH = 10
 
 
 def _transfinite(domain: GridDomain, bc: np.ndarray) -> np.ndarray:
@@ -93,53 +82,47 @@ def _stencil(met, domain):
     }
 
 
-def _mixed_ratio(met):
-    """max |F| / sqrt(E G) over the interior: at frozen coefficients, a bound
-    on the contraction of a chord step by the 5-point part of the stencil."""
-    E, F, G = (a[1:-1, 1:-1] for a in (met.E, met.F, met.G))
-    return float(np.max(np.abs(F) / np.sqrt(E * G)))
-
-
 def _apply(weights, u):
-    """The stencil applied to a full field, edges included: interior values."""
-    ny, nx = u.shape
+    """The stencil applied to full fields, edges included: interior values
+    (leading axes are batched)."""
+    ny, nx = u.shape[-2:]
     return sum(
-        w * u[1 + dj:ny - 1 + dj, 1 + di:nx - 1 + di] for (dj, di), w in weights.items()
+        w * u[..., 1 + dj:ny - 1 + dj, 1 + di:nx - 1 + di] for (dj, di), w in weights.items()
     )
 
 
-def splu(*args, **kwargs):
-    """SuperLU factorisation, with scipy imported on the first solve only."""
-    from scipy.sparse.linalg import splu
+def _dst(v):
+    """DST-I along the last axis, sum_j v_j sin(pi j k / (m + 1)) for k = 1..m:
+    the real FFT of the odd extension [0, v, 0, -v reversed] is -2i times it."""
+    m = v.shape[-1]
+    w = np.zeros(v.shape[:-1] + (2 * m + 2,))
+    w[..., 1:m + 1] = v
+    w[..., m + 2:] = -v[..., ::-1]
+    return np.fft.rfft(w)[..., 1:m + 1].imag * -0.5
 
-    return splu(*args, **kwargs)
 
+def _poisson(domain, a):
+    """The solve of P = a d_xx + (1 - a) d_yy, 5-point with zero Dirichlet
+    edges, on interior-node arrays (leading axes are batched).
 
-def _factor(weights):
-    """LU factor of the stencil restricted to the interior unknowns.
-
-    Interior unknowns are numbered row by row, so the neighbor at (dj, di)
-    sits on diagonal dj * (nx - 2) + di of the matrix; entries that would
-    wrap from the last column of one row to the first of the next are
-    zeroed.
+    The DST-I diagonalises each second difference; applied twice it is the
+    identity times (m + 1) / 2, which the eigenvalue array absorbs.
     """
-    from scipy.sparse import diags
+    ny, nx = domain.shape
 
-    center = weights[(0, 0)]
-    n = center.size
-    offsets, diagonals = [], []
-    for (dj, di), w in weights.items():
-        d = w.copy()
-        if di:
-            d[:, 0 if di < 0 else -1] = 0.0
-        k = dj * center.shape[1] + di
-        offsets.append(k)
-        diagonals.append(d.ravel()[:n - k] if k >= 0 else d.ravel()[-k:])
-    A = diags(diagonals, offsets, shape=(n, n), format="csc")
-    try:
-        return splu(A, permc_spec="MMD_AT_PLUS_A", panel_size=4, relax=4)
-    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise Diverged(f"frozen-coefficient operator is singular: {exc}") from exc
+    def eigenvalues(n, h):
+        return -4.0 / h**2 * np.sin(0.5 * np.pi * np.arange(1, n - 1) / (n - 1)) ** 2
+
+    # indexed (x, y): the y transform runs with the axes swapped
+    inv = 4.0 / ((nx - 1) * (ny - 1)) / (
+        a * eigenvalues(nx, domain.dx)[:, None] + (1.0 - a) * eigenvalues(ny, domain.dy)[None, :]
+    )
+
+    def solve(r):
+        s = _dst(_dst(r).swapaxes(-1, -2)) * inv
+        return _dst(_dst(s).swapaxes(-1, -2))
+
+    return solve
 
 
 def _check_boundary(boundary, domain):
@@ -152,31 +135,32 @@ def _check_boundary(boundary, domain):
     return bcs
 
 
-def _chord(domain, boundary, max_outer, signature):
-    """Chord iteration shared by both systems.
+def _iterate(domain, boundary, max_outer, signature):
+    """Preconditioned, Anderson-mixed iteration shared by both systems.
 
-    Each step moves along the correction of the current factor, halving
-    the step until the spacelike margin stays above `floor`.  The margin
-    is the smallest discriminant E G - F^2, counted as at most 0 at nodes
-    outside the metric's mask (E <= 0: a negative-definite metric is not
-    spacelike).  Only the split signature can fail that test; for it the
-    floor is `_SPACELIKE_MARGIN` times the margin of the initial guess.
+    Each mixed step is halved toward the previous iterate until the
+    spacelike margin stays above `floor`, and the mixing history is then
+    cleared.  The margin is the smallest discriminant E G - F^2, counted as
+    at most 0 at nodes outside the metric's mask (E <= 0: a
+    negative-definite metric is not spacelike).  Only the split signature
+    can fail that test; for it the floor is `_SPACELIKE_MARGIN` times the
+    margin of the initial guess.
     """
     if max_outer < 1:
         raise ValidationError(f"max_outer must be at least 1, got {max_outer}")
     bcs = _check_boundary(boundary, domain)
-    us = [_transfinite(domain, b) for b in bcs]
+    u = np.stack([_transfinite(domain, b) for b in bcs])
     # the Coons patch gives (b + A) - A on the edges, not b bit for bit
-    for u, b in zip(us, bcs):
-        u[0, :], u[-1, :] = b[0, :], b[-1, :]
-        u[:, 0], u[:, -1] = b[:, 0], b[:, -1]
+    for v, b in zip(u, bcs):
+        v[0, :], v[-1, :] = b[0, :], b[-1, :]
+        v[:, 0], v[:, -1] = b[:, 0], b[:, -1]
 
     def metric(comps):
-        met = first_fundamental_form(HeightMap(domain, comps), signature)
+        met = first_fundamental_form(HeightMap(domain, list(comps)), signature)
         disc = met.E * met.G - met.F**2
         return met, float(np.min(np.where(met.mask, disc, np.minimum(disc, 0.0))))
 
-    met, m0 = metric(us)
+    met, m0 = metric(u)
     if m0 <= 0.0:
         raise SpacelikeUnreachable(
             f"initial guess is not spacelike (spacelike margin {m0:.3e})"
@@ -184,12 +168,18 @@ def _chord(domain, boundary, max_outer, signature):
     floor = _SPACELIKE_MARGIN * m0 if signature == "split" else 0.0
 
     inner = (slice(None), slice(1, -1), slice(1, -1))
-    five_point = _mixed_ratio(met) <= _CONTRACTION
-    lu, history, best, since_best = None, [], np.inf, 0
+    E, G = met.E[1:-1, 1:-1], met.G[1:-1, 1:-1]
+    precondition = _poisson(domain, float(np.mean(G / (E + G))))
+    # Anderson history: differences of consecutive steps f and of x + f, in
+    # a ring of `_DEPTH` rows, with the Gram matrix of the f differences
+    n = u[inner].size
+    dfs, dgs, gram = np.empty((_DEPTH, n)), np.empty((_DEPTH, n)), np.empty((_DEPTH, _DEPTH))
+    prev, pairs = None, 0
+    history, best, since_best = [], np.inf, 0
     for outer in range(1, max_outer + 1):
         weights = _stencil(met, domain)
-        R = np.stack([-_apply(weights, u) for u in us])
-        scale = np.max(np.abs(weights[(0, 0)])) * max(1.0, *(np.max(np.abs(u)) for u in us))
+        R = -_apply(weights, u)
+        scale = np.max(np.abs(weights[(0, 0)])) * max(1.0, float(np.max(np.abs(u))))
         residual = float(np.max(np.abs(R))) / scale
         if residual < best:
             best, since_best = residual, 0
@@ -198,19 +188,26 @@ def _chord(domain, boundary, max_outer, signature):
             if since_best == _STALL_STEPS:
                 raise MaxIterations(
                     f"residual stalled at {best:.3e} after {outer - 1} steps: none smaller "
-                    f"in {since_best} more, refactored at each (last update {history[-1]:.3e})"
+                    f"in {since_best} more, with the mixing restarted at each "
+                    f"(last update {history[-1]:.3e})"
                 )
-        if lu is None and five_point:
-            lu = _factor({k: w for k, w in weights.items() if 0 in k})
-        elif lu is None or since_best or (
-            len(history) > 1 and history[-1] > _CONTRACTION * history[-2]
-        ):
-            lu = _factor(weights)
-        ds = np.zeros((len(us),) + domain.shape)
-        ds[inner] = lu.solve(R.reshape(len(us), -1).T).T.reshape(R.shape)
+            prev, pairs = None, 0
+        x = u[inner].ravel()
+        f = precondition(R / (met.E + met.G)[1:-1, 1:-1]).ravel()
+        d = f
+        if prev is not None:
+            j, pairs = pairs % _DEPTH, pairs + 1
+            k = min(pairs, _DEPTH)
+            dfs[j] = f - prev[1]
+            dgs[j] = x - prev[0] + dfs[j]
+            gram[j, :k] = gram[:k, j] = dfs[:k] @ dfs[j]
+            gamma = np.linalg.lstsq(gram[:k, :k], dfs[:k] @ f, rcond=None)[0]
+            d = f - gamma @ dgs[:k]
+        prev = x, f
         step = 1.0
         for _ in range(40):
-            trial = [u + step * d for u, d in zip(us, ds)]
+            trial = u.copy()
+            trial[inner] += step * d.reshape(R.shape)
             met, m = metric(trial)
             if m > floor:
                 break
@@ -219,13 +216,15 @@ def _chord(domain, boundary, max_outer, signature):
             raise SpacelikeUnreachable(
                 "could not keep the iterate spacelike at any step size"
             )
-        delta = max(float(np.max(np.abs(t - u))) for t, u in zip(trial, us))
-        us = trial
+        if step < 1.0:
+            prev, pairs = None, 0
+        delta = float(np.max(np.abs(trial - u)))
+        u = trial
         history.append(delta)
         if delta > 1e6:
             raise Diverged(f"update grew to {delta:.3e}")
         if delta < _OUTER_TOL and residual < _OUTER_TOL:
-            return HeightMap(domain, us), outer, history
+            return HeightMap(domain, list(u)), outer, history
     raise MaxIterations(
         f"no convergence in {max_outer} steps "
         f"(last update {history[-1]:.3e}, residual {residual:.3e})"
@@ -239,7 +238,7 @@ def solve_minimal(domain: GridDomain, boundary: list, max_outer: int = MAX_OUTER
     values are used.  The iteration starts from the transfinite
     interpolation of the edges and takes at most `max_outer` steps.
     """
-    f, outer, history = _chord(domain, boundary, max_outer, "euclidean")
+    f, outer, history = _iterate(domain, boundary, max_outer, "euclidean")
     return SolveResult(f, outer, minimal_residual(f), history)
 
 
@@ -249,5 +248,5 @@ def solve_maximal(domain: GridDomain, boundary: list, max_outer: int = MAX_OUTER
     Each step is damped toward the previous iterate until the
     spacelike discriminant keeps a relative margin of `_SPACELIKE_MARGIN`.
     """
-    g, outer, history = _chord(domain, boundary, max_outer, "split")
+    g, outer, history = _iterate(domain, boundary, max_outer, "split")
     return SolveResult(g, outer, maximal_residual(g), history)

@@ -176,7 +176,7 @@ def test_missing_file_is_validation_error(capsys):
 
 
 def test_cli_import_leaves_scipy_integrate_out():
-    # no scipy module at all: only `solve` loads it, on use
+    # no scipy module at all: no command needs it
     for module in ("twinsurf", "twinsurf.cli"):
         code = (
             "import sys\n"
@@ -198,6 +198,8 @@ _SCIPY_FREE = [
     ["chart", "nullcurve", "--in", "{gf}"],
     ["gauss", "planarity", "--in", "{gf}"],
     ["residual", "--system", "minimal", "--in", "{gf}"],
+    ["solve", "minimal", "--boundary", "{gf}"],
+    ["solve", "maximal", "--boundary", "{gf}"],
 ]
 
 
