@@ -127,6 +127,8 @@ def _poisson(domain, a):
 
 def _check_boundary(boundary, domain):
     bcs = [np.asarray(b, dtype=float) for b in boundary]
+    if not bcs:
+        raise ValidationError("boundary needs at least one component")
     for b in bcs:
         if b.shape != domain.shape:
             raise ValidationError(

@@ -62,7 +62,7 @@ def files(tmp_path_factory):
         assert run(["catalog", "sample", "--name", name, "--grid", grid, "--out", path]) == 0
         inputs.append(path)
     bad = d / "bad.gf"
-    bad.write_text("GFIELD 1\n5 5 1\n0 0 1 1\n" + "0 0 0 0\n" * 5)
+    bad.write_bytes(b"GFIELD 2\n5 5 1\n0 0 1 1\n" + bytes(8 * 4 * 5))  # short body
     inputs += [str(bad), str(d / "missing.gf"), str(d)]
     return {"in": inputs, "out": [str(d / "out.gf"), str(d / "report.json"), str(d)]}
 

@@ -103,6 +103,13 @@ def test_boundary_shape_validated():
         solve_minimal(dom, [np.zeros((5, 5))])
 
 
+@pytest.mark.parametrize("solve", [solve_minimal, solve_maximal])
+def test_empty_boundary_is_a_validation_error(solve):
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
+    with pytest.raises(ValidationError, match="at least one component"):
+        solve(dom, [])
+
+
 def test_options_respected():
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
     X, Y = dom.meshgrid()
