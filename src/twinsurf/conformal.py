@@ -28,7 +28,8 @@ from .fields import (
     first_fundamental_form,
 )
 from .slag import _lift_potentials
-from .twin import TwinPair, resolve_tol
+from .systems import minimal_residual
+from .twin import TwinPair, read_residual, resolve_tol
 
 
 @dataclass
@@ -58,13 +59,14 @@ def build_chart(
     f: HeightMap, basepoint=(0, 0), tol: float | None = None
 ) -> ConformalChart:
     tol = resolve_tol(tol, f.domain)
-    M, N, metric, _ = _lift_potentials(f, basepoint, tol)
-    return _build_chart(f, metric, M, N)
+    res = minimal_residual(f)
+    M, N, _ = _lift_potentials(f, basepoint, tol, read_residual(res))
+    return _build_chart(f, res.metric.E + res.metric.G, res.metric.omega, M, N)
 
 
-def _build_chart(f: HeightMap, metric, M, N) -> ConformalChart:
-    """The chart of ``f`` from its metric and lift potentials M, N."""
-    J_psi = ScalarField(f.domain, 2.0 + (metric.E + metric.G) / metric.omega)
+def _build_chart(f: HeightMap, trace, omega, M, N) -> ConformalChart:
+    """The chart of ``f`` from E + G and omega of its metric and its lift M, N."""
+    J_psi = ScalarField(f.domain, 2.0 + trace / omega)
     return ConformalChart(f, M, N, J_psi)
 
 

@@ -161,8 +161,10 @@ def hessian(values: np.ndarray, domain: GridDomain):
 
 
 def interior_max(values: np.ndarray) -> float:
-    """max |values| off the boundary rows and columns."""
-    return float(np.abs(values[1:-1, 1:-1]).max())
+    """max |values| off the boundary rows and columns, without a temporary:
+    NaN propagates, and ``abs`` reads an all-zero interior as +0.0."""
+    v = values[1:-1, 1:-1]
+    return abs(float(max(v.max(), -v.min())))
 
 
 def _grid_array(values, domain: GridDomain, what: str) -> np.ndarray:
@@ -202,7 +204,8 @@ class HeightMap:
             raise ValidationError("height map needs at least one component")
         dom = self.domain
         self.components = [_grid_array(c, dom, "component") for c in self.components]
-        if self.gradients is None:
+        self._differenced = self.gradients is None
+        if self._differenced:
             self.gradients = [(diff_x(c, dom.dx), diff_y(c, dom.dy)) for c in self.components]
             return
         if len(self.gradients) != len(self.components):
@@ -215,6 +218,10 @@ class HeightMap:
     @property
     def n(self):
         return len(self.components)
+
+    def raw(self) -> HeightMap:
+        """These node values with finite-difference gradients: this map if it has them."""
+        return self if self._differenced else HeightMap(self.domain, self.components)
 
     def alpha(self, k: int) -> np.ndarray:
         """df_k/dx (0-based k)."""
@@ -249,7 +256,7 @@ class MetricData:
 
     @cached_property
     def over_area(self):
-        w = np.where(self.mask, self.omega, np.inf)  # masked nodes give 0
+        w = self.omega if self.mask.all() else np.where(self.mask, self.omega, np.inf)
         return self.E / w, self.F / w, self.G / w
 
 

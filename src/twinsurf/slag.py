@@ -26,7 +26,7 @@ from .fields import (
     interior_max,
 )
 from .systems import ResidualReport, minimal_residual
-from .twin import require_residual, resolve_tol
+from .twin import read_residual, require_residual, resolve_tol
 
 PARAM_TOL = 1e-12
 
@@ -81,28 +81,26 @@ class SLParams:
             )
 
 
-def _lift_potentials(f: HeightMap, basepoint, tol, res=None):
+def _lift_potentials(f: HeightMap, basepoint, tol, read=None):
     """Minimality precondition and the potentials M, N of (E/w, F/w) and
-    (F/w, G/w), shared by the lift and the conformal chart.  ``res`` is
-    the minimal residual of ``f`` when the caller has it.
+    (F/w, G/w), shared by the lift and the conformal chart.  ``read`` is
+    the reading of the minimal residual of ``f`` when the caller has it.
 
-    Returns M, N, the metric of ``f`` and the residual scale that budgets
-    the closedness of every further lift field."""
-    if res is None:
-        res = minimal_residual(f)
-    require_residual(res, tol)
-    Ew, Fw, Gw = (ScalarField(f.domain, c) for c in res.metric.over_area)
-    M = integrate_exact_form(Ew, Fw, basepoint, tol, res.scale)
-    N = integrate_exact_form(Fw, Gw, basepoint, tol, res.scale)
-    return M, N, res.metric, res.scale
+    Returns M, N and the residual scale that budgets the closedness of
+    every further lift field."""
+    worst, scale, over_area = (read or read_residual(minimal_residual(f)))[:3]
+    require_residual(worst, "euclidean", tol)
+    Ew, Fw, Gw = (ScalarField(f.domain, c) for c in over_area)
+    M = integrate_exact_form(Ew, Fw, basepoint, tol, scale)
+    N = integrate_exact_form(Fw, Gw, basepoint, tol, scale)
+    return M, N, scale
 
 
 def sl_lift(f: HeightMap, basepoint=(0, 0), tol: float | None = None) -> SLLift:
     """Lift a minimal graph to its area-preserving gradient map (M, N)
     and the unimodular-Hessian potential h."""
     tol = resolve_tol(tol, f.domain)
-    M, N, _, scale = _lift_potentials(f, basepoint, tol)
-    return _sl_lift(M, N, scale, basepoint, tol)
+    return _sl_lift(*_lift_potentials(f, basepoint, tol), basepoint, tol)
 
 
 def _sl_lift(M: ScalarField, N: ScalarField, scale, basepoint, tol) -> SLLift:
@@ -114,6 +112,7 @@ def _sl_lift(M: ScalarField, N: ScalarField, scale, basepoint, tol) -> SLLift:
     Nx, Ny = diff_x(N.values, dom.dx), diff_y(N.values, dom.dy)
     sym = interior_max(My - Nx)
     area = interior_max(Mx * Ny - My * Nx - 1.0)
+    del Mx, My, Nx, Ny  # before the Hessian of h is taken
     hxx, hxy, hyy = hessian(h.values, dom)
     det = interior_max(hxx * hyy - hxy * hxy - 1.0)
     return SLLift(M, N, h, sym, det, area)

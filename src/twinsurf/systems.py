@@ -106,21 +106,23 @@ def _residual_scale(metric: MetricData, seconds):
     return np.multiply(s, m, out=s)
 
 
-def _report(op: str, h: HeightMap, signature: str, fields_of) -> ResidualReport:
-    """The report ``op`` of ``h``: ``fields_of(metric, seconds)`` gives the
-    residual fields from the metric of ``signature`` and each component's
-    second derivatives.  Nodes outside the metric's mask (only split data
-    can have any) are left out of the aggregates instead of raising."""
+def _report(op: str, h: HeightMap, signature: str, fields_of=None) -> ResidualReport:
+    """The report ``op`` of ``h``: ``fields_of(metric)``, or the quasilinear
+    form per component, from the metric of ``signature``; the aggregates
+    leave out nodes outside its mask (only split data has any).  Second
+    derivatives are taken one component at a time: the max of their scales
+    is the scale of their max, as x -> (E + G) x rounds monotonically."""
     metric = first_fundamental_form(h, signature)
-    seconds = [_second_derivatives(h, k) for k in range(h.n)]
-    return ResidualReport(
-        op,
-        signature,
-        fields_of(metric, seconds),
-        _residual_scale(metric, seconds),
-        h.domain,
-        metric,
-    )
+    fields = [] if fields_of is None else fields_of(metric)
+    for k in range(h.n):
+        seconds = [_second_derivatives(h, k)]
+        scale = _residual_scale(metric, seconds) if k == 0 else np.maximum(
+            scale, _residual_scale(metric, seconds), out=scale
+        )
+        if fields_of is None:
+            fields += _quasilinear(metric, seconds)
+        del seconds  # before the next component's are taken
+    return ResidualReport(op, signature, fields, scale, h.domain, metric)
 
 
 def _quasilinear(metric: MetricData, seconds) -> list:
@@ -138,20 +140,20 @@ def _quasilinear(metric: MetricData, seconds) -> list:
 
 def minimal_residual(f: HeightMap) -> ResidualReport:
     """G f_xx - 2 F f_xy + E f_yy per component."""
-    return _report("minimal_residual", f, "euclidean", _quasilinear)
+    return _report("minimal_residual", f, "euclidean")
 
 
 def maximal_residual(g: HeightMap) -> ResidualReport:
     """Hatted quasilinear form; non-spacelike nodes are masked out of the
     aggregates instead of raising."""
-    return _report("maximal_residual", g, "split", _quasilinear)
+    return _report("maximal_residual", g, "split")
 
 
 def divergence_residual(f: HeightMap) -> ResidualReport:
     """d/dx((G a_k - F b_k)/w) + d/dy((E b_k - F a_k)/w)."""
     dom = f.domain
 
-    def fields_of(metric, _seconds):
+    def fields_of(metric):
         E, F, G, w = metric.E, metric.F, metric.G, metric.omega
         return [
             diff_x((G * a - F * b) / w, dom.dx) + diff_y((E * b - F * a) / w, dom.dy)
@@ -165,7 +167,7 @@ def closedness_identities(f: HeightMap) -> ResidualReport:
     """|d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)|."""
     dom = f.domain
 
-    def fields_of(metric, _seconds):
+    def fields_of(metric):
         Ew, Fw, Gw = metric.over_area
         return [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
 

@@ -15,9 +15,9 @@ signature of its source, serves both directions and their involution.
 component at a time; ``_integrability`` reads c1 off the raw node values
 of one side and ``_correspondence`` reads c2..c4 off the metric and
 Jacobian data of both.  Construction, the involution and ``verify_twin``
-share them, passing each map's residual, metric and Jacobian data along
-instead of recomputing them, and construction drops the source's data
-before it integrates back.
+share them, passing each map's residual reading (``read_residual``) and
+Jacobian data along instead of recomputing them; each holds a residual's
+fields, E, F, G and finite-difference gradients only until they are read.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .fields import (
     HeightMap,
-    MetricData,
     ScalarField,
     first_fundamental_form,
     integrate_exact_form,
@@ -87,59 +86,64 @@ class TwinPair:
     diagnostics: TwinDiagnostics
 
 
-def _twin_gradient(h: HeightMap, metric: MetricData, k: int):
-    """Twin gradient of component k; the split (backward) relation is the
-    euclidean one negated.  The sign multiplies each product, which keeps
-    the rounding of both directions exact, signed zeros included."""
-    Ew, Fw, Gw = metric.over_area
+def _twin_gradient(h: HeightMap, over_area, signature, k: int):
+    """Twin gradient of component k from the metric-over-area fields of
+    ``h`` in ``signature``; the split (backward) relation is the euclidean
+    one negated.  The sign multiplies each product, which keeps the
+    rounding of both directions exact, signed zeros included."""
+    Ew, Fw, Gw = over_area
     a, b = h.alpha(k), h.beta(k)
-    s = -1.0 if metric.signature == "euclidean" else 1.0
+    s = -1.0 if signature == "euclidean" else 1.0
     return (s * Ew * b - s * Fw * a, s * Fw * b - s * Gw * a)
 
 
-def require_residual(res, tol):
-    """Residual precondition: NOT_MINIMAL when the scaled residual of the
-    minimal (or maximal) system exceeds ``tol``."""
-    worst = res.max_abs("scaled")
+def require_residual(worst, signature, tol):
+    """Residual precondition: NOT_MINIMAL when ``worst``, the scaled minimal
+    (euclidean) or maximal (split) residual, exceeds ``tol``."""
     if worst > tol:
-        kind = res.op.split("_")[0]
+        kind = "minimal" if signature == "euclidean" else "maximal"
         raise NotMinimal(f"scaled {kind} residual {worst:.3e} > tol {tol:.3e}")
 
 
-def _residual(h: HeightMap, signature):
-    return minimal_residual(h) if signature == "euclidean" else maximal_residual(h)
-
-
-def _integrate_twin(src: HeightMap, signature, basepoint, tol, res=None, jac=None, grads=None):
-    """Check ``src`` (spacelike, area-angle, closedness of each twin
-    gradient, which is the surface system in divergence form, then the
-    residual) and integrate its twin one component at a time.  ``res``
-    and ``jac`` are the residual and Jacobian data of ``src`` when the
-    caller has them.  Each twin-relation gradient is appended to
-    ``grads`` when a list is given, and dropped once integrated otherwise.
-    Returns the twin's node values and the metric and Jacobian data of
-    ``src``."""
-    dom = src.domain
-    if res is None:
-        res = _residual(src, signature)
+def read_residual(res) -> tuple:
+    """(scaled max, scale, (E/w, F/w, G/w), omega) of the residual ``res`` of
+    a spacelike side: all the constructions read, without its fields or E, F, G."""
     metric = res.metric
     if not metric.mask.all():
         raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
-    if jac is None:
-        jac = jacobian_data(src)
+    return res.max_abs("scaled"), res.scale, metric.over_area, metric.omega
+
+
+def _reading(h: HeightMap, signature):
+    return read_residual(minimal_residual(h) if signature == "euclidean" else maximal_residual(h))
+
+
+def _integrate_twin(src: HeightMap, signature, basepoint, tol, read=None, jac=None, grads=None):
+    """Check ``src`` (spacelike, area-angle, closedness of each twin
+    gradient, which is the surface system in divergence form, then the
+    residual) and integrate its twin one component at a time.  ``read``
+    and ``jac`` are the residual reading and Jacobian data of ``src`` when
+    the caller has them; taken here, they die before the integration.
+    Each twin-relation gradient is appended to ``grads`` when a list is
+    given.  Returns the twin's node values and the scaled residual of ``src``."""
+    dom = src.domain
+    worst, scale, over_area = (read or _reading(src, signature))[:3]
+    jac = jac or jacobian_data(src)
     if not jac.has_positive_area_angle:
         raise AreaAngleViolation("||J|| >= 1", nodes=jac.violations)
+    del jac
     comps = []
     for k in range(src.n):
-        P, Q = _twin_gradient(src, metric, k)
+        P, Q = _twin_gradient(src, over_area, signature, k)
         u = integrate_exact_form(
-            ScalarField(dom, P), ScalarField(dom, Q), basepoint, tol, res.scale
+            ScalarField(dom, P), ScalarField(dom, Q), basepoint, tol, scale
         )
         comps.append(u.values)
         if grads is not None:
             grads.append((P, Q))
-    require_residual(res, tol)
-    return comps, metric, jac
+        del P, Q  # before the next component's are taken
+    require_residual(worst, signature, tol)
+    return comps, worst
 
 
 def _integrability(raw: HeightMap, grads) -> float:
@@ -152,27 +156,35 @@ def _integrability(raw: HeightMap, grads) -> float:
     return c1
 
 
-def _built_side(raw: HeightMap, grads, signature):
-    """c1 of a built twin side from its raw node values ``raw``, and their
-    metric in ``signature`` and Jacobian data; a side that is not
+def _side(metric, jac):
+    """What ``_correspondence`` reads of one side; E, F, G die with ``metric``."""
+    return metric.over_area, metric.omega, jac
+
+
+def _built_side(dom, comps, grads, signature):
+    """c1 of a built twin side from its raw node values ``comps``, and what
+    ``_correspondence`` reads of it in ``signature``; a side that is not
     spacelike fails."""
+    raw = HeightMap(dom, comps)
     c1 = _integrability(raw, grads)
     metric = first_fundamental_form(raw, signature)
     if not metric.mask.all():
         raise NotSpacelike("twin output not spacelike", nodes=metric.invalid_nodes)
-    return c1, (metric, jacobian_data(raw))
+    jac = jacobian_data(raw)
+    del raw  # its finite-difference gradients die before the over-area fields are taken
+    return c1, _side(metric, jac)
 
 
-def _correspondence(src_data, out_data, minimal: bool):
-    """c2..c4 of a twin pair from the metric and Jacobian data of its source
-    and of its other side; ``minimal`` when the source is the minimal one."""
-    f_data, g_data = (src_data, out_data) if minimal else (out_data, src_data)
-    (metric_f, jac_f), (metric_g, jac_g) = f_data, g_data
+def _correspondence(src_side, out_side, minimal: bool):
+    """c2..c4 of a twin pair from what ``_side`` gives of its source and of
+    its other side; ``minimal`` when the source is the minimal one."""
+    f_side, g_side = (src_side, out_side) if minimal else (out_side, src_side)
+    (over_f, omega_f, jac_f), (over_g, omega_g, jac_g) = f_side, g_side
     c2 = max([0.0] + [interior_max(J - jac_g.pairs[key]) for key, J in jac_f.pairs.items()])
     sin2 = 1.0 - np.minimum(jac_f.norm, 1.0) ** 2  # sin^2(arccos ||J||)
-    c3 = interior_max(metric_f.omega * metric_g.omega - sin2)
+    c3 = interior_max(omega_f * omega_g - sin2)
     del sin2
-    c4 = max(interior_max(a - b) for a, b in zip(metric_f.over_area, metric_g.over_area))
+    c4 = max(interior_max(a - b) for a, b in zip(over_f, over_g))
     return c2, c3, c4
 
 
@@ -184,31 +196,32 @@ def _anchored_difference(a: list, b: list, basepoint):
     return max([0.0] + [float(np.abs(d - d[iy, ix]).max()) for d in diffs])
 
 
-def _twin(src: HeightMap, signature, basepoint, tol, res=None, jac=None):
+def _twin(src: HeightMap, signature, basepoint, tol, read=None, jac=None):
     """Twin of ``src``: its maximal twin when ``signature`` is euclidean,
-    the minimal graph it is the twin of when split.  ``res`` and ``jac``
-    are the residual and Jacobian data of ``src`` when the caller has
-    them.  Returns the pair and the residual of the built side, which the
-    involution reads."""
+    the minimal graph it is the twin of when split, from the residual
+    reading and Jacobian data of ``src`` when given.  Returns the pair and
+    the scaled residual of the built side, which the involution reads."""
     tol = resolve_tol(tol, src.domain)
     dom = src.domain
     minimal = signature == "euclidean"
     other = "split" if minimal else "euclidean"
+    read = read or _reading(src, signature)
+    jac = jac or jacobian_data(src)
     grads = []
-    comps, metric, jac = _integrate_twin(src, signature, basepoint, tol, res, jac, grads)
-    # the raw map and its finite-difference gradients live through this call only
-    c1, built = _built_side(HeightMap(dom, comps), grads, other)
-    checks = (c1, *_correspondence((metric, jac), built, minimal))
-    del metric, jac, built  # the involution reads only the built side
+    comps = _integrate_twin(src, signature, basepoint, tol, read, jac, grads)[0]
+    src_side = (*read[2:], jac)
+    del read, jac  # the scale of src is read
+    c1, out_side = _built_side(dom, comps, grads, other)
+    checks = (c1, *_correspondence(src_side, out_side, minimal))
+    del src_side, out_side  # the involution reads only the built side
     # the returned map carries the twin-relation gradients, which define
     # the twin exactly; re-differencing the integrated values would stack
     # one-sided stencils twice near the boundary
     out = HeightMap(dom, comps, grads)
-    back_res = _residual(out, other)
-    back = _integrate_twin(out, other, basepoint, tol, back_res)[0]
+    back, back_worst = _integrate_twin(out, other, basepoint, tol)
     diag = TwinDiagnostics(*checks, _anchored_difference(src.components, back, basepoint))
     f, g = (src, out) if minimal else (out, src)
-    return TwinPair(f, g, diag), back_res
+    return TwinPair(f, g, diag), back_worst
 
 
 def twin_forward(
@@ -230,19 +243,23 @@ def verify_twin(
 ) -> TwinDiagnostics:
     """Every diagnostic of the minimal side ``f`` and its twin ``g``, from raw node values.
 
-    The maximal side is integrated back first, so a side that is not
-    spacelike fails before anything divides by its area element."""
-    f = HeightMap(f.domain, f.components)
-    g = HeightMap(g.domain, g.components)
+    The pair is checked before any gradient is taken.  The maximal side is
+    integrated back first, so a side that is not spacelike fails before
+    anything divides by its area element."""
     if f.domain != g.domain or f.n != g.n:
         raise ValidationError(
             f"twin sides differ: {f.n} component(s) on {f.domain} "
             f"and {g.n} on {g.domain}"
         )
     tol = resolve_tol(tol, g.domain)
-    back, metric_g, jac_g = _integrate_twin(g, "split", basepoint, tol)
-    metric_f = first_fundamental_form(f, "euclidean")
-    grads = [_twin_gradient(f, metric_f, k) for k in range(f.n)]
-    c2, c3, c4 = _correspondence((metric_f, jacobian_data(f)), (metric_g, jac_g), True)
-    c1 = _integrability(g, grads)
-    return TwinDiagnostics(c1, c2, c3, c4, _anchored_difference(f.components, back, basepoint))
+    f, g = f.raw(), g.raw()
+    read, jac = _reading(g, "split"), jacobian_data(g)
+    back = _integrate_twin(g, "split", basepoint, tol, read, jac)[0]
+    involution = _anchored_difference(f.components, back, basepoint)
+    g_side = (*read[2:], jac)
+    del back, read, jac  # the scale of g is read
+    f_side = _side(first_fundamental_form(f, "euclidean"), jacobian_data(f))
+    c2, c3, c4 = _correspondence(f_side, g_side, True)
+    del g_side  # c1 reads only the metric-over-area fields of f
+    grads = (_twin_gradient(f, f_side[0], "euclidean", k) for k in range(f.n))
+    return TwinDiagnostics(_integrability(g, grads), c2, c3, c4, involution)

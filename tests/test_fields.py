@@ -18,6 +18,7 @@ from twinsurf.fields import (
     first_fundamental_form,
     hessian,
     integrate_exact_form,
+    interior_max,
     jacobian_data,
 )
 from twinsurf.systems import minimal_residual
@@ -339,6 +340,21 @@ def test_stencils_match_their_reference_bit_for_bit(stencil, shape):
         got = fn(v, *args)
         assert same_bits(got, ref(v)), kind
         assert got.flags.c_contiguous, kind  # the layout downstream kernels read
+
+
+def test_interior_max_matches_its_reference_bit_for_bit():
+    # the expression it replaced: NaN propagates, +-inf hold and an all-zero
+    # interior reads +0.0, which JSON prints apart from -0.0
+    inputs = bit_inputs(np.random.default_rng(13), (9, 12))
+    cases = {kind: v for kind, v in inputs.items() if not np.iscomplexobj(v)}
+    for fill in (-np.nan, np.inf, -np.inf, -0.0, 0.0):
+        cases[f"all {fill}"] = np.full((6, 7), fill)
+        v = inputs["real"].copy()
+        v[4, 5] = fill
+        cases[f"one {fill}"] = v
+    for kind, v in cases.items():
+        ref = float(np.abs(v[1:-1, 1:-1]).max())
+        assert same_bits(np.float64(interior_max(v)), np.float64(ref)), kind
 
 
 @pytest.mark.parametrize("axis", [-1, 0])

@@ -18,7 +18,9 @@ from twinsurf import (
     verify_surface,
     verify_twin,
     verify_weierstrass_twin,
+    write_heightmap,
 )
+from twinsurf.cli import run
 
 from conftest import surface
 
@@ -68,10 +70,18 @@ def _peak_units(fn, *args):
 
 
 # measured peaks plus one grid array; the copying kernels these replaced
-# read 30.5 (gauss_map), 38.5, 22.0 and 17.3
+# read 30.5 (gauss_map), 38.5, 22.0 and 17.3, and before the twin, verify
+# and lift chains held only what a later check reads, twin_forward read
+# 26.4, twin_backward 26.4, verify_twin 35.4, verify_surface 40.4, sl_lift
+# 20.2 and minimal_residual 14.1
 _PEAK_BOUNDS = {
     "gauss_map": 15.5,
-    "twin_forward": 27.5,
+    "minimal_residual": 12.5,
+    "twin_forward": 23.5,
+    "twin_backward": 23.5,
+    "verify_twin": 24.5,
+    "sl_lift": 12.5,
+    "verify_surface": 26.5,
     "verify_weierstrass_twin": 21.0,
     "build_chart": 16.5,
     "null_curve_euclidean": 19.0,
@@ -84,10 +94,34 @@ def test_stage_peaks_stay_under_their_bounds():
     pair, chart = twin_forward(f), build_chart(f)
     peaks = {
         "gauss_map": _peak_units(gauss_map, f),
+        "minimal_residual": _peak_units(minimal_residual, f),
         "twin_forward": _peak_units(twin_forward, f),
+        "twin_backward": _peak_units(twin_backward, pair.g),
+        "verify_twin": _peak_units(verify_twin, f, pair.g),
+        "sl_lift": _peak_units(sl_lift, f),
+        "verify_surface": _peak_units(verify_surface, f),
         "verify_weierstrass_twin": _peak_units(verify_weierstrass_twin, pair, chart),
         "build_chart": _peak_units(build_chart, f),
         "null_curve_euclidean": _peak_units(null_curve, f, chart, "euclidean"),
         "null_curve_split": _peak_units(null_curve, f, chart, "split"),
     }
     assert all(peaks[k] <= _PEAK_BOUNDS[k] for k in peaks), peaks
+
+
+# the CLI's heaviest commands, on files: measured peaks plus one grid array
+# (47.5 and 45.5 before their inputs stopped being copied and their
+# finished results stopped being held)
+_CLI_PEAK_BOUNDS = {"twin verify": 28.5, "verify-all": 31.5}
+
+
+def test_cli_peaks_stay_under_their_bounds(tmp_path, capsys):
+    f = surface("holomorphic", 257, 257)
+    f_path, g_path = str(tmp_path / "f.gf"), str(tmp_path / "g.gf")
+    write_heightmap(f_path, f)
+    write_heightmap(g_path, twin_forward(f).g)
+    peaks = {
+        "twin verify": _peak_units(run, ["twin", "verify", "--in", f_path, "--twin", g_path]),
+        "verify-all": _peak_units(run, ["verify-all", "--name", "holomorphic", "--grid", "257,257"]),
+    }
+    assert '"pass": true' in capsys.readouterr().out
+    assert all(peaks[k] <= _CLI_PEAK_BOUNDS[k] for k in peaks), peaks

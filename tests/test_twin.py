@@ -127,6 +127,19 @@ def test_verify_twin_rejects_mismatched_sides():
         verify_twin(coarse.f, two)
 
 
+def test_verify_twin_checks_the_pair_before_taking_gradients(monkeypatch):
+    # catalog maps carry analytic gradients, so verify_twin would take
+    # finite-difference ones: 4n grid arrays before a mismatch exits
+    coarse, fine = surface("holomorphic", 17, 17), surface("holomorphic", 33, 33)
+    one = HeightMap(coarse.domain, coarse.components[:1], coarse.gradients[:1])
+    calls, original = [], fields.diff_x
+    monkeypatch.setattr(fields, "diff_x", lambda *a: calls.append(a) or original(*a))
+    for f, g in [(coarse, fine), (coarse, one)]:
+        with pytest.raises(ValidationError):
+            verify_twin(f, g)
+    assert calls == []
+
+
 def test_holomorphic_twin_is_exact():
     # phi = z^2 has polynomial data, where trapezoid sums and central
     # differences are exact; every residual collapses to rounding noise
