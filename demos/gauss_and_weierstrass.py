@@ -3,8 +3,9 @@
 Every graph's Gauss map lands on the hyperquadric sum(z_k^2) = 0; for
 gradient graphs of unimodular-Hessian potentials the image collapses to
 a point on two complex hyperplanes.  The final section reads a twin pair
-in the shared conformal coordinates of one chart and measures the
-relation between the two Weierstrass data sets.
+in the shared conformal coordinates of one chart, both built from one
+checked reading of the surface, and measures the relation between the two
+Weierstrass data sets.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from twinsurf.catalog import default_domain, make_surface
 from twinsurf.conformal import build_chart, verify_weierstrass_twin
 from twinsurf.fields import GridDomain, ScalarField
 from twinsurf.gauss import gauss_map, hyperplane_fit, jorgens_gauss, planarity_score, quadric_residual
-from twinsurf.twin import twin_forward
+from twinsurf.twin import read_surface, twin_forward
 
 f = make_surface("catenoid", None, default_domain("catenoid", None, 129, 65))
 g = gauss_map(f)
@@ -33,8 +34,9 @@ for i, j in ((2, 3), (4, 1)):
     fit = hyperplane_fit(jg, i, j)
     print(f"  z{i} = lam z{j}:      lam = {fit.lam:.6f}, residual {fit.residual:.1e}")
 
-pair = twin_forward(f)
-chart = build_chart(f)
+reading = read_surface(f)  # one checked reading serves the twin and the chart
+pair = twin_forward(reading)
+chart = build_chart(reading)
 out = verify_weierstrass_twin(pair, chart)
 print("\nWeierstrass data of the catenoid twin pair on a shared chart")
 print(f"  height relation residual {out['max_residual']:.3e}")

@@ -46,7 +46,15 @@ from .systems import (
     maximal_residual,
     minimal_residual,
 )
-from .twin import TwinDiagnostics, TwinPair, twin_backward, twin_forward, verify_twin
+from .twin import (
+    SurfaceReading,
+    TwinDiagnostics,
+    TwinPair,
+    read_surface,
+    twin_backward,
+    twin_forward,
+    verify_twin,
+)
 from .verify import verify_surface
 
 __version__ = "0.1.0"

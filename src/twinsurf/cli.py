@@ -192,7 +192,10 @@ def _cmd_gauss(args):
 def _cmd_chart(args):
     f = read_heightmap(args.inp)
     bp = _parse_ints(args.basepoint, "--basepoint ix,iy")
-    chart = conformal.build_chart(f, bp, tol=args.tol)
+    reading = twin.read_surface(f, tol=args.tol)  # the chart's and the twin's
+    chart = conformal.build_chart(reading, bp)
+    pair = twin.twin_forward(reading, bp) if args.action == "weierstrass" else None
+    del reading  # each action reads the map, the chart and the pair
     if args.action == "build":
         _emit(
             {
@@ -218,8 +221,7 @@ def _cmd_chart(args):
             args.out,
         )
         return 0
-    # weierstrass: build the twin pair and compare the null curves
-    pair = twin.twin_forward(f, bp, tol=args.tol)
+    # weierstrass: compare the null curves of the twin pair
     _emit(conformal.verify_weierstrass_twin(pair, chart), args.out)
     return 0
 

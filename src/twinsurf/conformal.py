@@ -27,9 +27,7 @@ from .fields import (
     diff_y,
     first_fundamental_form,
 )
-from .slag import _lift_potentials
-from .systems import minimal_residual
-from .twin import TwinPair, read_residual, resolve_tol
+from .twin import SurfaceReading, TwinPair, read_surface
 
 
 @dataclass
@@ -55,19 +53,13 @@ class NullCurveField:
     signature: str
 
 
-def build_chart(
-    f: HeightMap, basepoint=(0, 0), tol: float | None = None
-) -> ConformalChart:
-    tol = resolve_tol(tol, f.domain)
-    res = minimal_residual(f)
-    M, N, _ = _lift_potentials(f, basepoint, tol, read_residual(res))
-    return _build_chart(f, res.metric.E + res.metric.G, res.metric.omega, M, N)
-
-
-def _build_chart(f: HeightMap, trace, omega, M, N) -> ConformalChart:
-    """The chart of ``f`` from E + G and omega of its metric and its lift M, N."""
-    J_psi = ScalarField(f.domain, 2.0 + trace / omega)
-    return ConformalChart(f, M, N, J_psi)
+def build_chart(f: HeightMap | SurfaceReading, basepoint=(0, 0), tol=None) -> ConformalChart:
+    """The chart of a minimal graph, or of the map of its euclidean reading:
+    its lift M, N and J_psi = 2 + (E + G)/w."""
+    reading = read_surface(f, "euclidean", tol)
+    M, N = reading.potentials(basepoint)
+    J_psi = ScalarField(reading.h.domain, 2.0 + reading.trace / reading.omega)
+    return ConformalChart(reading.h, M, N, J_psi)
 
 
 def _cell(dom: GridDomain, x: np.ndarray, y: np.ndarray):

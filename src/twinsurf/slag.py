@@ -25,8 +25,8 @@ from .fields import (
     integrate_exact_form,
     interior_max,
 )
-from .systems import ResidualReport, minimal_residual
-from .twin import read_residual, require_residual, resolve_tol
+from .systems import ResidualReport
+from .twin import SurfaceReading, read_surface
 
 PARAM_TOL = 1e-12
 
@@ -81,31 +81,13 @@ class SLParams:
             )
 
 
-def _lift_potentials(f: HeightMap, basepoint, tol, read=None):
-    """Minimality precondition and the potentials M, N of (E/w, F/w) and
-    (F/w, G/w), shared by the lift and the conformal chart.  ``read`` is
-    the reading of the minimal residual of ``f`` when the caller has it.
-
-    Returns M, N and the residual scale that budgets the closedness of
-    every further lift field."""
-    worst, scale, over_area = (read or read_residual(minimal_residual(f)))[:3]
-    require_residual(worst, "euclidean", tol)
-    Ew, Fw, Gw = (ScalarField(f.domain, c) for c in over_area)
-    M = integrate_exact_form(Ew, Fw, basepoint, tol, scale)
-    N = integrate_exact_form(Fw, Gw, basepoint, tol, scale)
-    return M, N, scale
-
-
-def sl_lift(f: HeightMap, basepoint=(0, 0), tol: float | None = None) -> SLLift:
-    """Lift a minimal graph to its area-preserving gradient map (M, N)
-    and the unimodular-Hessian potential h."""
-    tol = resolve_tol(tol, f.domain)
-    return _sl_lift(*_lift_potentials(f, basepoint, tol), basepoint, tol)
-
-
-def _sl_lift(M: ScalarField, N: ScalarField, scale, basepoint, tol) -> SLLift:
-    """The lift from potentials M, N already integrated at a resolved ``tol``."""
-    dom = M.domain
+def sl_lift(f: HeightMap | SurfaceReading, basepoint=(0, 0), tol=None) -> SLLift:
+    """Lift a minimal graph, or the map of its euclidean reading, to its
+    area-preserving gradient map (M, N) and the unimodular-Hessian potential h."""
+    reading = read_surface(f, "euclidean", tol)
+    M, N = reading.potentials(basepoint)
+    tol, scale, dom = reading.tol, reading.scale, reading.h.domain
+    del reading  # the lift reads only its scale
     h = integrate_exact_form(M, N, basepoint, tol, scale)
 
     Mx, My = diff_x(M.values, dom.dx), diff_y(M.values, dom.dy)

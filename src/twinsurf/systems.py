@@ -90,38 +90,26 @@ class ResidualReport:
         }
 
 
-def _residual_scale(metric: MetricData, seconds):
-    """(E + G) * max(1, ||second derivatives||_inf) nodewise.
-
-    E + G is clamped away from 0 so split-signature data near the light
-    cone cannot blow the scaled residual up to inf.
-    """
-    m = np.ones(metric.E.shape)
-    t = np.empty_like(m)
-    for second in seconds:
-        for d in second:
-            np.maximum(m, np.abs(d, out=t), out=m)
-    s = np.add(metric.E, metric.G, out=t)
-    np.maximum(np.abs(s, out=s), 1e-12, out=s)
-    return np.multiply(s, m, out=s)
-
-
 def _report(op: str, h: HeightMap, signature: str, fields_of=None) -> ResidualReport:
     """The report ``op`` of ``h``: ``fields_of(metric)``, or the quasilinear
     form per component, from the metric of ``signature``; the aggregates
-    leave out nodes outside its mask (only split data has any).  Second
-    derivatives are taken one component at a time: the max of their scales
-    is the scale of their max, as x -> (E + G) x rounds monotonically."""
+    leave out nodes outside its mask (only split data has any).  Its scale
+    is |E + G| * max(1, |second derivatives|) nodewise, with |E + G| >= 1e-12
+    so split data near the light cone cannot scale a residual up to inf; the
+    second derivatives go one component at a time into one running max."""
     metric = first_fundamental_form(h, signature)
     fields = [] if fields_of is None else fields_of(metric)
+    m = np.ones(h.domain.shape)
     for k in range(h.n):
-        seconds = [_second_derivatives(h, k)]
-        scale = _residual_scale(metric, seconds) if k == 0 else np.maximum(
-            scale, _residual_scale(metric, seconds), out=scale
-        )
+        second = _second_derivatives(h, k)
         if fields_of is None:
-            fields += _quasilinear(metric, seconds)
-        del seconds  # before the next component's are taken
+            fields += _quasilinear(metric, [second])
+        for d in second:  # read; its magnitude is taken in place
+            np.maximum(m, np.abs(d, out=d), out=m)
+        del second, d  # before the next component's are taken
+    s = np.add(metric.E, metric.G)
+    np.maximum(np.abs(s, out=s), 1e-12, out=s)
+    scale = np.multiply(s, m, out=s)
     return ResidualReport(op, signature, fields, scale, h.domain, metric)
 
 

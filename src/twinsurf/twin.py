@@ -11,33 +11,25 @@ divergence form; it is integrated to g_k anchored at the basepoint.  The
 backward direction is the same relation read with the hatted (split)
 coefficients and the opposite sign, so one routine, parameterised by the
 signature of its source, serves both directions and their involution.
-``_integrate_twin`` checks a source and integrates its twin one
-component at a time; ``_integrability`` reads c1 off the raw node values
-of one side and ``_correspondence`` reads c2..c4 off the metric and
-Jacobian data of both.  Construction, the involution and ``verify_twin``
-share them, passing each map's residual reading (``read_residual``) and
-Jacobian data along instead of recomputing them; each holds a residual's
-fields, E, F, G and finite-difference gradients only until they are read.
+``read_surface`` checks a side once into a ``SurfaceReading``, which the
+twin, the lift and the chart all take in place of the map.
+``_integrate_twin`` integrates a reading's twin one component at a time;
+``_integrability`` reads c1 off the raw node values of one side and
+``_correspondence`` reads c2..c4 off the metric and Jacobian data of both.
+Construction, the involution and ``verify_twin`` share them; each holds a
+residual's fields, E, F, G and finite-difference gradients only until they
+are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AreaAngleViolation,
-    NotMinimal,
-    NotSpacelike,
-    ValidationError,
-)
+from .errors import AreaAngleViolation, NotMinimal, NotSpacelike, ValidationError
 from .fields import (
-    HeightMap,
-    ScalarField,
-    first_fundamental_form,
-    integrate_exact_form,
-    interior_max,
+    HeightMap, ScalarField, first_fundamental_form, integrate_exact_form, interior_max,
     jacobian_data,
 )
 from .systems import maximal_residual, minimal_residual
@@ -84,6 +76,45 @@ class TwinPair:
     f: HeightMap
     g: HeightMap
     diagnostics: TwinDiagnostics
+    built_residual: float | None = None  # the built side's scaled residual, from the involution
+
+
+@dataclass(eq=False)
+class SurfaceReading:
+    """What the twin, the lift and the chart read of the minimal (euclidean)
+    or maximal (split) residual of a spacelike map ``h`` (``read_surface``):
+    its scaled max ``worst`` against the resolved ``tol``, its nodewise
+    ``scale``, (E/w, F/w, G/w) and omega, and on a euclidean side E + G,
+    which the chart's J_psi reads; never the residual's fields or E, F, G."""
+
+    h: HeightMap
+    signature: str
+    tol: float
+    worst: float
+    scale: np.ndarray
+    over_area: tuple
+    omega: np.ndarray
+    trace: np.ndarray | None = None
+    _potentials: dict = field(default_factory=dict, repr=False)
+
+    def require(self):
+        """NOT_MINIMAL when the scaled residual exceeds ``tol``."""
+        if self.worst > self.tol:
+            kind = "minimal" if self.signature == "euclidean" else "maximal"
+            raise NotMinimal(f"scaled {kind} residual {self.worst:.3e} > tol {self.tol:.3e}")
+
+    def potentials(self, basepoint=(0, 0)):
+        """M, N of (E/w, F/w) and (F/w, G/w), vanishing at ``basepoint``, after
+        ``require``; integrated once per basepoint, so the lift and the chart
+        share them.  The residual scale budgets their closedness."""
+        self.require()
+        key = tuple(basepoint)
+        if key not in self._potentials:
+            Ew, Fw, Gw = (ScalarField(self.h.domain, c) for c in self.over_area)
+            M = integrate_exact_form(Ew, Fw, basepoint, self.tol, self.scale)
+            N = integrate_exact_form(Fw, Gw, basepoint, self.tol, self.scale)
+            self._potentials[key] = M, N
+        return self._potentials[key]
 
 
 def _twin_gradient(h: HeightMap, over_area, signature, k: int):
@@ -97,53 +128,53 @@ def _twin_gradient(h: HeightMap, over_area, signature, k: int):
     return (s * Ew * b - s * Fw * a, s * Fw * b - s * Gw * a)
 
 
-def require_residual(worst, signature, tol):
-    """Residual precondition: NOT_MINIMAL when ``worst``, the scaled minimal
-    (euclidean) or maximal (split) residual, exceeds ``tol``."""
-    if worst > tol:
-        kind = "minimal" if signature == "euclidean" else "maximal"
-        raise NotMinimal(f"scaled {kind} residual {worst:.3e} > tol {tol:.3e}")
-
-
-def read_residual(res) -> tuple:
-    """(scaled max, scale, (E/w, F/w, G/w), omega) of the residual ``res`` of
-    a spacelike side: all the constructions read, without its fields or E, F, G."""
+def read_surface(h, signature: str = "euclidean", tol: float | None = None) -> SurfaceReading:
+    """The reading of the map ``h``; NOT_SPACELIKE where it is not spacelike.
+    The residual's fields die once its scaled max is read, and E, F, G once
+    E + G and the over-area fields are taken.  A reading ``h`` in
+    ``signature`` is returned as it is; ``tol`` must then be None or its own."""
+    if isinstance(h, SurfaceReading):
+        if h.signature != signature:
+            raise ValidationError(f"expected a {signature} reading, got a {h.signature} one")
+        if tol is not None and tol != h.tol:
+            raise ValidationError(f"tolerance {tol!r} differs from the reading's {h.tol!r}")
+        return h
+    residual = {"euclidean": minimal_residual, "split": maximal_residual}.get(signature)
+    if residual is None:
+        raise ValidationError(f"unknown signature {signature!r}")
+    tol = resolve_tol(tol, h.domain)
+    res = residual(h)
     metric = res.metric
     if not metric.mask.all():
         raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
-    return res.max_abs("scaled"), res.scale, metric.over_area, metric.omega
+    worst, scale = res.max_abs("scaled"), res.scale
+    del res
+    trace = metric.E + metric.G if signature == "euclidean" else None
+    return SurfaceReading(h, signature, tol, worst, scale, metric.over_area, metric.omega, trace)
 
 
-def _reading(h: HeightMap, signature):
-    return read_residual(minimal_residual(h) if signature == "euclidean" else maximal_residual(h))
-
-
-def _integrate_twin(src: HeightMap, signature, basepoint, tol, read=None, jac=None, grads=None):
-    """Check ``src`` (spacelike, area-angle, closedness of each twin
-    gradient, which is the surface system in divergence form, then the
-    residual) and integrate its twin one component at a time.  ``read``
-    and ``jac`` are the residual reading and Jacobian data of ``src`` when
-    the caller has them; taken here, they die before the integration.
-    Each twin-relation gradient is appended to ``grads`` when a list is
-    given.  Returns the twin's node values and the scaled residual of ``src``."""
-    dom = src.domain
-    worst, scale, over_area = (read or _reading(src, signature))[:3]
-    jac = jac or jacobian_data(src)
+def _integrate_twin(reading: SurfaceReading, jac, basepoint, grads=None):
+    """The twin's node values of the map of ``reading``, one component at a
+    time, after its checks: area-angle from its Jacobian data ``jac`` (which
+    dies here unless the caller holds it), closedness of each twin gradient
+    (the surface system in divergence form), then the residual.  Each
+    twin-relation gradient is appended to ``grads`` when a list is given."""
     if not jac.has_positive_area_angle:
         raise AreaAngleViolation("||J|| >= 1", nodes=jac.violations)
     del jac
+    src, dom = reading.h, reading.h.domain
     comps = []
     for k in range(src.n):
-        P, Q = _twin_gradient(src, over_area, signature, k)
+        P, Q = _twin_gradient(src, reading.over_area, reading.signature, k)
         u = integrate_exact_form(
-            ScalarField(dom, P), ScalarField(dom, Q), basepoint, tol, scale
+            ScalarField(dom, P), ScalarField(dom, Q), basepoint, reading.tol, reading.scale
         )
         comps.append(u.values)
         if grads is not None:
             grads.append((P, Q))
         del P, Q  # before the next component's are taken
-    require_residual(worst, signature, tol)
-    return comps, worst
+    reading.require()
+    return comps
 
 
 def _integrability(raw: HeightMap, grads) -> float:
@@ -154,11 +185,6 @@ def _integrability(raw: HeightMap, grads) -> float:
     for k, (P, Q) in enumerate(grads):
         c1 = max(c1, interior_max(raw.alpha(k) - P), interior_max(raw.beta(k) - Q))
     return c1
-
-
-def _side(metric, jac):
-    """What ``_correspondence`` reads of one side; E, F, G die with ``metric``."""
-    return metric.over_area, metric.omega, jac
 
 
 def _built_side(dom, comps, grads, signature):
@@ -172,12 +198,13 @@ def _built_side(dom, comps, grads, signature):
         raise NotSpacelike("twin output not spacelike", nodes=metric.invalid_nodes)
     jac = jacobian_data(raw)
     del raw  # its finite-difference gradients die before the over-area fields are taken
-    return c1, _side(metric, jac)
+    return c1, (metric.over_area, metric.omega, jac)  # E, F, G die with the metric
 
 
 def _correspondence(src_side, out_side, minimal: bool):
-    """c2..c4 of a twin pair from what ``_side`` gives of its source and of
-    its other side; ``minimal`` when the source is the minimal one."""
+    """c2..c4 of a twin pair from (E/w, F/w, G/w), omega and the Jacobian
+    data of its source and of its other side; ``minimal`` when the source is
+    the minimal one."""
     f_side, g_side = (src_side, out_side) if minimal else (out_side, src_side)
     (over_f, omega_f, jac_f), (over_g, omega_g, jac_g) = f_side, g_side
     c2 = max([0.0] + [interior_max(J - jac_g.pairs[key]) for key, J in jac_f.pairs.items()])
@@ -196,21 +223,19 @@ def _anchored_difference(a: list, b: list, basepoint):
     return max([0.0] + [float(np.abs(d - d[iy, ix]).max()) for d in diffs])
 
 
-def _twin(src: HeightMap, signature, basepoint, tol, read=None, jac=None):
-    """Twin of ``src``: its maximal twin when ``signature`` is euclidean,
-    the minimal graph it is the twin of when split, from the residual
-    reading and Jacobian data of ``src`` when given.  Returns the pair and
-    the scaled residual of the built side, which the involution reads."""
-    tol = resolve_tol(tol, src.domain)
+def _twin(src, signature, basepoint, tol) -> TwinPair:
+    """Twin of ``src``, a map or its reading in ``signature``: its maximal
+    twin when euclidean, the minimal graph it is the twin of when split."""
+    reading = read_surface(src, signature, tol)
+    src, tol = reading.h, reading.tol
     dom = src.domain
     minimal = signature == "euclidean"
     other = "split" if minimal else "euclidean"
-    read = read or _reading(src, signature)
-    jac = jac or jacobian_data(src)
+    jac = jacobian_data(src)
     grads = []
-    comps = _integrate_twin(src, signature, basepoint, tol, read, jac, grads)[0]
-    src_side = (*read[2:], jac)
-    del read, jac  # the scale of src is read
+    comps = _integrate_twin(reading, jac, basepoint, grads)
+    src_side = (reading.over_area, reading.omega, jac)
+    del reading, jac  # what the correspondence reads of src is in src_side
     c1, out_side = _built_side(dom, comps, grads, other)
     checks = (c1, *_correspondence(src_side, out_side, minimal))
     del src_side, out_side  # the involution reads only the built side
@@ -218,24 +243,25 @@ def _twin(src: HeightMap, signature, basepoint, tol, read=None, jac=None):
     # the twin exactly; re-differencing the integrated values would stack
     # one-sided stencils twice near the boundary
     out = HeightMap(dom, comps, grads)
-    back, back_worst = _integrate_twin(out, other, basepoint, tol)
-    diag = TwinDiagnostics(*checks, _anchored_difference(src.components, back, basepoint))
+    back = read_surface(out, other, tol)
+    comps = _integrate_twin(back, jacobian_data(out), basepoint)
+    built = back.worst
+    del back  # its fields die before the involution's difference is taken
+    diag = TwinDiagnostics(*checks, _anchored_difference(src.components, comps, basepoint))
     f, g = (src, out) if minimal else (out, src)
-    return TwinPair(f, g, diag), back_worst
+    return TwinPair(f, g, diag, built)
 
 
-def twin_forward(
-    f: HeightMap, basepoint: tuple = (0, 0), tol: float | None = None
-) -> TwinPair:
-    """Build the twin maximal graph of the minimal graph ``f``."""
-    return _twin(f, "euclidean", basepoint, tol)[0]
+def twin_forward(f: HeightMap | SurfaceReading, basepoint=(0, 0), tol=None) -> TwinPair:
+    """Build the twin maximal graph of the minimal graph ``f``, or of the
+    map of its euclidean reading."""
+    return _twin(f, "euclidean", basepoint, tol)
 
 
-def twin_backward(
-    g: HeightMap, basepoint: tuple = (0, 0), tol: float | None = None
-) -> TwinPair:
-    """Recover the minimal graph whose twin is the maximal graph ``g``."""
-    return _twin(g, "split", basepoint, tol)[0]
+def twin_backward(g: HeightMap | SurfaceReading, basepoint=(0, 0), tol=None) -> TwinPair:
+    """Recover the minimal graph whose twin is the maximal graph ``g``, or
+    the map of its split reading."""
+    return _twin(g, "split", basepoint, tol)
 
 
 def verify_twin(
@@ -253,12 +279,14 @@ def verify_twin(
         )
     tol = resolve_tol(tol, g.domain)
     f, g = f.raw(), g.raw()
-    read, jac = _reading(g, "split"), jacobian_data(g)
-    back = _integrate_twin(g, "split", basepoint, tol, read, jac)[0]
+    read, jac = read_surface(g, "split", tol), jacobian_data(g)
+    back = _integrate_twin(read, jac, basepoint)
     involution = _anchored_difference(f.components, back, basepoint)
-    g_side = (*read[2:], jac)
+    g_side = (read.over_area, read.omega, jac)
     del back, read, jac  # the scale of g is read
-    f_side = _side(first_fundamental_form(f, "euclidean"), jacobian_data(f))
+    metric = first_fundamental_form(f, "euclidean")
+    f_side = (metric.over_area, metric.omega, jacobian_data(f))
+    del metric
     c2, c3, c4 = _correspondence(f_side, g_side, True)
     del g_side  # c1 reads only the metric-over-area fields of f
     grads = (_twin_gradient(f, f_side[0], "euclidean", k) for k in range(f.n))

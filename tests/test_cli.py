@@ -508,6 +508,27 @@ def test_verify_all_takes_the_jacobian_data_once_per_map(monkeypatch, capsys):
     assert calls == {"jacobian_data": 3}
 
 
+def test_one_reading_feeds_the_twin_the_lift_and_the_chart(monkeypatch):
+    f = twinsurf.make_surface("catenoid", None, twinsurf.default_domain("catenoid", {}, 33, 33))
+    names = ("minimal_residual", "jacobian_data", "integrate_exact_form")
+    calls = _count_calls(monkeypatch, names)
+    reading = twinsurf.read_surface(f)
+    twin_forward(reading)
+    twinsurf.sl_lift(reading)
+    conformal.build_chart(reading)
+    # jacobian_data: f, the raw twin and the involution's source; integrals:
+    # the twin, the involution, then M and N once for the lift and the
+    # chart, and the lift's h
+    assert calls == {"minimal_residual": 1, "jacobian_data": 3, "integrate_exact_form": 5}
+
+
+def test_chart_weierstrass_reads_the_surface_once(catenoid_file, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, ("minimal_residual",))
+    assert run(["chart", "weierstrass", "--in", catenoid_file]) == 0
+    # one reading for the chart and the twin
+    assert calls == {"minimal_residual": 1}
+
+
 def test_verify_all_matches_the_public_constructions():
     f = twinsurf.make_surface("helicoid", None, twinsurf.default_domain("helicoid", {}, 65, 65))
     value = {name: v for name, v, _ in twinsurf.verify_surface(f)}

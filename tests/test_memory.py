@@ -73,7 +73,8 @@ def _peak_units(fn, *args):
 # read 30.5 (gauss_map), 38.5, 22.0 and 17.3, and before the twin, verify
 # and lift chains held only what a later check reads, twin_forward read
 # 26.4, twin_backward 26.4, verify_twin 35.4, verify_surface 40.4, sl_lift
-# 20.2 and minimal_residual 14.1
+# 20.2 and minimal_residual 14.1; verify_surface read 25.1 while it held
+# the surface's Jacobian data through the twin's involution
 _PEAK_BOUNDS = {
     "gauss_map": 15.5,
     "minimal_residual": 12.5,
@@ -81,7 +82,7 @@ _PEAK_BOUNDS = {
     "twin_backward": 23.5,
     "verify_twin": 24.5,
     "sl_lift": 12.5,
-    "verify_surface": 26.5,
+    "verify_surface": 25.5,
     "verify_weierstrass_twin": 21.0,
     "build_chart": 16.5,
     "null_curve_euclidean": 19.0,
@@ -110,8 +111,9 @@ def test_stage_peaks_stay_under_their_bounds():
 
 # the CLI's heaviest commands, on files: measured peaks plus one grid array
 # (47.5 and 45.5 before their inputs stopped being copied and their
-# finished results stopped being held)
-_CLI_PEAK_BOUNDS = {"twin verify": 28.5, "verify-all": 31.5}
+# finished results stopped being held; verify-all 30.2 while it held the
+# surface's Jacobian data through the twin's involution)
+_CLI_PEAK_BOUNDS = {"twin verify": 28.5, "verify-all": 30.5}
 
 
 def test_cli_peaks_stay_under_their_bounds(tmp_path, capsys):

@@ -5,7 +5,6 @@ from twinsurf.errors import ValidationError
 from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
 from twinsurf.systems import (
     _quasilinear,
-    _residual_scale,
     _second_derivatives,
     closedness_identities,
     divergence_residual,
@@ -109,6 +108,20 @@ def test_residual_kernels_match_their_reference_bit_for_bit(signature):
     for f in _bit_maps():
         metric = first_fundamental_form(f, signature)
         seconds = [_second_derivatives(f, k) for k in range(f.n)]
-        assert same_bits(_residual_scale(metric, seconds), _ref_residual_scale(metric, seconds))
         got, ref = _quasilinear(metric, seconds), _ref_quasilinear(metric, seconds)
         assert len(got) == len(ref) and all(same_bits(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("signature", ["euclidean", "split"])
+def test_report_scale_is_the_reference_scale_over_all_components(signature):
+    # one running max of |second derivatives| over the components, scaled
+    # once, equals the reference that scales their max
+    reports = (
+        [minimal_residual, divergence_residual, closedness_identities]
+        if signature == "euclidean"
+        else [maximal_residual]
+    )
+    for f in [*_bit_maps(), surface("holomorphic", 129, 129)]:
+        metric = first_fundamental_form(f, signature)
+        ref = _ref_residual_scale(metric, [_second_derivatives(f, k) for k in range(f.n)])
+        assert all(same_bits(report(f).scale, ref) for report in reports)

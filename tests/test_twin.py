@@ -4,11 +4,27 @@ import numpy as np
 import pytest
 
 from twinsurf import fields
-from twinsurf.errors import AreaAngleViolation, NotClosed, NotSpacelike, ValidationError
+from twinsurf.conformal import build_chart
+from twinsurf.errors import (
+    AreaAngleViolation,
+    NotClosed,
+    NotMinimal,
+    NotSpacelike,
+    ValidationError,
+)
 from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
-from twinsurf.twin import default_tol, twin_backward, twin_forward, verify_twin
+from twinsurf.slag import sl_lift
+from twinsurf.systems import maximal_residual, minimal_residual
+from twinsurf.twin import (
+    TwinPair,
+    default_tol,
+    read_surface,
+    twin_backward,
+    twin_forward,
+    verify_twin,
+)
 
-from conftest import surface
+from conftest import same_bits, surface
 
 
 def catenoid_through_2_0():
@@ -174,3 +190,75 @@ def test_twin_takes_each_metric_once(monkeypatch):
     calls.clear()
     verify_twin(f, raw)
     assert len(calls) <= 3
+
+
+# ---------------------------------------------------------------- one reading
+
+
+def _same_maps(a, b):
+    return all(same_bits(x, y) for x, y in zip(a.components, b.components)) and all(
+        same_bits(x, y) for pa, pb in zip(a.gradients, b.gradients) for x, y in zip(pa, pb)
+    )
+
+
+@pytest.mark.parametrize("name", ["catenoid", "holomorphic"])
+def test_a_map_and_its_reading_build_the_same_bits(name):
+    f = surface(name, 33, 33)
+    g = twin_forward(f).g
+    for build, h, signature in ((twin_forward, f, "euclidean"), (twin_backward, g, "split")):
+        a, b = build(h), build(read_surface(h, signature))
+        assert _same_maps(a.f, b.f) and _same_maps(a.g, b.g)
+        assert (a.diagnostics, a.built_residual) == (b.diagnostics, b.built_residual)
+    a, b = sl_lift(f), sl_lift(read_surface(f))
+    assert a.to_report() == b.to_report()
+    assert all(same_bits(getattr(a, k).values, getattr(b, k).values) for k in "MNh")
+    a, b = build_chart(f), build_chart(read_surface(f))
+    assert all(same_bits(getattr(a, k).values, getattr(b, k).values) for k in ("M", "N", "J_psi"))
+
+
+def test_the_pair_carries_the_built_sides_residual():
+    f = surface("catenoid", 33, 33)
+    pair = twin_forward(f)
+    assert pair.built_residual == maximal_residual(pair.g).max_abs("scaled")
+    back = twin_backward(pair.g)
+    assert back.built_residual == minimal_residual(back.f).max_abs("scaled")
+    assert TwinPair(pair.f, pair.g, pair.diagnostics).built_residual is None
+
+
+@pytest.mark.parametrize(
+    "build, signature",
+    [(twin_forward, "euclidean"), (twin_backward, "split"), (sl_lift, "euclidean"),
+     (build_chart, "euclidean")],
+)
+def test_a_reading_takes_no_other_tolerance_or_signature(build, signature):
+    f = surface("catenoid", 33, 33)
+    g = twin_forward(f).g
+    tol = default_tol(f.domain)
+    h, other, other_signature = (f, g, "split") if signature == "euclidean" else (g, f, "euclidean")
+    reading = read_surface(h, signature, tol)
+    with pytest.raises(ValidationError, match="differs"):
+        build(reading, (0, 0), 2 * tol)
+    with pytest.raises(ValidationError, match=f"expected a {signature} reading"):
+        build(read_surface(other, other_signature))
+    build(reading, (0, 0), tol)  # its own tolerance is no conflict
+
+
+def test_reading_checks_spacelike_then_minimal():
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 33, 33)
+    X, _ = dom.meshgrid()
+    with pytest.raises(NotSpacelike):
+        read_surface(HeightMap(dom, [0.8 * X * X]), "split")
+    with pytest.raises(ValidationError, match="unknown signature"):
+        read_surface(HeightMap(dom, [X]), "lorentz")
+    reading = read_surface(HeightMap(dom, [X**3]))  # not minimal: read, then refused
+    assert reading.worst > reading.tol
+    with pytest.raises(NotMinimal):
+        reading.potentials()
+
+
+def test_potentials_are_integrated_once_per_basepoint():
+    reading = read_surface(surface("catenoid", 33, 33))
+    M, N = reading.potentials((0, 0))
+    assert reading.potentials([0, 0])[0] is M
+    M2, _ = reading.potentials((3, 4))
+    assert M2 is not M and M2.values[4, 3] == 0.0

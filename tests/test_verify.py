@@ -62,10 +62,7 @@ def _private_imports(path):
     return found
 
 
-def test_private_names_cross_modules_only_into_verify_and_conformal():
+def test_no_private_name_crosses_modules():
     found = {p.stem: _private_imports(p) for p in SRC.glob("*.py")}
     crossing = {stem: names for stem, names in found.items() if names}
-    assert crossing == {
-        "verify": {"twin._twin", "slag._lift_potentials", "slag._sl_lift", "conformal._build_chart"},
-        "conformal": {"slag._lift_potentials"},
-    }
+    assert crossing == {}
