@@ -10,11 +10,12 @@ Weierstrass data sets.
 
 import numpy as np
 
+from twinsurf import read_surface
 from twinsurf.catalog import default_domain, make_surface
 from twinsurf.conformal import build_chart, verify_weierstrass_twin
 from twinsurf.fields import GridDomain, ScalarField
 from twinsurf.gauss import gauss_map, hyperplane_fit, jorgens_gauss, planarity_score, quadric_residual
-from twinsurf.twin import read_surface, twin_forward
+from twinsurf.twin import twin_forward
 
 f = make_surface("catenoid", None, default_domain("catenoid", None, 129, 65))
 g = gauss_map(f)

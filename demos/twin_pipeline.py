@@ -7,8 +7,9 @@ transform.
 
 import numpy as np
 
+from twinsurf import read_surface
 from twinsurf.catalog import default_domain, make_surface
-from twinsurf.twin import read_surface, twin_backward, twin_forward
+from twinsurf.twin import twin_backward, twin_forward
 
 dom = default_domain("catenoid", None, 129, 65)
 f = make_surface("catenoid", None, dom)

@@ -41,16 +41,16 @@ from .slag import SLLift, SLParams, detect_angle, graph_rotate, sl_lift, sl_resi
 from .solver import SolveResult, solve_maximal, solve_minimal
 from .systems import (
     ResidualReport,
+    SurfaceReading,
     closedness_identities,
     divergence_residual,
     maximal_residual,
     minimal_residual,
+    read_surface,
 )
 from .twin import (
-    SurfaceReading,
     TwinDiagnostics,
     TwinPair,
-    read_surface,
     twin_backward,
     twin_forward,
     verify_twin,

@@ -129,11 +129,7 @@ def _cmd_sl(args):
         bp = _parse_ints(args.basepoint, "--basepoint ix,iy")
         lift = slag.sl_lift(read_heightmap(args.inp), bp, tol=args.tol)
         if args.out:
-            write_gfield(
-                args.out,
-                lift.h.domain,
-                [lift.h.values, lift.M.values, lift.N.values],
-            )
+            write_gfield(args.out, lift.h.domain, [lift.h.values])
         _emit(lift.to_report(), args.report)
         return 0
     if args.action == "rotate":
@@ -192,7 +188,7 @@ def _cmd_gauss(args):
 def _cmd_chart(args):
     f = read_heightmap(args.inp)
     bp = _parse_ints(args.basepoint, "--basepoint ix,iy")
-    reading = twin.read_surface(f, tol=args.tol)  # the chart's and the twin's
+    reading = systems.read_surface(f, tol=args.tol)  # the chart's and the twin's
     chart = conformal.build_chart(reading, bp)
     pair = twin.twin_forward(reading, bp) if args.action == "weierstrass" else None
     del reading  # each action reads the map, the chart and the pair
@@ -245,7 +241,7 @@ def _cmd_solve(args):
 
 def _cmd_verify_all(args):
     params, dom = _catalog_input(args)
-    tol = twin.resolve_tol(args.tol, dom)
+    tol = systems.resolve_tol(args.tol, dom)
     f = catalog.make_surface(args.name, params, dom)
     rows = verify.verify_surface(f, tol)
     checks = [{"name": n, "value": v, "tol": t, "pass": v <= t} for n, v, t in rows]

@@ -27,7 +27,8 @@ from .fields import (
     diff_y,
     first_fundamental_form,
 )
-from .twin import SurfaceReading, TwinPair, read_surface
+from .systems import SurfaceReading, read_surface
+from .twin import TwinPair
 
 
 @dataclass

@@ -12,6 +12,7 @@ The kernels write only into arrays they allocated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,6 +85,16 @@ class GridDomain:
     def h(self):
         """Largest spacing; the scale used for default tolerances."""
         return max(self.dx, self.dy)
+
+    def node(self, basepoint) -> tuple:
+        """``basepoint`` as node indices (ix, iy): two integers inside the grid."""
+        try:
+            ix, iy = (operator.index(i) for i in basepoint)
+        except (TypeError, ValueError) as exc:  # not iterable, not integers, not two
+            raise ValidationError(f"basepoint {basepoint!r} is not two node indices") from exc
+        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
+            raise ValidationError(f"basepoint {basepoint} outside grid")
+        return ix, iy
 
 
 @dataclass
@@ -370,9 +381,7 @@ def integrate_exact_form(
     dom = P.domain
     if Q.domain != dom:
         raise ValidationError("P and Q must share a domain")
-    ix, iy = basepoint
-    if not (0 <= ix < dom.nx and 0 <= iy < dom.ny):
-        raise ValidationError(f"basepoint {basepoint} outside grid")
+    ix, iy = dom.node(basepoint)
 
     if tol is not None:
         closed = closedness_residual_field(P.values, Q.values, dom)

@@ -30,6 +30,7 @@ from .fields import (
     hessian,
     interior_max,
 )
+from .systems import SurfaceReading, read_surface
 
 _FIRST_NONZERO_TOL = 1e-13
 # hyperplane fits: z_j must clear _FIRST_NONZERO_TOL on this share of the
@@ -90,17 +91,22 @@ def _gauge(z: np.ndarray) -> None:
     z *= phase[..., None]
 
 
-def gauss_map(f: HeightMap) -> np.ndarray:
-    """[G/w, i - F/w, (G/w) f_k,x + (i - F/w) f_k,y, ...] normalized.
+def gauss_map(f: HeightMap | SurfaceReading) -> np.ndarray:
+    """[G/w, i - F/w, (G/w) f_k,x + (i - F/w) f_k,y, ...] normalized, of a
+    height map or of the map of its euclidean reading.
 
     The formula is evaluated for any height map; it lands on the
     hyperquadric identically (an algebraic identity), minimality is only
     needed for the geometric interpretation.  Each z_k is written into
     the ``(ny, nx, n+2)`` result, which is then normalized in place.
     """
-    m = first_fundamental_form(f, "euclidean")  # its mask is all true
-    Fw, Gw = m.F / m.omega, m.G / m.omega
-    del m
+    if isinstance(f, SurfaceReading):
+        _, Fw, Gw = read_surface(f).over_area  # a split reading is refused
+        f = f.h
+    else:
+        m = first_fundamental_form(f, "euclidean")  # its mask is all true
+        Fw, Gw = m.F / m.omega, m.G / m.omega
+        del m
     z = np.empty(f.domain.shape + (f.n + 2,), dtype=complex)
     z1 = np.add(Gw, 0j, out=z[..., 0])
     z2 = np.subtract(1j, Fw, out=z[..., 1])

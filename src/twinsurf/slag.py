@@ -25,8 +25,7 @@ from .fields import (
     integrate_exact_form,
     interior_max,
 )
-from .systems import ResidualReport
-from .twin import SurfaceReading, read_surface
+from .systems import ResidualReport, SurfaceReading, read_surface
 
 PARAM_TOL = 1e-12
 

@@ -1,9 +1,10 @@
-"""Residual evaluators for the minimal and maximal surface systems.
+"""Residual evaluators for the minimal and maximal surface systems, and their verdict.
 
 These are the correctness oracles every other module calls: the
 quasilinear second-order forms, the divergence-zero form, and the two
 closedness identities of the euclidean metric-over-area fields.  Each is
-one field formula over the private builder ``_report``.
+one field formula over the private builder ``_report``; ``read_surface``
+reads one against the tolerance 50 h^2 into a ``SurfaceReading``.
 
 Boundary nodes are excluded from max/l2 aggregation (one-sided second
 derivatives are noisier); the residual fields still cover the full grid.
@@ -11,20 +12,46 @@ derivatives are noisier); the residual fields still cover the full grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NotMinimal, NotSpacelike, ValidationError
 from .fields import (
     GridDomain,
     HeightMap,
     MetricData,
+    ScalarField,
     closedness_residual_field,
     diff_x,
     diff_y,
     first_fundamental_form,
+    integrate_exact_form,
 )
+
+
+def default_tol(domain) -> float:
+    """Declared slack for residual preconditions: 50 h^2 (scaled).
+
+    A spacing so large that 50 h^2 is not a finite float is rejected.
+    """
+    try:
+        tol = 50.0 * domain.h**2
+    except OverflowError:  # float ** raises where * gives inf
+        tol = np.inf
+    if not np.isfinite(tol):
+        raise ValidationError(f"grid spacing {domain.h:.3e} overflows the tolerance 50 h^2")
+    return tol
+
+
+def resolve_tol(tol, domain) -> float:
+    """``tol``, or ``default_tol(domain)`` for None.  A given tolerance must
+    be finite and >= 0: no check ``worst > tol`` can fail against NaN or inf."""
+    if tol is None:
+        return default_tol(domain)
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _second_derivatives(h: HeightMap, k: int):
@@ -38,15 +65,15 @@ def _second_derivatives(h: HeightMap, k: int):
 @dataclass
 class ResidualReport:
     """Residual fields over a grid.  A report with a ``scale`` aggregates
-    scaled by default, one without only raw; a report read from a metric
-    leaves the nodes outside the metric's mask out of the aggregates."""
+    scaled by default, one without only raw; a report with a ``mask``
+    leaves the nodes outside it out of the aggregates."""
 
     op: str
     signature: str
     fields: list  # raw residual per component
     scale: np.ndarray | None  # nodewise scaling divisor
     domain: GridDomain
-    metric: MetricData | None = None  # the first fundamental form it was read from
+    mask: np.ndarray | None = None  # where the metric it was read from is valid
 
     @property
     def normalization(self):
@@ -56,8 +83,8 @@ class ResidualReport:
         """The fields in ``normalization`` on the interior nodes of the mask."""
         m = np.zeros(self.domain.shape, dtype=bool)
         m[1:-1, 1:-1] = True
-        if self.metric is not None:
-            m &= self.metric.mask
+        if self.mask is not None:
+            m &= self.mask
         if not m.any():
             raise ValidationError("no interior nodes left to aggregate")
         normalization = normalization or self.normalization
@@ -96,7 +123,8 @@ def _report(op: str, h: HeightMap, signature: str, fields_of=None) -> ResidualRe
     leave out nodes outside its mask (only split data has any).  Its scale
     is |E + G| * max(1, |second derivatives|) nodewise, with |E + G| >= 1e-12
     so split data near the light cone cannot scale a residual up to inf; the
-    second derivatives go one component at a time into one running max."""
+    second derivatives go one component at a time into one running max.
+    The metric goes along as ``_metric`` for ``read_surface`` to take."""
     metric = first_fundamental_form(h, signature)
     fields = [] if fields_of is None else fields_of(metric)
     m = np.ones(h.domain.shape)
@@ -110,7 +138,9 @@ def _report(op: str, h: HeightMap, signature: str, fields_of=None) -> ResidualRe
     s = np.add(metric.E, metric.G)
     np.maximum(np.abs(s, out=s), 1e-12, out=s)
     scale = np.multiply(s, m, out=s)
-    return ResidualReport(op, signature, fields, scale, h.domain, metric)
+    report = ResidualReport(op, signature, fields, scale, h.domain, metric.mask)
+    report._metric = metric
+    return report
 
 
 def _quasilinear(metric: MetricData, seconds) -> list:
@@ -151,12 +181,76 @@ def divergence_residual(f: HeightMap) -> ResidualReport:
     return _report("divergence_residual", f, "euclidean", fields_of)
 
 
-def closedness_identities(f: HeightMap) -> ResidualReport:
-    """|d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)|."""
-    dom = f.domain
+def closedness_identities(f: HeightMap | SurfaceReading) -> ResidualReport:
+    """|d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)| of a minimal
+    graph (read with tol 0, which no grid spacing overflows) or of the map
+    of its euclidean reading, in units of the minimal residual's scale."""
+    reading = read_surface(f, "euclidean", None if isinstance(f, SurfaceReading) else 0.0)
+    dom = reading.h.domain
+    Ew, Fw, Gw = reading.over_area
+    fields = [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
+    return ResidualReport("closedness_identities", "euclidean", fields, reading.scale, dom)
 
-    def fields_of(metric):
-        Ew, Fw, Gw = metric.over_area
-        return [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
 
-    return _report("closedness_identities", f, "euclidean", fields_of)
+@dataclass(eq=False)
+class SurfaceReading:
+    """What the Gauss map, the closedness identities, the twin, the lift and
+    the chart read of the minimal (euclidean) or maximal (split) residual of
+    a spacelike map ``h`` (``read_surface``): its scaled max ``worst``
+    against the resolved ``tol``, its nodewise ``scale``, (E/w, F/w, G/w)
+    and omega, and on a euclidean side E + G, which the chart's J_psi
+    reads; never the residual's fields or E, F, G."""
+
+    h: HeightMap
+    signature: str
+    tol: float
+    worst: float
+    scale: np.ndarray
+    over_area: tuple
+    omega: np.ndarray
+    trace: np.ndarray | None = None
+    _potentials: dict = field(default_factory=dict, repr=False)
+
+    def require(self):
+        """NOT_MINIMAL when the scaled residual exceeds ``tol``."""
+        if self.worst > self.tol:
+            kind = "minimal" if self.signature == "euclidean" else "maximal"
+            raise NotMinimal(f"scaled {kind} residual {self.worst:.3e} > tol {self.tol:.3e}")
+
+    def potentials(self, basepoint=(0, 0)):
+        """M, N of (E/w, F/w) and (F/w, G/w), vanishing at ``basepoint``, after
+        ``require``; integrated once per basepoint, so the lift and the chart
+        share them.  The residual scale budgets their closedness."""
+        self.require()
+        key = self.h.domain.node(basepoint)
+        if key not in self._potentials:
+            Ew, Fw, Gw = (ScalarField(self.h.domain, c) for c in self.over_area)
+            M = integrate_exact_form(Ew, Fw, key, self.tol, self.scale)
+            N = integrate_exact_form(Fw, Gw, key, self.tol, self.scale)
+            self._potentials[key] = M, N
+        return self._potentials[key]
+
+
+def read_surface(h, signature: str = "euclidean", tol: float | None = None) -> SurfaceReading:
+    """The reading of the map ``h``; NOT_SPACELIKE where it is not spacelike.
+    The residual's fields die once its scaled max is read, and E, F, G once
+    E + G and the over-area fields are taken.  A reading ``h`` in
+    ``signature`` is returned as it is; ``tol`` must then be None or its own."""
+    if isinstance(h, SurfaceReading):
+        if h.signature != signature:
+            raise ValidationError(f"expected a {signature} reading, got a {h.signature} one")
+        if tol is not None and tol != h.tol:
+            raise ValidationError(f"tolerance {tol!r} differs from the reading's {h.tol!r}")
+        return h
+    residual = {"euclidean": minimal_residual, "split": maximal_residual}.get(signature)
+    if residual is None:
+        raise ValidationError(f"unknown signature {signature!r}")
+    tol = resolve_tol(tol, h.domain)
+    res = residual(h)
+    metric = res._metric
+    if not metric.mask.all():
+        raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
+    worst, scale = res.max_abs("scaled"), res.scale
+    del res
+    trace = metric.E + metric.G if signature == "euclidean" else None
+    return SurfaceReading(h, signature, tol, worst, scale, metric.over_area, metric.omega, trace)

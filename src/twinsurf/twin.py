@@ -10,53 +10,28 @@ a closed 1-form exactly when the minimal surface system holds in
 divergence form; it is integrated to g_k anchored at the basepoint.  The
 backward direction is the same relation read with the hatted (split)
 coefficients and the opposite sign, so one routine, parameterised by the
-signature of its source, serves both directions and their involution.
-``read_surface`` checks a side once into a ``SurfaceReading``, which the
-twin, the lift and the chart all take in place of the map.
-``_integrate_twin`` integrates a reading's twin one component at a time;
-``_integrability`` reads c1 off the raw node values of one side and
-``_correspondence`` reads c2..c4 off the metric and Jacobian data of both.
-Construction, the involution and ``verify_twin`` share them; each holds a
-residual's fields, E, F, G and finite-difference gradients only until they
-are read.
+signature of its source, serves both directions and their involution,
+from a side's ``systems.SurfaceReading``.  ``_integrate_twin`` integrates
+a reading's twin one component at a time; ``_integrability`` reads c1 off
+the raw node values of one side and ``_correspondence`` reads c2..c4 off
+the metric and Jacobian data of both.  Construction, the involution and
+``verify_twin`` share them; each holds a residual's fields, E, F, G and
+finite-difference gradients only until they are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AreaAngleViolation, NotMinimal, NotSpacelike, ValidationError
+from .errors import AreaAngleViolation, NotSpacelike, ValidationError
 from .fields import (
     HeightMap, ScalarField, first_fundamental_form, integrate_exact_form, interior_max,
     jacobian_data,
 )
-from .systems import maximal_residual, minimal_residual
-
-
-def default_tol(domain) -> float:
-    """Declared slack for residual preconditions: 50 h^2 (scaled).
-
-    A spacing so large that 50 h^2 is not a finite float is rejected.
-    """
-    try:
-        tol = 50.0 * domain.h**2
-    except OverflowError:  # float ** raises where * gives inf
-        tol = np.inf
-    if not np.isfinite(tol):
-        raise ValidationError(f"grid spacing {domain.h:.3e} overflows the tolerance 50 h^2")
-    return tol
-
-
-def resolve_tol(tol, domain) -> float:
-    """``tol``, or ``default_tol(domain)`` for None.  A given tolerance must
-    be finite and >= 0: no check ``worst > tol`` can fail against NaN or inf."""
-    if tol is None:
-        return default_tol(domain)
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
-    return tol
+# default_tol is read from here by perfbench's verify workload
+from .systems import SurfaceReading, default_tol, read_surface  # noqa: F401
 
 
 @dataclass
@@ -79,44 +54,6 @@ class TwinPair:
     built_residual: float | None = None  # the built side's scaled residual, from the involution
 
 
-@dataclass(eq=False)
-class SurfaceReading:
-    """What the twin, the lift and the chart read of the minimal (euclidean)
-    or maximal (split) residual of a spacelike map ``h`` (``read_surface``):
-    its scaled max ``worst`` against the resolved ``tol``, its nodewise
-    ``scale``, (E/w, F/w, G/w) and omega, and on a euclidean side E + G,
-    which the chart's J_psi reads; never the residual's fields or E, F, G."""
-
-    h: HeightMap
-    signature: str
-    tol: float
-    worst: float
-    scale: np.ndarray
-    over_area: tuple
-    omega: np.ndarray
-    trace: np.ndarray | None = None
-    _potentials: dict = field(default_factory=dict, repr=False)
-
-    def require(self):
-        """NOT_MINIMAL when the scaled residual exceeds ``tol``."""
-        if self.worst > self.tol:
-            kind = "minimal" if self.signature == "euclidean" else "maximal"
-            raise NotMinimal(f"scaled {kind} residual {self.worst:.3e} > tol {self.tol:.3e}")
-
-    def potentials(self, basepoint=(0, 0)):
-        """M, N of (E/w, F/w) and (F/w, G/w), vanishing at ``basepoint``, after
-        ``require``; integrated once per basepoint, so the lift and the chart
-        share them.  The residual scale budgets their closedness."""
-        self.require()
-        key = tuple(basepoint)
-        if key not in self._potentials:
-            Ew, Fw, Gw = (ScalarField(self.h.domain, c) for c in self.over_area)
-            M = integrate_exact_form(Ew, Fw, basepoint, self.tol, self.scale)
-            N = integrate_exact_form(Fw, Gw, basepoint, self.tol, self.scale)
-            self._potentials[key] = M, N
-        return self._potentials[key]
-
-
 def _twin_gradient(h: HeightMap, over_area, signature, k: int):
     """Twin gradient of component k from the metric-over-area fields of
     ``h`` in ``signature``; the split (backward) relation is the euclidean
@@ -126,31 +63,6 @@ def _twin_gradient(h: HeightMap, over_area, signature, k: int):
     a, b = h.alpha(k), h.beta(k)
     s = -1.0 if signature == "euclidean" else 1.0
     return (s * Ew * b - s * Fw * a, s * Fw * b - s * Gw * a)
-
-
-def read_surface(h, signature: str = "euclidean", tol: float | None = None) -> SurfaceReading:
-    """The reading of the map ``h``; NOT_SPACELIKE where it is not spacelike.
-    The residual's fields die once its scaled max is read, and E, F, G once
-    E + G and the over-area fields are taken.  A reading ``h`` in
-    ``signature`` is returned as it is; ``tol`` must then be None or its own."""
-    if isinstance(h, SurfaceReading):
-        if h.signature != signature:
-            raise ValidationError(f"expected a {signature} reading, got a {h.signature} one")
-        if tol is not None and tol != h.tol:
-            raise ValidationError(f"tolerance {tol!r} differs from the reading's {h.tol!r}")
-        return h
-    residual = {"euclidean": minimal_residual, "split": maximal_residual}.get(signature)
-    if residual is None:
-        raise ValidationError(f"unknown signature {signature!r}")
-    tol = resolve_tol(tol, h.domain)
-    res = residual(h)
-    metric = res.metric
-    if not metric.mask.all():
-        raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
-    worst, scale = res.max_abs("scaled"), res.scale
-    del res
-    trace = metric.E + metric.G if signature == "euclidean" else None
-    return SurfaceReading(h, signature, tol, worst, scale, metric.over_area, metric.omega, trace)
 
 
 def _integrate_twin(reading: SurfaceReading, jac, basepoint, grads=None):
@@ -277,7 +189,6 @@ def verify_twin(
             f"twin sides differ: {f.n} component(s) on {f.domain} "
             f"and {g.n} on {g.domain}"
         )
-    tol = resolve_tol(tol, g.domain)
     f, g = f.raw(), g.raw()
     read, jac = read_surface(g, "split", tol), jacobian_data(g)
     back = _integrate_twin(read, jac, basepoint)

@@ -1,9 +1,9 @@
 """The paper's identity suite on one minimal graph, as the check rows that
 ``twinsurf verify-all`` reports: the Gauss map's quadric residual, the
 minimal system in three forms, the twin correspondence, the special
-Lagrangian lift and the conformal chart.  The twin, the lift and the chart
-take one reading of the surface, and the lift and the chart its one pair
-of potentials.
+Lagrangian lift and the conformal chart.  The Gauss map, the closedness
+identities, the twin, the lift and the chart take one reading of the
+surface, and the lift and the chart its one pair of potentials.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from .errors import AreaAngleViolation
 from .fields import HeightMap
 from .gauss import gauss_map, quadric_residual
 from .slag import sl_lift
-from .systems import closedness_identities, divergence_residual
-from .twin import read_surface, resolve_tol, twin_forward
+from .systems import closedness_identities, divergence_residual, read_surface
+from .twin import twin_forward
 
 
 def verify_surface(f: HeightMap, tol: float | None = None) -> list:
@@ -22,18 +22,18 @@ def verify_surface(f: HeightMap, tol: float | None = None) -> list:
 
     A failing minimal residual ends the rows, and so does a failing
     ``area_angle_violations`` (nodes with ||J|| >= 1) before the twin."""
-    tol = resolve_tol(tol, f.domain)
+    reading = read_surface(f, "euclidean", tol)
+    tol = reading.tol
     checks = []
 
     def add(name, value, check_tol=tol):
         checks.append((name, float(value), float(check_tol)))
 
-    add("quadric_residual", quadric_residual(gauss_map(f)), 1e-10)
-    reading = read_surface(f, "euclidean", tol)
+    add("quadric_residual", quadric_residual(gauss_map(reading)), 1e-10)
     add("minimal_residual", reading.worst)
     if not reading.worst <= tol:
         return checks
-    add("closedness_identities", closedness_identities(f).max_abs("scaled"))
+    add("closedness_identities", closedness_identities(reading).max_abs("scaled"))
     add("divergence_residual", divergence_residual(f).max_abs("scaled"))
     try:
         pair = twin_forward(reading)

@@ -79,11 +79,8 @@ def test_sl_lift_and_detect_angle(catenoid_file, tmp_path, capsys):
     # dominate this diagnostic; the interior identity is tested in test_slag
     assert report["hessian_det_residual"] <= 0.1
     _, comps = read_gfield(lift_path)
-    assert len(comps) == 3  # h, M, N
-    h_path = str(tmp_path / "h.gf")
-    dom, comps = read_gfield(lift_path)
-    write_gfield(h_path, dom, comps[:1])
-    assert run(["sl", "detect-angle", "--in", h_path, "--mode", "euclidean"]) == 0
+    assert len(comps) == 1  # h alone: M and N are its gradient
+    assert run(["sl", "detect-angle", "--in", lift_path, "--mode", "euclidean"]) == 0
     out = _json_out(capsys)
     assert out["theta"] == pytest.approx(np.pi / 2, abs=1e-2)
 
@@ -508,6 +505,21 @@ def test_verify_all_takes_the_jacobian_data_once_per_map(monkeypatch, capsys):
     assert calls == {"jacobian_data": 3}
 
 
+@pytest.mark.parametrize("name", ["catenoid", "holomorphic"])
+def test_verify_all_takes_the_surfaces_metric_from_its_reading(name, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, ("first_fundamental_form",))
+    assert run(["verify-all", "--name", name, "--grid", "65,65"]) == 0
+    # the reading of f (its Gauss map and closedness rows read it too), the
+    # divergence row, the raw twin and the involution's source
+    assert calls == {"first_fundamental_form": 4}
+
+
+def test_closedness_reads_the_surface_once(catenoid_file, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, ("first_fundamental_form",))
+    assert run(["residual", "--system", "closedness", "--in", catenoid_file]) == 0
+    assert calls == {"first_fundamental_form": 1}
+
+
 def test_one_reading_feeds_the_twin_the_lift_and_the_chart(monkeypatch):
     f = twinsurf.make_surface("catenoid", None, twinsurf.default_domain("catenoid", {}, 33, 33))
     names = ("minimal_residual", "jacobian_data", "integrate_exact_form")
@@ -645,7 +657,7 @@ def test_cli_paths_in_process(cli_inputs, capsys, argv, report, code, keys):
 def test_written_files_feed_the_readers(tmp_path, capsys, name):
     # writer -> reader chains at 33^2; each written file holds the values of
     # the library call that made it, bit for bit
-    p = {k: str(tmp_path / f"{k}.gf") for k in ("f", "g", "xi", "u")}
+    p = {k: str(tmp_path / f"{k}.gf") for k in ("f", "g", "xi", "u", "h")}
     chains = [
         [*_SAMPLE, name, "--grid", "33,33", "--out", p["f"]],
         ["residual", "--system", "minimal", "--in", p["f"]],
@@ -657,10 +669,15 @@ def test_written_files_feed_the_readers(tmp_path, capsys, name):
         ["residual", "--system", "minimal", "--in", p["xi"]],
         ["solve", "minimal", "--boundary", p["f"], "--out", p["u"]],
         ["residual", "--system", "minimal", "--in", p["u"]],
+        ["sl", "lift", "--in", p["f"], "--out", p["h"]],
+        ["sl", "residual", "--in", p["h"]],
+        ["sl", "detect-angle", "--in", p["h"]],
     ]
     if name == "holomorphic":  # the other twins fail NOT_CLOSED on a file (ROADMAP item 1)
         chains += [["twin", "verify", "--in", p["f"], "--twin", p["g"]],
                    ["twin", "backward", "--in", p["g"]]]
+        # only its lift is unimodular to the 1e-6 that jorgens_gauss asks of a file
+        chains.append(["gauss", "jorgens", "--in", p["h"]])
     for argv in chains:
         assert run(argv) == 0, argv
     capsys.readouterr()
@@ -675,3 +692,6 @@ def test_written_files_feed_the_readers(tmp_path, capsys, name):
         domain, comps = read_gfield(p[k])
         assert domain == h.domain and len(comps) == h.n
         assert all(same_bits(a, b) for a, b in zip(comps, h.components)), k
+    lift = twinsurf.sl_lift(f)
+    domain, comps = read_gfield(p["h"])
+    assert domain == lift.h.domain and len(comps) == 1 and same_bits(comps[0], lift.h.values)

@@ -41,7 +41,7 @@ def test_scherk_dirichlet_recovery():
     res = solve_minimal(f.domain, [f.components[0].copy()])
     err = np.abs(res.surface.components[0] - f.components[0])[1:-1, 1:-1].max()
     assert err <= 1e-3
-    from twinsurf.twin import default_tol
+    from twinsurf.systems import default_tol
     assert res.residual_report.max_abs("scaled") <= default_tol(f.domain)
 
 

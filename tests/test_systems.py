@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from twinsurf.errors import ValidationError
-from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
+from twinsurf.fields import (
+    GridDomain,
+    HeightMap,
+    closedness_residual_field,
+    first_fundamental_form,
+)
 from twinsurf.systems import (
     _quasilinear,
     _second_derivatives,
     closedness_identities,
+    default_tol,
     divergence_residual,
     maximal_residual,
     minimal_residual,
+    read_surface,
 )
 
 from conftest import random_heightmap, same_bits, surface
@@ -125,3 +132,24 @@ def test_report_scale_is_the_reference_scale_over_all_components(signature):
         metric = first_fundamental_form(f, signature)
         ref = _ref_residual_scale(metric, [_second_derivatives(f, k) for k in range(f.n)])
         assert all(same_bits(report(f).scale, ref) for report in reports)
+
+
+def test_closedness_of_a_map_and_of_its_reading_is_its_metrics_bit_for_bit():
+    for f in _bit_maps():
+        dom = f.domain
+        Ew, Fw, Gw = first_fundamental_form(f).over_area
+        ref = [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
+        for rep in (closedness_identities(f), closedness_identities(read_surface(f))):
+            assert all(same_bits(a, b) for a, b in zip(rep.fields, ref))
+            assert rep.to_report() == closedness_identities(f).to_report()
+    with pytest.raises(ValidationError, match="expected a euclidean reading"):
+        closedness_identities(read_surface(surface("catenoid", 17, 17), "split"))
+
+
+def test_closedness_of_a_map_reads_no_tolerance():
+    # 50 h^2 overflows at this spacing, but the report compares with no tol
+    dom = GridDomain.from_bounds(0.0, 0.0, 1e156, 1e156, 9, 9)
+    X, Y = dom.meshgrid()
+    with pytest.raises(ValidationError, match="overflows"):
+        default_tol(dom)
+    assert closedness_identities(HeightMap(dom, [0.3 * X - 0.2 * Y])).max_abs() < 1e-13

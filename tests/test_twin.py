@@ -14,15 +14,8 @@ from twinsurf.errors import (
 )
 from twinsurf.fields import GridDomain, HeightMap, first_fundamental_form
 from twinsurf.slag import sl_lift
-from twinsurf.systems import maximal_residual, minimal_residual
-from twinsurf.twin import (
-    TwinPair,
-    default_tol,
-    read_surface,
-    twin_backward,
-    twin_forward,
-    verify_twin,
-)
+from twinsurf.systems import default_tol, maximal_residual, minimal_residual, read_surface
+from twinsurf.twin import TwinPair, twin_backward, twin_forward, verify_twin
 
 from conftest import same_bits, surface
 
@@ -254,6 +247,37 @@ def test_reading_checks_spacelike_then_minimal():
     assert reading.worst > reading.tol
     with pytest.raises(NotMinimal):
         reading.potentials()
+
+
+@pytest.fixture(scope="module")
+def catenoid_pair():
+    f = surface("catenoid", 33, 33)
+    return f, twin_forward(f).g
+
+
+@pytest.mark.parametrize("basepoint", [(0.5, 0), (1.0, 0), ("1", 0), (0,), 0, (33, 0)])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f, g, bp: twin_forward(f, bp),
+        lambda f, g, bp: twin_backward(g, bp),
+        lambda f, g, bp: sl_lift(f, bp),
+        lambda f, g, bp: build_chart(f, bp),
+        lambda f, g, bp: verify_twin(f, g, bp),
+    ],
+    ids=["twin_forward", "twin_backward", "sl_lift", "build_chart", "verify_twin"],
+)
+def test_a_bad_basepoint_is_a_validation_error(catenoid_pair, build, basepoint):
+    with pytest.raises(ValidationError, match="basepoint"):
+        build(*catenoid_pair, basepoint)
+
+
+def test_a_float_basepoint_is_refused_before_the_potentials_cache():
+    # (0.0, 0) hashes and compares equal to (0, 0): checked before the lookup
+    reading = read_surface(surface("catenoid", 33, 33))
+    reading.potentials((0, 0))
+    with pytest.raises(ValidationError, match="not two node indices"):
+        reading.potentials((0.0, 0))
 
 
 def test_potentials_are_integrated_once_per_basepoint():
