@@ -11,7 +11,8 @@ d = P^-1 (R / (E+G)) for every component at once.  P = a d_xx + (1-a) d_yy
 is the 5-point operator with Dirichlet edges, a the interior mean of
 G / (E+G) on the initial guess: a separable preconditioner for the
 nonseparable operator (Concus & Golub, SIAM J. Numer. Anal. 10(6), 1973),
-diagonalised by the discrete sine transform, which `numpy.fft.rfft` gives.
+diagonalised by two products per axis with its dense DST-I matrix (fast
+diagonalisation: Lynch, Rice & Thomas, Numer. Math. 6, 1964).
 The steps are mixed by Anderson acceleration of depth `_DEPTH` (Walker &
 Ni, SIAM J. Numer. Anal. 49(4), 2011), its least squares solved on the
 small Gram matrix; the mixing restarts on every step that sets no new
@@ -70,57 +71,52 @@ def _transfinite(domain: GridDomain, bc: np.ndarray) -> np.ndarray:
 
 
 def _stencil(met, domain):
-    """The 9-point weights at the interior nodes, keyed by neighbor (dj, di)."""
+    """The 9-point weights at the interior nodes: centre, x pair, y pair, mixed."""
     inner = (slice(1, -1), slice(1, -1))
     cx = met.G[inner] / domain.dx**2
     cy = met.E[inner] / domain.dy**2
     cxy = met.F[inner] / (2.0 * domain.dx * domain.dy)
-    return {
-        (0, 0): -2.0 * (cx + cy),
-        (0, -1): cx, (0, 1): cx, (-1, 0): cy, (1, 0): cy,
-        (-1, -1): -cxy, (1, 1): -cxy, (-1, 1): cxy, (1, -1): cxy,
-    }
+    return -2.0 * (cx + cy), cx, cy, cxy
 
 
 def _apply(weights, u):
     """The stencil applied to full fields, edges included: interior values
     (leading axes are batched)."""
+    c, cx, cy, cxy = weights
     ny, nx = u.shape[-2:]
-    return sum(
-        w * u[..., 1 + dj:ny - 1 + dj, 1 + di:nx - 1 + di] for (dj, di), w in weights.items()
-    )
+    s = [[u[..., j:ny - 2 + j, i:nx - 2 + i] for i in range(3)] for j in range(3)]
+    return (c * s[1][1] + cx * (s[1][0] + s[1][2]) + cy * (s[0][1] + s[2][1])
+            + cxy * (s[0][2] + s[2][0] - s[0][0] - s[2][2]))
 
 
-def _dst(v):
-    """DST-I along the last axis, sum_j v_j sin(pi j k / (m + 1)) for k = 1..m:
-    the real FFT of the odd extension [0, v, 0, -v reversed] is -2i times it."""
-    m = v.shape[-1]
-    w = np.zeros(v.shape[:-1] + (2 * m + 2,))
-    w[..., 1:m + 1] = v
-    w[..., m + 2:] = -v[..., ::-1]
-    return np.fft.rfft(w)[..., 1:m + 1].imag * -0.5
+def _sines(m):
+    """The DST-I matrix, S_jk = sin(pi j k / (m + 1)) for j, k = 1..m, looked up
+    in the 2 m + 2 sines of one period; S S = (m + 1) / 2 times the identity."""
+    j = np.arange(1, m + 1)
+    return np.sin(np.pi / (m + 1) * np.arange(2 * m + 2))[np.outer(j, j) % (2 * m + 2)]
 
 
 def _poisson(domain, a):
     """The solve of P = a d_xx + (1 - a) d_yy, 5-point with zero Dirichlet
     edges, on interior-node arrays (leading axes are batched).
 
-    The DST-I diagonalises each second difference; applied twice it is the
-    identity times (m + 1) / 2, which the eigenvalue array absorbs.
+    The sine matrix of each axis diagonalises its second difference (fast
+    diagonalisation); applied twice it is the identity times (m + 1) / 2,
+    which the eigenvalue array absorbs.  Square grids share one matrix.
     """
     ny, nx = domain.shape
 
     def eigenvalues(n, h):
         return -4.0 / h**2 * np.sin(0.5 * np.pi * np.arange(1, n - 1) / (n - 1)) ** 2
 
-    # indexed (x, y): the y transform runs with the axes swapped
     inv = 4.0 / ((nx - 1) * (ny - 1)) / (
-        a * eigenvalues(nx, domain.dx)[:, None] + (1.0 - a) * eigenvalues(ny, domain.dy)[None, :]
+        a * eigenvalues(nx, domain.dx)[None, :] + (1.0 - a) * eigenvalues(ny, domain.dy)[:, None]
     )
+    sx = _sines(nx - 2)
+    sy = sx if ny == nx else _sines(ny - 2)
 
     def solve(r):
-        s = _dst(_dst(r).swapaxes(-1, -2)) * inv
-        return _dst(_dst(s).swapaxes(-1, -2))
+        return sy @ ((sy @ r @ sx) * inv) @ sx
 
     return solve
 
@@ -145,8 +141,9 @@ def _iterate(domain, boundary, max_outer, signature):
     cleared.  The margin is the smallest discriminant E G - F^2, counted as
     at most 0 at nodes outside the metric's mask (E <= 0: a
     negative-definite metric is not spacelike).  Only the split signature
-    can fail that test; for it the floor is `_SPACELIKE_MARGIN` times the
-    margin of the initial guess.
+    takes it, with the floor `_SPACELIKE_MARGIN` times the margin of the
+    initial guess: the euclidean metric itself refuses E G - F^2 <= 0.
+    The map of the accepted iterate is returned as it was read.
     """
     if max_outer < 1:
         raise ValidationError(f"max_outer must be at least 1, got {max_outer}")
@@ -158,11 +155,14 @@ def _iterate(domain, boundary, max_outer, signature):
         v[:, 0], v[:, -1] = b[:, 0], b[:, -1]
 
     def metric(comps):
-        met = first_fundamental_form(HeightMap(domain, list(comps)), signature)
+        h = HeightMap(domain, list(comps))
+        met = first_fundamental_form(h, signature)
+        if signature == "euclidean":
+            return h, met, np.inf
         disc = met.E * met.G - met.F**2
-        return met, float(np.min(np.where(met.mask, disc, np.minimum(disc, 0.0))))
+        return h, met, float(np.min(np.where(met.mask, disc, np.minimum(disc, 0.0))))
 
-    met, m0 = metric(u)
+    h, met, m0 = metric(u)
     if m0 <= 0.0:
         raise SpacelikeUnreachable(
             f"initial guess is not spacelike (spacelike margin {m0:.3e})"
@@ -170,8 +170,7 @@ def _iterate(domain, boundary, max_outer, signature):
     floor = _SPACELIKE_MARGIN * m0 if signature == "split" else 0.0
 
     inner = (slice(None), slice(1, -1), slice(1, -1))
-    E, G = met.E[1:-1, 1:-1], met.G[1:-1, 1:-1]
-    precondition = _poisson(domain, float(np.mean(G / (E + G))))
+    precondition = _poisson(domain, float(np.mean(met.G[1:-1, 1:-1] / (met.E + met.G)[1:-1, 1:-1])))
     # Anderson history: differences of consecutive steps f and of x + f, in
     # a ring of `_DEPTH` rows, with the Gram matrix of the f differences
     n = u[inner].size
@@ -181,7 +180,7 @@ def _iterate(domain, boundary, max_outer, signature):
     for outer in range(1, max_outer + 1):
         weights = _stencil(met, domain)
         R = -_apply(weights, u)
-        scale = np.max(np.abs(weights[(0, 0)])) * max(1.0, float(np.max(np.abs(u))))
+        scale = np.max(np.abs(weights[0])) * max(1.0, float(np.max(np.abs(u))))
         residual = float(np.max(np.abs(R))) / scale
         if residual < best:
             best, since_best = residual, 0
@@ -206,11 +205,12 @@ def _iterate(domain, boundary, max_outer, signature):
             gamma = np.linalg.lstsq(gram[:k, :k], dfs[:k] @ f, rcond=None)[0]
             d = f - gamma @ dgs[:k]
         prev = x, f
+        del h, met  # the trial's replace them: never hold both
         step = 1.0
         for _ in range(40):
             trial = u.copy()
             trial[inner] += step * d.reshape(R.shape)
-            met, m = metric(trial)
+            h, met, m = metric(trial)
             if m > floor:
                 break
             step *= 0.5
@@ -226,7 +226,7 @@ def _iterate(domain, boundary, max_outer, signature):
         if delta > 1e6:
             raise Diverged(f"update grew to {delta:.3e}")
         if delta < _OUTER_TOL and residual < _OUTER_TOL:
-            return HeightMap(domain, list(u)), outer, history
+            return h, outer, history
     raise MaxIterations(
         f"no convergence in {max_outer} steps "
         f"(last update {history[-1]:.3e}, residual {residual:.3e})"

@@ -117,14 +117,17 @@ class ResidualReport:
         }
 
 
-def _report(op: str, h: HeightMap, signature: str, fields_of=None) -> ResidualReport:
-    """The report ``op`` of ``h``: ``fields_of(metric)``, or the quasilinear
-    form per component, from the metric of ``signature``; the aggregates
-    leave out nodes outside its mask (only split data has any).  Its scale
-    is |E + G| * max(1, |second derivatives|) nodewise, with |E + G| >= 1e-12
-    so split data near the light cone cannot scale a residual up to inf; the
-    second derivatives go one component at a time into one running max.
-    The metric goes along as ``_metric`` for ``read_surface`` to take."""
+def _report(
+    op: str, h: HeightMap, signature: str, fields_of=None
+) -> tuple[ResidualReport, MetricData]:
+    """The report ``op`` of ``h`` and the metric of ``signature`` it was
+    read from, which ``read_surface`` takes and the report does not hold.
+    Its fields are ``fields_of(metric)``, or the quasilinear form per
+    component; the aggregates leave out nodes outside the metric's mask
+    (only split data has any).  Its scale is |E + G| * max(1, |second
+    derivatives|) nodewise, with |E + G| >= 1e-12 so split data near the
+    light cone cannot scale a residual up to inf; the second derivatives go
+    one component at a time into one running max."""
     metric = first_fundamental_form(h, signature)
     fields = [] if fields_of is None else fields_of(metric)
     m = np.ones(h.domain.shape)
@@ -138,9 +141,7 @@ def _report(op: str, h: HeightMap, signature: str, fields_of=None) -> ResidualRe
     s = np.add(metric.E, metric.G)
     np.maximum(np.abs(s, out=s), 1e-12, out=s)
     scale = np.multiply(s, m, out=s)
-    report = ResidualReport(op, signature, fields, scale, h.domain, metric.mask)
-    report._metric = metric
-    return report
+    return ResidualReport(op, signature, fields, scale, h.domain, metric.mask), metric
 
 
 def _quasilinear(metric: MetricData, seconds) -> list:
@@ -158,13 +159,13 @@ def _quasilinear(metric: MetricData, seconds) -> list:
 
 def minimal_residual(f: HeightMap) -> ResidualReport:
     """G f_xx - 2 F f_xy + E f_yy per component."""
-    return _report("minimal_residual", f, "euclidean")
+    return _report("minimal_residual", f, "euclidean")[0]
 
 
 def maximal_residual(g: HeightMap) -> ResidualReport:
     """Hatted quasilinear form; non-spacelike nodes are masked out of the
     aggregates instead of raising."""
-    return _report("maximal_residual", g, "split")
+    return _report("maximal_residual", g, "split")[0]
 
 
 def divergence_residual(f: HeightMap) -> ResidualReport:
@@ -178,7 +179,7 @@ def divergence_residual(f: HeightMap) -> ResidualReport:
             for a, b in f.gradients
         ]
 
-    return _report("divergence_residual", f, "euclidean", fields_of)
+    return _report("divergence_residual", f, "euclidean", fields_of)[0]
 
 
 def closedness_identities(f: HeightMap | SurfaceReading) -> ResidualReport:
@@ -242,12 +243,11 @@ def read_surface(h, signature: str = "euclidean", tol: float | None = None) -> S
         if tol is not None and tol != h.tol:
             raise ValidationError(f"tolerance {tol!r} differs from the reading's {h.tol!r}")
         return h
-    residual = {"euclidean": minimal_residual, "split": maximal_residual}.get(signature)
-    if residual is None:
+    op = {"euclidean": "minimal_residual", "split": "maximal_residual"}.get(signature)
+    if op is None:
         raise ValidationError(f"unknown signature {signature!r}")
     tol = resolve_tol(tol, h.domain)
-    res = residual(h)
-    metric = res._metric
+    res, metric = _report(op, h, signature)
     if not metric.mask.all():
         raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
     worst, scale = res.max_abs("scaled"), res.scale

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import twinsurf
-from twinsurf import conformal
+from twinsurf import conformal, systems
 from twinsurf.cli import run
 from twinsurf.fields import GridDomain
 from twinsurf.gfield import read_gfield, read_heightmap, write_gfield, write_heightmap
@@ -488,13 +488,27 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
+def _count_residuals(monkeypatch):
+    """Count the residual reports built, by op, public or for a reading."""
+    built = {}
+    original = systems._report
+
+    def counted(op, *args, **kwargs):
+        built[op] = built.get(op, 0) + 1
+        return original(op, *args, **kwargs)
+
+    monkeypatch.setattr(systems, "_report", counted)
+    return built
+
+
 def test_verify_all_shares_the_residual_and_the_potentials(monkeypatch, capsys):
-    calls = _count_calls(
-        monkeypatch, ("minimal_residual", "maximal_residual", "integrate_exact_form")
-    )
+    built = _count_residuals(monkeypatch)
+    calls = _count_calls(monkeypatch, ("integrate_exact_form",))
     assert run(["verify-all", "--name", "catenoid", "--grid", "65,65"]) == 0
-    # the twin and its involution, then M, N and the lift's h
-    assert calls == {"minimal_residual": 1, "maximal_residual": 1, "integrate_exact_form": 5}
+    # one residual per side and the divergence row; the twin and its
+    # involution, then M, N and the lift's h
+    assert built == {"minimal_residual": 1, "maximal_residual": 1, "divergence_residual": 1}
+    assert calls == {"integrate_exact_form": 5}
 
 
 def test_verify_all_takes_the_jacobian_data_once_per_map(monkeypatch, capsys):
@@ -522,23 +536,25 @@ def test_closedness_reads_the_surface_once(catenoid_file, monkeypatch, capsys):
 
 def test_one_reading_feeds_the_twin_the_lift_and_the_chart(monkeypatch):
     f = twinsurf.make_surface("catenoid", None, twinsurf.default_domain("catenoid", {}, 33, 33))
-    names = ("minimal_residual", "jacobian_data", "integrate_exact_form")
-    calls = _count_calls(monkeypatch, names)
+    built = _count_residuals(monkeypatch)
+    calls = _count_calls(monkeypatch, ("jacobian_data", "integrate_exact_form"))
     reading = twinsurf.read_surface(f)
     twin_forward(reading)
     twinsurf.sl_lift(reading)
     conformal.build_chart(reading)
+    # one residual per side: f's reading and the twin's in its involution;
     # jacobian_data: f, the raw twin and the involution's source; integrals:
     # the twin, the involution, then M and N once for the lift and the
     # chart, and the lift's h
-    assert calls == {"minimal_residual": 1, "jacobian_data": 3, "integrate_exact_form": 5}
+    assert built == {"minimal_residual": 1, "maximal_residual": 1}
+    assert calls == {"jacobian_data": 3, "integrate_exact_form": 5}
 
 
 def test_chart_weierstrass_reads_the_surface_once(catenoid_file, monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, ("minimal_residual",))
+    built = _count_residuals(monkeypatch)
     assert run(["chart", "weierstrass", "--in", catenoid_file]) == 0
-    # one reading for the chart and the twin
-    assert calls == {"minimal_residual": 1}
+    # one reading of f for the chart and the twin, one of the twin in its involution
+    assert built == {"minimal_residual": 1, "maximal_residual": 1}
 
 
 def test_verify_all_matches_the_public_constructions():

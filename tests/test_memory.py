@@ -13,6 +13,8 @@ from twinsurf import (
     null_curve,
     planarity_score,
     sl_lift,
+    solve_maximal,
+    solve_minimal,
     twin_backward,
     twin_forward,
     verify_surface,
@@ -107,6 +109,23 @@ def test_stage_peaks_stay_under_their_bounds():
         "null_curve_split": _peak_units(null_curve, f, chart, "split"),
     }
     assert all(peaks[k] <= _PEAK_BOUNDS[k] for k in peaks), peaks
+
+
+# the solvers from the catenoid's edges and its twin's: measured peaks plus
+# one grid array (47.9 and 47.7 while the FFT sine transform ran, each step
+# held the previous metric through the trial's, and the initial E and G
+# stayed alive to the end); the Anderson history alone is 20 interior arrays
+_SOLVE_PEAK_BOUNDS = {"solve_minimal": 42.6, "solve_maximal": 42.7}
+
+
+def test_solver_peaks_stay_under_their_bounds():
+    f = surface("catenoid", 257, 257)
+    g = twin_forward(f).g
+    peaks = {
+        "solve_minimal": _peak_units(solve_minimal, f.domain, f.components),
+        "solve_maximal": _peak_units(solve_maximal, g.domain, g.components),
+    }
+    assert all(peaks[k] <= _SOLVE_PEAK_BOUNDS[k] for k in peaks), peaks
 
 
 # the CLI's heaviest commands, on files: measured peaks plus one grid array

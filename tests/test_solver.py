@@ -5,7 +5,7 @@ import twinsurf.solver
 from twinsurf.catalog import make_surface
 from twinsurf.errors import MaxIterations, SpacelikeUnreachable, ValidationError
 from twinsurf.fields import GridDomain, first_fundamental_form
-from twinsurf.solver import _OUTER_TOL, _dst, _poisson, solve_maximal, solve_minimal
+from twinsurf.solver import _OUTER_TOL, _poisson, _sines, solve_maximal, solve_minimal
 from twinsurf.twin import twin_forward
 
 from conftest import surface
@@ -268,21 +268,20 @@ def test_result_is_discrete_fixed_point(system, name):
     _assert_fixed_point(res, system)
 
 
-def test_dst_applied_twice_is_the_identity():
-    rng = np.random.default_rng(7)
-    for m in (1, 2, 15, 63):
-        v = rng.standard_normal((3, m))
-        assert np.abs(_dst(_dst(v)) * 2.0 / (m + 1) - v).max() <= 1e-13
+def test_sine_matrix_applied_twice_is_the_identity():
+    for m in (1, 2, 15, 63, 127):
+        s = _sines(m)
+        assert np.abs(s @ s * 2.0 / (m + 1) - np.eye(m)).max() <= 1e-13
 
 
 def test_poisson_inverts_the_five_point_operator():
-    # non-square grid, dx != dy, an uneven axis weight
-    dom = GridDomain.from_bounds(0.0, -1.0, 3.0, 0.5, 41, 23)
-    a = 0.3
-    rng = np.random.default_rng(11)
-    v = np.zeros((2,) + dom.shape)
-    v[:, 1:-1, 1:-1] = rng.uniform(-1.0, 1.0, (2, dom.ny - 2, dom.nx - 2))
-    pv = a * (v[:, 1:-1, 2:] - 2.0 * v[:, 1:-1, 1:-1] + v[:, 1:-1, :-2]) / dom.dx**2
-    pv += (1.0 - a) * (v[:, 2:, 1:-1] - 2.0 * v[:, 1:-1, 1:-1] + v[:, :-2, 1:-1]) / dom.dy**2
-    assert np.abs(_poisson(dom, a)(pv) - v[:, 1:-1, 1:-1]).max() <= 1e-12
-
+    # non-square (dx != dy) and square (one shared sine matrix), an uneven axis weight
+    for nx, ny in ((41, 23), (33, 33)):
+        dom = GridDomain.from_bounds(0.0, -1.0, 3.0, 0.5, nx, ny)
+        a = 0.3
+        rng = np.random.default_rng(11)
+        v = np.zeros((2,) + dom.shape)
+        v[:, 1:-1, 1:-1] = rng.uniform(-1.0, 1.0, (2, dom.ny - 2, dom.nx - 2))
+        pv = a * (v[:, 1:-1, 2:] - 2.0 * v[:, 1:-1, 1:-1] + v[:, 1:-1, :-2]) / dom.dx**2
+        pv += (1.0 - a) * (v[:, 2:, 1:-1] - 2.0 * v[:, 1:-1, 1:-1] + v[:, :-2, 1:-1]) / dom.dy**2
+        assert np.abs(_poisson(dom, a)(pv) - v[:, 1:-1, 1:-1]).max() <= 1e-12

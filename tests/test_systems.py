@@ -68,6 +68,12 @@ def test_report_schema(square_domain):
     assert set(rep) >= {"op", "signature", "max_abs", "l2"}
 
 
+def test_reports_hold_no_metric():
+    f = surface("catenoid", 17, 17)
+    for rep in (minimal_residual(f), maximal_residual(f), divergence_residual(f)):
+        assert sorted(vars(rep)) == ["domain", "fields", "mask", "op", "scale", "signature"]
+
+
 def test_maximal_residual_masks_non_spacelike_nodes():
     # spacelike only on part of the domain: masked nodes must not poison the max
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 33, 33)
