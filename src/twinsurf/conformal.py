@@ -6,10 +6,12 @@ The transformation is Psi(x, y) = (x + M, y + N) with M, N integrated from
 E + G >= 2 sqrt(EG) >= 2w; the chart stores M, N and J_psi and reads xi
 from M and N.  Null curves and the Weierstrass relation are read on the
 source grid by pulling xi-derivatives back through DPsi (second order),
-once per call, holding one height component's phi at a time; the relation
-reads both sides and the minimal side's holomorphy through the one
-pullback.  Only ``resample_to_chart`` inverts the chart: damped Newton
-from an affine seed (no nearest-node search), bilinear interpolation.
+one block of rows at a time: each block reads a two-row halo on either
+side, so every difference it keeps is the whole grid's, and no complex
+field is held on the whole grid.  The relation reads both sides and the
+minimal side's holomorphy through the one pullback of each block.
+Only ``resample_to_chart`` inverts the chart: damped Newton from an
+affine seed (no nearest-node search), bilinear interpolation.
 """
 
 from __future__ import annotations
@@ -187,18 +189,43 @@ def resample_to_chart(chart: ConformalChart, h: HeightMap) -> HeightMap:
     return HeightMap(target, [x, y] + [_bilinear(c, cell) for c in h.components])
 
 
-def _pullback(chart: ConformalChart, *maps: HeightMap):
-    """A, B of d/dxi = (DPsi)^{-T} d/d(x, y) = A d/dx + B d/dy, DPsi
-    differenced from the chart's nodes; ``maps`` must share its grid."""
+# rows per block of the null-curve kernels; each block reads _HALO more
+# rows on each side, so every central difference it keeps is the whole
+# grid's: phi differences xi and the heights once, dbar differences phi
+_BLOCK_ROWS = 16
+_HALO = 2
+
+
+def _blocks(chart: ConformalChart, *maps: HeightMap):
+    """Row blocks of the null-curve residuals, ``maps`` on the chart's grid.
+
+    Each block keeps some of the rows ``_MARGIN_CELLS`` rings in and reads
+    them with their halo; it yields the rows it reads, ``_pullback`` on
+    them, and the block's nullity ring (kept rows) and holomorphy ring (one
+    ring further in) as indices into the block."""
     dom = chart.source.domain
     if any(h.domain != dom for h in maps):
         raise ValidationError("height map and chart must share the source grid")
     if min(dom.nx, dom.ny) < 2 * _MARGIN_CELLS + 3:
         raise ValidationError(f"null curve needs at least {2 * _MARGIN_CELLS + 3} nodes per axis")
-    def grad(xi):  # each xi is dropped once differenced
-        return diff_x(xi.values, dom.dx), diff_y(xi.values, dom.dy)
+    m = _MARGIN_CELLS
+    for r0 in range(m, dom.ny - m, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, dom.ny - m)
+        lo = r0 - _HALO  # the block's first row
+        rows = slice(lo, r1 + _HALO)
+        null = slice(r0 - lo, r1 - lo), slice(m, -m)
+        holo = slice(max(r0, m + 1) - lo, min(r1, dom.ny - m - 1) - lo), slice(m + 1, -m - 1)
+        yield rows, *_pullback(chart, rows), null, holo
 
-    (xi1_x, xi1_y), (xi2_x, xi2_y) = grad(chart.xi1), grad(chart.xi2)
+
+def _pullback(chart: ConformalChart, rows: slice):
+    """A, B of d/dxi = (DPsi)^{-T} d/d(x, y) = A d/dx + B d/dy on the source
+    ``rows``, DPsi differenced from the chart's nodes there."""
+    dom = chart.source.domain
+    xi1 = chart.M.values[rows] + dom.xs
+    xi2 = chart.N.values[rows] + dom.ys[rows, None]
+    xi1_x, xi1_y = diff_x(xi1, dom.dx), diff_y(xi1, dom.dy)
+    xi2_x, xi2_y = diff_x(xi2, dom.dx), diff_y(xi2, dom.dy)
     det = xi1_x * xi2_y
     det -= xi1_y * xi2_x
     A = np.multiply(1j, xi1_y)
@@ -218,10 +245,9 @@ def _phi(c: np.ndarray, A, B, dom: GridDomain) -> np.ndarray:
     return p
 
 
-def _ring_max(v: np.ndarray, rings: int) -> float:
-    """max |v| ``rings`` rings in from the boundary."""
-    sl = slice(rings, -rings)
-    return float(np.abs(v[sl, sl]).max())
+def _abs_max(v: np.ndarray, ring) -> float:
+    """max |v| over the index ``ring`` of a block; 0 on a ring with no rows."""
+    return float(np.abs(v[ring]).max(initial=0.0))
 
 
 def _dbar(p: np.ndarray, Ac, Bc, dom: GridDomain) -> np.ndarray:
@@ -234,11 +260,6 @@ def _dbar(p: np.ndarray, Ac, Bc, dom: GridDomain) -> np.ndarray:
     d = np.multiply(Ac, px)
     d += np.multiply(Bc, diff_y(p, dom.dy), out=px)
     return d
-
-
-def _dbar_max(p: np.ndarray, Ac, Bc, dom: GridDomain) -> float:
-    """max |dbar p|, ``_MARGIN_CELLS`` + 1 rings in."""
-    return _ring_max(_dbar(p, Ac, Bc, dom), _MARGIN_CELLS + 1)
 
 
 def _square_sum(terms, acc=None) -> np.ndarray:
@@ -267,24 +288,26 @@ def null_curve(
     """phi_k = dF_k/dxi1 - i dF_k/dxi2 of F = (x, y, h_1..h_n) on the source
     grid: d = A d/dx + B d/dy and dbar = conj(A) d/dx + conj(B) d/dy from
     ``_pullback``.  Nullity is taken ``_MARGIN_CELLS`` rings in, holomorphy
-    a ring further.  phi_{k+2} is taken one height component at a time and
-    dropped once read: the euclidean sum starts from phi_1^2 + phi_2^2, the
-    split one subtracts its height tail from them."""
+    a ring further, one row block of ``_blocks`` at a time: the euclidean
+    sum starts from phi_1^2 + phi_2^2, the split one subtracts its height
+    tail from them, and each block's maxima fold into the grid's."""
     if signature not in ("euclidean", "split"):
         raise ValidationError(f"unknown signature {signature!r}")
-    A, B = _pullback(chart, h)
     dom = h.domain
-    Ac, Bc = A.conj(), B.conj()
-    holo = max(0.0, _dbar_max(A, Ac, Bc, dom), _dbar_max(B, Ac, Bc, dom))
     euclidean = signature == "euclidean"
-    acc = _square_sum([A, B]) if euclidean else None
-    for c in h.components:
-        p = _phi(c, A, B, dom)
-        holo = max(holo, _dbar_max(p, Ac, Bc, dom))
-        acc = _square_sum([p], acc)
-        del p
-    null = acc if euclidean else _split_null(A, B, acc)
-    return NullCurveField(holo, _ring_max(null, _MARGIN_CELLS), signature)
+    maxima = []
+    for rows, A, B, null_ring, holo_ring in _blocks(chart, h):
+        Ac, Bc = A.conj(), B.conj()
+        holo = [_abs_max(_dbar(v, Ac, Bc, dom), holo_ring) for v in (A, B)]
+        acc = _square_sum([A, B]) if euclidean else None
+        for c in h.components:
+            p = _phi(c[rows], A, B, dom)
+            holo.append(_abs_max(_dbar(p, Ac, Bc, dom), holo_ring))
+            acc = _square_sum([p], acc)
+        null = acc if euclidean else _split_null(A, B, acc)
+        maxima.append((max(holo), _abs_max(null, null_ring)))
+    holo, null = np.max(maxima, axis=0).tolist()
+    return NullCurveField(holo, null, signature)
 
 
 def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:
@@ -294,34 +317,35 @@ def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:
 
     phihat_1 = phi_1 and phihat_2 = phi_2 hold exactly: both sides read
     (x, y) through the one chart.  So ``max_residual``, the largest
-    relation residual, equals ``height_residual``.  phi_{k+2} and
-    phihat_{k+2} are taken one height component at a time, and each is
-    dropped once read."""
+    relation residual, equals ``height_residual``.  Every field is taken
+    one row block of ``_blocks`` at a time, and each block's maxima fold
+    into the grid's."""
     f, g = pair.f, pair.g
     if f.n != g.n:
         raise ValidationError(
             f"twin sides differ: {f.n} component(s) on {f.domain} and {g.n} on {g.domain}"
         )
-    A, B = _pullback(chart, f, g)
     dom = f.domain
-    Ac, Bc = A.conj(), B.conj()
-    holo = max(0.0, _dbar_max(A, Ac, Bc, dom), _dbar_max(B, Ac, Bc, dom))
-    null_f, tail_g = _square_sum([A, B]), None
-    r = 0.0
-    for c, chat in zip(f.components, g.components):
-        p = _phi(c, A, B, dom)
-        holo = max(holo, _dbar_max(p, Ac, Bc, dom))
-        null_f = _square_sum([p], null_f)
-        rel = np.multiply(1j, p)
-        del p
-        q = _phi(chat, A, B, dom)
-        tail_g = _square_sum([q], tail_g)
-        r = max(r, _ring_max(np.add(q, rel, out=rel), _MARGIN_CELLS))
-        del q, rel
+    maxima = []
+    for rows, A, B, null_ring, holo_ring in _blocks(chart, f, g):
+        Ac, Bc = A.conj(), B.conj()
+        holo = [_abs_max(_dbar(v, Ac, Bc, dom), holo_ring) for v in (A, B)]
+        null_f, tail_g, r = _square_sum([A, B]), None, 0.0
+        for c, chat in zip(f.components, g.components):
+            p = _phi(c[rows], A, B, dom)
+            holo.append(_abs_max(_dbar(p, Ac, Bc, dom), holo_ring))
+            null_f = _square_sum([p], null_f)
+            rel = np.multiply(1j, p)
+            q = _phi(chat[rows], A, B, dom)
+            tail_g = _square_sum([q], tail_g)
+            r = max(r, _abs_max(np.add(q, rel, out=rel), null_ring))
+        null_g = _split_null(A, B, tail_g)
+        maxima.append((r, max(holo), _abs_max(null_f, null_ring), _abs_max(null_g, null_ring)))
+    r, holo, null_f, null_g = np.max(maxima, axis=0).tolist()
     return {
         "height_residual": r,
         "max_residual": r,
         "holomorphy_residual_min_side": holo,
-        "nullity_residual_min_side": _ring_max(null_f, _MARGIN_CELLS),
-        "nullity_residual_max_side": _ring_max(_split_null(A, B, tail_g), _MARGIN_CELLS),
+        "nullity_residual_min_side": null_f,
+        "nullity_residual_max_side": null_g,
     }

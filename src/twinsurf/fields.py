@@ -5,8 +5,10 @@ axis, so a row-major flatten runs through x fastest.  All derivative
 stencils are second order: central in the interior, one-sided three/four
 point stencils on the boundary rows and columns.  There is one stencil
 per derivative order, along a given axis (the last for x, the first for y),
-written into one output array.  Exact 1-forms are integrated by cumulative
-trapezoids behind one closedness guard, in units of a caller-given scale.
+written into one output array; a ``HeightMap`` without analytic gradients
+takes its own, with five-point ends whose error matches the central one.
+Exact 1-forms are integrated by cumulative trapezoids behind one
+closedness guard, in units of a caller-given scale.
 The kernels write only into arrays they allocated.
 """
 
@@ -112,15 +114,48 @@ class ScalarField:
             raise ValidationError("field contains non-finite values")
 
 
-def _diff1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """First derivative along ``axis``: central, three-point one-sided at
-    the two ends."""
+def _central1(v: np.ndarray, h: float, axis: int):
+    """First derivative along ``axis`` at the interior nodes, central; the
+    result and the views of ``v`` and of it with ``axis`` last, whose two
+    end nodes the caller fills."""
     d = np.empty_like(v, dtype=np.result_type(v, float))
     v, e = v.swapaxes(axis, -1), d.swapaxes(axis, -1)
     inner = np.subtract(v[..., 2:], v[..., :-2], out=e[..., 1:-1])
     inner /= 2.0 * h
+    return d, v, e
+
+
+def _diff1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """First derivative along ``axis``: central, three-point one-sided at
+    the two ends."""
+    d, v, e = _central1(v, h, axis)
     e[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
     e[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    return d
+
+
+# node j of the two ends, from each end inwards, and its weight in
+# (-5, 11, -10, 5, -1)/(2h), negated at the far end: one row per j
+_END_NODES = np.array([[0, -1], [1, -2], [2, -3], [3, -4], [4, -5]])
+_END_WEIGHTS = np.array([[-5.0, 5.0], [11.0, -11.0], [-10.0, 10.0], [5.0, -5.0], [-1.0, 1.0]])
+
+
+def _diff1_matched(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """First derivative along ``axis``: central, five-point one-sided at the
+    two ends.  The end error matches the central error h^2 f^(3)/6 through
+    h^3 (Fornberg, Math. Comp. 51, 1988), so differencing again keeps
+    second order on the first ring.
+
+    Both ends are taken at once, each sum elementwise in node order from
+    the end inwards (no BLAS)."""
+    d, v, e = _central1(v, h, axis)
+    t = v[..., _END_NODES]
+    t *= _END_WEIGHTS
+    s = t[..., 0, :] + t[..., 1, :]
+    for j in (2, 3, 4):
+        s += t[..., j, :]
+    s /= 2.0 * h
+    e[..., 0], e[..., -1] = s[..., 0], s[..., 1]
     return d
 
 
@@ -203,7 +238,8 @@ class HeightMap:
 
     ``gradients[k]`` holds the pair (df_k/dx, df_k/dy), checked like the
     components.  When none are given they are taken once, at construction,
-    by finite differences of the values; ``alpha``/``beta`` look them up.
+    by finite differences of the values, with the error-matched ends of
+    ``_diff1_matched``; ``alpha``/``beta`` look them up.
     """
 
     domain: GridDomain
@@ -217,7 +253,10 @@ class HeightMap:
         self.components = [_grid_array(c, dom, "component") for c in self.components]
         self._differenced = self.gradients is None
         if self._differenced:
-            self.gradients = [(diff_x(c, dom.dx), diff_y(c, dom.dy)) for c in self.components]
+            self.gradients = [
+                (_diff1_matched(c, dom.dx, -1), _diff1_matched(c, dom.dy, 0))
+                for c in self.components
+            ]
             return
         if len(self.gradients) != len(self.components):
             raise ValidationError("one gradient pair per component required")

@@ -8,7 +8,9 @@ coordinates z_1 .. z_{n+2} of one point of the quadric per grid node
 unit vectors with a fixed representative: unit norm and positive real
 part of the first component whose modulus exceeds a small threshold.
 That gauge makes fields continuous wherever the underlying map is and
-comparable nodewise.
+comparable nodewise.  Fields are normalized and gauged in place, one
+block of rows at a time, so no whole-grid temporary of the field's shape
+is held.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ _MIN_VALID_FRACTION = 0.99
 _NONREAL_THRESHOLD = 1e-8
 # jorgens_gauss: largest accepted max |det D^2 F - 1| off the boundary
 _DET_TOL = 1e-6
+# rows per block of the in-place normalization, whose temporaries are a
+# few real arrays of the block's shape
+_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -60,9 +65,12 @@ def normalize_projective(components) -> np.ndarray:
 
 def _normalize(z: np.ndarray) -> np.ndarray:
     """Scale each node of the field ``z``, which the caller allocated, to
-    unit norm and gauge it, in place; returns ``z``."""
-    z /= _node_norms(z)[..., None]
-    _gauge(z)
+    unit norm and gauge it, in place, ``_BLOCK_ROWS`` rows at a time;
+    returns ``z``."""
+    for r0 in range(0, z.shape[0], _BLOCK_ROWS):
+        block = z[r0 : r0 + _BLOCK_ROWS]
+        block /= _node_norms(block)[..., None]
+        _gauge(block)
     return z
 
 
@@ -88,6 +96,8 @@ def _gauge(z: np.ndarray) -> None:
         r = np.abs(zk)
         phase[sel] = np.divide(np.conj(zk, out=zk), r, out=zk)
         fixed |= sel
+        if fixed.all():
+            break
     z *= phase[..., None]
 
 

@@ -688,11 +688,11 @@ def test_written_files_feed_the_readers(tmp_path, capsys, name):
         ["sl", "lift", "--in", p["f"], "--out", p["h"]],
         ["sl", "residual", "--in", p["h"]],
         ["sl", "detect-angle", "--in", p["h"]],
+        ["twin", "verify", "--in", p["f"], "--twin", p["g"]],
+        ["twin", "backward", "--in", p["g"]],
     ]
-    if name == "holomorphic":  # the other twins fail NOT_CLOSED on a file (ROADMAP item 1)
-        chains += [["twin", "verify", "--in", p["f"], "--twin", p["g"]],
-                   ["twin", "backward", "--in", p["g"]]]
-        # only its lift is unimodular to the 1e-6 that jorgens_gauss asks of a file
+    # only the holomorphic lift is unimodular to the 1e-6 that jorgens_gauss asks of a file
+    if name == "holomorphic":
         chains.append(["gauss", "jorgens", "--in", p["h"]])
     for argv in chains:
         assert run(argv) == 0, argv

@@ -139,7 +139,7 @@ def test_invert_chart_rejects_target_past_the_image():
 def test_null_curve_of_flat_immersion():
     f, chart = flat_chart()
     nc = null_curve(f, chart, "euclidean")
-    phi = _ref_null_phi(f, *conformal._pullback(chart))
+    phi = _ref_null_phi(f, *_ref_pullback(chart))
     assert np.abs(phi[0] - 0.5).max() < 1e-8
     assert np.abs(phi[1] + 0.5j).max() < 1e-8
     assert np.abs(phi[2]).max() < 1e-8
@@ -206,7 +206,7 @@ def test_weierstrass_residuals_vanish_on_holomorphic_pair(values_only):
 def _weierstrass_from_null_curves(pair, chart):
     nf = null_curve(pair.f, chart, "euclidean")
     ng = null_curve(pair.g, chart, "split")
-    A, B = conformal._pullback(chart)
+    A, B = _ref_pullback(chart)
     phi, phihat = _ref_null_phi(pair.f, A, B), _ref_null_phi(pair.g, A, B)
     r = max(
         float(np.abs((phihat[k] + 1j * phi[k])[2:-2, 2:-2]).max())
@@ -223,20 +223,52 @@ def _weierstrass_from_null_curves(pair, chart):
 
 @pytest.mark.parametrize("name", ["catenoid", "scherk", "holomorphic"])
 def test_weierstrass_twin_pulls_back_once_and_equals_two_null_curves(name, monkeypatch):
+    # once per row block: 16-row blocks of the rows 2 .. 62 kept at 65^2
     f = surface(name, 65, 65)
     pair, chart = twin_forward(f), build_chart(f)
-    calls = []
+    rows = []
     pullback = conformal._pullback
 
-    def counted(*args):
-        calls.append(args)
-        return pullback(*args)
+    def counted(chart, block):
+        rows.append((block.start, block.stop))
+        return pullback(chart, block)
 
+    monkeypatch.setattr(conformal, "_BLOCK_ROWS", 16)
     monkeypatch.setattr(conformal, "_pullback", counted)
     out = verify_weierstrass_twin(pair, chart)
-    assert len(calls) == 1
+    assert rows == [(0, 20), (16, 36), (32, 52), (48, 65)]
     monkeypatch.undo()
     assert out == _weierstrass_from_null_curves(pair, chart)
+
+
+def _block_pair(name, ny):
+    if name != "random":
+        f = surface(name, 41, ny)
+        return twin_forward(f), build_chart(f)
+    rng = np.random.default_rng(ny)
+    dom = GridDomain.from_bounds(-0.6, -0.6, 0.6, 0.6, 41, ny)
+    f = random_heightmap(rng, dom, n=2, amplitude=0.1)
+    return TwinPair(f, random_heightmap(rng, dom, n=2), None), build_chart(f, tol=1e6)
+
+
+@pytest.mark.parametrize("rest", [1, 2])
+@pytest.mark.parametrize("name", ["catenoid", "scherk", "holomorphic", "random"])
+def test_row_blocks_equal_one_whole_grid_block_bit_for_bit(name, rest, monkeypatch):
+    # the kept rows 2 .. ny - 3 end in a block of ``rest`` rows, no more
+    # than the halo; a block height of ny takes the whole grid in one block
+    ny = 2 * conformal._MARGIN_CELLS + 3 * conformal._BLOCK_ROWS + rest
+    pair, chart = _block_pair(name, ny)
+
+    def residuals():
+        return repr([
+            verify_weierstrass_twin(pair, chart),
+            null_curve(pair.f, chart, "euclidean"),
+            null_curve(pair.g, chart, "split"),
+        ])
+
+    blocked = residuals()
+    monkeypatch.setattr(conformal, "_BLOCK_ROWS", ny)
+    assert residuals() == blocked  # repr tells every float's bits apart
 
 
 def test_weierstrass_twin_rejects_twin_on_other_grid():
@@ -334,7 +366,7 @@ def test_chart_xi_equals_its_meshgrid_form_bit_for_bit():
 def test_null_curve_kernels_match_their_reference_bit_for_bit():
     for pair, chart in _bit_pairs():
         dom = chart.source.domain
-        A, B = conformal._pullback(chart)
+        A, B = conformal._pullback(chart, slice(None))
         assert all(same_bits(a, b) for a, b in zip((A, B), _ref_pullback(chart)))
         Ac, Bc = A.conj(), B.conj()
         for h, signature in ((pair.f, "euclidean"), (pair.g, "split")):

@@ -96,13 +96,29 @@ def test_heightmap_gradient_fallback_and_override(square_domain):
     assert np.array_equal(f_ex.alpha(0), Y + 1.0)  # attached wins
 
 
-def test_heightmap_differentiates_once_at_construction(square_domain):
-    X, Y = square_domain.meshgrid()
-    comps = [np.sin(X) * Y, X * X - Y]
-    f = HeightMap(square_domain, comps)
+def _ref_diff1_matched(v, h, axis):
+    """Central differences with the ends (-5, 11, -10, 5, -1)/(2h), negated
+    at the far end, each end summed from its end node inwards."""
+    v = np.moveaxis(v, axis, -1)
+    d = np.empty_like(v)
+    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    for end, s in ((0, 1), (-1, -1)):
+        t = [w * s * v[..., end + s * j] for j, w in enumerate((-5.0, 11.0, -10.0, 5.0, -1.0))]
+        d[..., end] = ((((t[0] + t[1]) + t[2]) + t[3]) + t[4]) / (2.0 * h)
+    return np.moveaxis(d, -1, axis)
+
+
+def test_heightmap_differentiates_once_at_construction():
+    dom = GridDomain.from_bounds(-1.0, -0.5, 1.0, 1.5, 33, 17)
+    X, Y = dom.meshgrid()
+    comps = [np.sin(X) * Y, X * X - Y, np.exp(X - 2 * Y)]
+    f = HeightMap(dom, comps)
     for k, c in enumerate(comps):
-        assert np.array_equal(f.alpha(k), diff_x(c, square_domain.dx))
-        assert np.array_equal(f.beta(k), diff_y(c, square_domain.dy))
+        # diff_x's and diff_y's interior, with error-matched ends
+        assert same_bits(f.alpha(k), _ref_diff1_matched(c, dom.dx, 1))
+        assert same_bits(f.beta(k), _ref_diff1_matched(c, dom.dy, 0))
+        assert same_bits(f.alpha(k)[:, 1:-1], diff_x(c, dom.dx)[:, 1:-1])
+        assert same_bits(f.beta(k)[1:-1], diff_y(c, dom.dy)[1:-1])
         assert f.alpha(k) is f.alpha(k)  # a lookup, not a new stencil pass
 
 

@@ -14,6 +14,7 @@ from twinsurf.gauss import (
     planarity_score,
     quadric_residual,
 )
+from twinsurf.slag import sl_lift
 from twinsurf.systems import read_surface
 
 from conftest import random_heightmap, same_bits, surface
@@ -276,6 +277,25 @@ def test_normalize_projective_matches_its_reference_bit_for_bit(m):
     comps[0][4, :4] = -0.0
     comps[-1][:2, :2] = 1e-15  # below the gauge threshold
     assert same_bits(normalize_projective(comps), _ref_normalize_projective(comps))
+
+
+@pytest.mark.parametrize("rest", [1, 2])
+def test_row_blocks_equal_one_whole_grid_block_bit_for_bit(rest, monkeypatch):
+    # the last block holds ``rest`` rows; a block height of ny normalizes
+    # the whole grid in one block
+    ny = 3 * twinsurf.gauss._BLOCK_ROWS + rest
+    maps = [surface(name, 33, ny) for name in ("catenoid", "scherk", "holomorphic")]
+    lift = sl_lift(maps[-1]).h
+    rng = np.random.default_rng(rest)
+    comps = [rng.standard_normal((ny, 33)) + 1j * rng.standard_normal((ny, 33)) for _ in range(4)]
+    comps[0][::3] = 0.0  # the gauge falls to a later component on every third row
+
+    def fields():
+        return [gauss_map(f) for f in maps] + [jorgens_gauss(lift), normalize_projective(comps)]
+
+    blocked = fields()
+    monkeypatch.setattr(twinsurf.gauss, "_BLOCK_ROWS", ny)
+    assert all(same_bits(a, b) for a, b in zip(blocked, fields()))
 
 
 def test_gauss_map_matches_its_reference_bit_for_bit():

@@ -28,6 +28,22 @@ def test_verify_surface_stops_after_a_failing_minimal_residual():
     assert rows[1][1] > rows[1][2] == 1e-14
 
 
+@pytest.mark.parametrize("name", ["catenoid", "helicoid", "scherk"])
+def test_values_only_rows_converge_at_second_order(name):
+    # a values-only copy takes finite-difference gradients, whose ends are
+    # error-matched: every scaled row passes and falls by 2^1.8 or more
+    # from 129^2 to 257^2 (holomorphic sits at the rounding floor)
+    def rows(n):
+        f = surface(name, n, n)
+        return verify_surface(twinsurf.HeightMap(f.domain, f.components))
+
+    coarse, fine = rows(129), rows(257)
+    assert [r[0] for r in coarse] == [r[0] for r in fine]
+    scaled = [(c, f) for c, f in zip(coarse, fine) if f[2] == fine[1][2]]
+    assert len(scaled) == 12 and all(r[1] <= r[2] for r in coarse + fine)
+    assert all(f[1] * 2**1.8 <= c[1] for c, f in scaled), scaled
+
+
 @pytest.mark.parametrize("name", ["lagrangian_catenoid", "quadratic_gradient"])
 def test_verify_surface_fails_where_the_twin_cannot_be_built(name):
     # ||J|| >= 1 somewhere: no twin, lift or chart rows, and a failing row
