@@ -207,7 +207,7 @@ def _cmd_chart(args):
         write_heightmap(_out(args), X)
         return 0
     if args.action == "nullcurve":
-        nc = conformal.null_curve(f, chart, args.signature)
+        nc = conformal.null_curve(f, chart)
         _emit(
             {
                 "holomorphy_residual": nc.holomorphy_residual,
@@ -320,7 +320,6 @@ def build_parser():
     p.add_argument("action", choices=["build", "resample", "nullcurve", "weierstrass"])
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out")
-    p.add_argument("--signature", choices=["euclidean", "split"], default="euclidean")
     _add_common(p, basepoint=True)
     p.set_defaults(fn=_cmd_chart)
 

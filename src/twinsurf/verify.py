@@ -1,9 +1,10 @@
 """The paper's identity suite on one minimal graph, as the check rows that
 ``twinsurf verify-all`` reports: the Gauss map's quadric residual, the
 minimal system in three forms, the twin correspondence, the special
-Lagrangian lift and the conformal chart.  The Gauss map, the closedness
-identities, the twin, the lift and the chart take one reading of the
-surface, and the lift and the chart its one pair of potentials.
+Lagrangian lift and the conformal chart.  The Gauss map, the divergence
+form, the closedness identities, the twin, the lift and the chart take one
+reading of the surface, and the lift and the chart its one pair of
+potentials.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def verify_surface(f: HeightMap, tol: float | None = None) -> list:
     if not reading.worst <= tol:
         return checks
     add("closedness_identities", closedness_identities(reading).max_abs("scaled"))
-    add("divergence_residual", divergence_residual(f).max_abs("scaled"))
+    add("divergence_residual", divergence_residual(reading).max_abs("scaled"))
     try:
         pair = twin_forward(reading)
     except AreaAngleViolation as exc:

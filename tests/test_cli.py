@@ -423,15 +423,15 @@ def test_chart_actions_match_library(catenoid_file, tmp_path, capsys):
     write_heightmap(expected, conformal.resample_to_chart(chart, f))
     assert open(resampled, "rb").read() == open(expected, "rb").read()
 
-    for signature in ("euclidean", "split"):
-        argv = ["chart", "nullcurve", "--in", catenoid_file, "--signature", signature]
-        assert run(argv) == 0
-        nc = conformal.null_curve(f, chart, signature)
-        assert _json_out(capsys) == {
-            "holomorphy_residual": nc.holomorphy_residual,
-            "nullity_residual": nc.nullity_residual,
-            "signature": signature,
-        }
+    assert run(["chart", "nullcurve", "--in", catenoid_file]) == 0
+    nc = conformal.null_curve(f, chart)
+    assert _json_out(capsys) == {
+        "holomorphy_residual": nc.holomorphy_residual,
+        "nullity_residual": nc.nullity_residual,
+        "signature": "euclidean",
+    }
+    # f's split nullity checks no identity, so the chart takes no --signature
+    assert run(["chart", "nullcurve", "--in", catenoid_file, "--signature", "split"]) == 1
 
     assert run(["chart", "weierstrass", "--in", catenoid_file]) == 0
     pair = twin_forward(f)
@@ -505,9 +505,9 @@ def test_verify_all_shares_the_residual_and_the_potentials(monkeypatch, capsys):
     built = _count_residuals(monkeypatch)
     calls = _count_calls(monkeypatch, ("integrate_exact_form",))
     assert run(["verify-all", "--name", "catenoid", "--grid", "65,65"]) == 0
-    # one residual per side and the divergence row; the twin and its
-    # involution, then M, N and the lift's h
-    assert built == {"minimal_residual": 1, "maximal_residual": 1, "divergence_residual": 1}
+    # one residual per side (the divergence row reads f's); the twin and
+    # its involution, then M, N and the lift's h
+    assert built == {"minimal_residual": 1, "maximal_residual": 1}
     assert calls == {"integrate_exact_form": 5}
 
 
@@ -523,14 +523,22 @@ def test_verify_all_takes_the_jacobian_data_once_per_map(monkeypatch, capsys):
 def test_verify_all_takes_the_surfaces_metric_from_its_reading(name, monkeypatch, capsys):
     calls = _count_calls(monkeypatch, ("first_fundamental_form",))
     assert run(["verify-all", "--name", name, "--grid", "65,65"]) == 0
-    # the reading of f (its Gauss map and closedness rows read it too), the
-    # divergence row, the raw twin and the involution's source
-    assert calls == {"first_fundamental_form": 4}
+    # the reading of f (its Gauss map, divergence and closedness rows read
+    # it too), the raw twin and the involution's source
+    assert calls == {"first_fundamental_form": 3}
 
 
 def test_closedness_reads_the_surface_once(catenoid_file, monkeypatch, capsys):
     calls = _count_calls(monkeypatch, ("first_fundamental_form",))
     assert run(["residual", "--system", "closedness", "--in", catenoid_file]) == 0
+    assert calls == {"first_fundamental_form": 1}
+
+
+def test_chart_resample_takes_one_metric(catenoid_file, tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, ("first_fundamental_form",))
+    out = str(tmp_path / "xi.gf")
+    assert run(["chart", "resample", "--in", catenoid_file, "--out", out]) == 0
+    # the reading's; Newton inverts DPsi differenced from the chart's M, N
     assert calls == {"first_fundamental_form": 1}
 
 

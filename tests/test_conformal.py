@@ -13,7 +13,7 @@ from twinsurf.conformal import (
     verify_weierstrass_twin,
 )
 from twinsurf.errors import NotMinimal, TargetOutsideImage, ValidationError
-from twinsurf.fields import GridDomain, HeightMap, diff_x, diff_y
+from twinsurf.fields import GridDomain, HeightMap, diff_x, diff_y, first_fundamental_form
 from twinsurf.slag import sl_lift
 from twinsurf.twin import TwinPair, twin_forward
 
@@ -361,6 +361,12 @@ def test_chart_xi_equals_its_meshgrid_form_bit_for_bit():
         X, Y = chart.source.domain.meshgrid()
         assert same_bits(chart.xi1.values, X + chart.M.values)
         assert same_bits(chart.xi2.values, Y + chart.N.values)
+
+
+def test_chart_jacobian_is_its_metrics_over_area_bit_for_bit():
+    for _, chart in _bit_pairs():
+        Ew, _, Gw = first_fundamental_form(chart.source).over_area
+        assert same_bits(chart.J_psi.values, 2.0 + Ew + Gw)
 
 
 def test_null_curve_kernels_match_their_reference_bit_for_bit():

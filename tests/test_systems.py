@@ -6,6 +6,8 @@ from twinsurf.fields import (
     GridDomain,
     HeightMap,
     closedness_residual_field,
+    diff_x,
+    diff_y,
     first_fundamental_form,
 )
 from twinsurf.systems import (
@@ -141,21 +143,33 @@ def test_report_scale_is_the_reference_scale_over_all_components(signature):
 
 
 def test_closedness_of_a_map_and_of_its_reading_is_its_metrics_bit_for_bit():
+    # and so is the divergence form, which reads the same over-area fields
     for f in _bit_maps():
         dom = f.domain
         Ew, Fw, Gw = first_fundamental_form(f).over_area
-        ref = [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
-        for rep in (closedness_identities(f), closedness_identities(read_surface(f))):
-            assert all(same_bits(a, b) for a, b in zip(rep.fields, ref))
-            assert rep.to_report() == closedness_identities(f).to_report()
-    with pytest.raises(ValidationError, match="expected a euclidean reading"):
-        closedness_identities(read_surface(surface("catenoid", 17, 17), "split"))
+        refs = {
+            closedness_identities: [
+                closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)
+            ],
+            divergence_residual: [
+                diff_x(Gw * a - Fw * b, dom.dx) + diff_y(Ew * b - Fw * a, dom.dy)
+                for a, b in f.gradients
+            ],
+        }
+        for report, ref in refs.items():
+            for rep in (report(f), report(read_surface(f))):
+                assert all(same_bits(a, b) for a, b in zip(rep.fields, ref))
+                assert rep.to_report() == report(f).to_report()
+    for report in refs:
+        with pytest.raises(ValidationError, match="expected a euclidean reading"):
+            report(read_surface(surface("catenoid", 17, 17), "split"))
 
 
 def test_closedness_of_a_map_reads_no_tolerance():
-    # 50 h^2 overflows at this spacing, but the report compares with no tol
+    # 50 h^2 overflows at this spacing, but the reports compare with no tol
     dom = GridDomain.from_bounds(0.0, 0.0, 1e156, 1e156, 9, 9)
     X, Y = dom.meshgrid()
     with pytest.raises(ValidationError, match="overflows"):
         default_tol(dom)
-    assert closedness_identities(HeightMap(dom, [0.3 * X - 0.2 * Y])).max_abs() < 1e-13
+    for report in (closedness_identities, divergence_residual):
+        assert report(HeightMap(dom, [0.3 * X - 0.2 * Y])).max_abs() < 1e-13
