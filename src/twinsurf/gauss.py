@@ -32,15 +32,13 @@ from .fields import (
     hessian,
     interior_max,
 )
-from .systems import SurfaceReading, read_surface
+from .systems import SurfaceReading, default_tol, read_surface
 
 _FIRST_NONZERO_TOL = 1e-13
 # hyperplane fits: z_j must clear _FIRST_NONZERO_TOL on this share of the
 # nodes, and |Im lambda| above the threshold marks a non-real relation
 _MIN_VALID_FRACTION = 0.99
 _NONREAL_THRESHOLD = 1e-8
-# jorgens_gauss: largest accepted max |det D^2 F - 1| off the boundary
-_DET_TOL = 1e-6
 # rows per block of the in-place normalization, whose temporaries are a
 # few real arrays of the block's shape
 _BLOCK_ROWS = 64
@@ -228,12 +226,12 @@ def jorgens_gauss(F: ScalarField) -> np.ndarray:
     of the gradient graph of a unimodular-Hessian potential F.
 
     eps is the constant sign of F_xx + F_yy, which the unimodular Hessian
-    equation forces to vanish nowhere.
+    equation forces to vanish nowhere.  F must be unimodular to ``default_tol``.
     """
     Fxx, Fxy, Fyy = hessian(F.values, F.domain)
-    det_err = interior_max(Fxx * Fyy - Fxy * Fxy - 1.0)
-    if det_err > _DET_TOL:
-        raise NotUnimodular(f"max |det D^2 F - 1| = {det_err:.3e} > tol {_DET_TOL:.3e}")
+    det_err, tol = interior_max(Fxx * Fyy - Fxy * Fxy - 1.0), default_tol(F.domain)
+    if det_err > tol:
+        raise NotUnimodular(f"max |det D^2 F - 1| = {det_err:.3e} > tol {tol:.3e}")
     trace = Fxx + Fyy
     if trace.max() > 0 and trace.min() < 0:
         raise SignChange(

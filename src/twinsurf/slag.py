@@ -1,6 +1,7 @@
 """Special Lagrangian side: lifts of minimal graphs to unimodular-Hessian
 potentials, symplectic graph rotations, and residuals / angle detection
-for the special and split special Lagrangian equations.
+for the special and split special Lagrangian equations.  The lift judges
+M dx + N dy closed, by its reported M_y - N_x, before it integrates h.
 """
 
 from __future__ import annotations
@@ -85,16 +86,16 @@ def sl_lift(f: HeightMap | SurfaceReading, basepoint=(0, 0), tol=None) -> SLLift
     area-preserving gradient map (M, N) and the unimodular-Hessian potential h."""
     reading = read_surface(f, "euclidean", tol)
     M, N = reading.potentials(basepoint)
-    tol, scale, dom = reading.tol, reading.scale, reading.h.domain
-    del reading  # the lift reads only its scale
-    h = integrate_exact_form(M, N, basepoint, tol, scale)
-
-    Mx, My = diff_x(M.values, dom.dx), diff_y(M.values, dom.dy)
-    Nx, Ny = diff_x(N.values, dom.dx), diff_y(N.values, dom.dy)
-    sym = interior_max(My - Nx)
+    My, Nx = diff_y(M.values, M.domain.dy), diff_x(N.values, N.domain.dx)
+    asym = My - Nx  # the closedness defect of h's form M dx + N dy
+    sym = interior_max(asym)
+    reading.require_closed(interior_max(np.divide(asym, reading.scale, out=asym)))
+    del reading, asym  # the lift reads no more of it
+    h = integrate_exact_form(M, N, basepoint)
+    Mx, Ny = diff_x(M.values, M.domain.dx), diff_y(N.values, N.domain.dy)
     area = interior_max(Mx * Ny - My * Nx - 1.0)
     del Mx, My, Nx, Ny  # before the Hessian of h is taken
-    hxx, hxy, hyy = hessian(h.values, dom)
+    hxx, hxy, hyy = hessian(h.values, h.domain)
     det = interior_max(hxx * hyy - hxy * hxy - 1.0)
     return SLLift(M, N, h, sym, det, area)
 

@@ -1,11 +1,11 @@
 """Residual evaluators for the minimal and maximal surface systems, and their verdict.
 
 These are the correctness oracles every other module calls: the
-quasilinear second-order forms, the divergence-zero form, and the two
-closedness identities of the euclidean metric-over-area fields.  The
-quasilinear forms are one field formula over the private builder
-``_report``; ``read_surface`` reads one against the tolerance 50 h^2 into
-a ``SurfaceReading``, whose E/w, F/w, G/w the other two forms read.
+quasilinear second-order forms, one field formula over the private builder
+``_report``, which ``read_surface`` reads against the tolerance 50 h^2
+into a ``SurfaceReading``; and, from its E/w, F/w, G/w, the divergence-zero
+form and the two closedness identities.  Those are the closedness of the
+twin gradients and of the lift's forms, which only the reading judges.
 
 Boundary nodes are excluded from max/l2 aggregation (one-sided second
 derivatives are noisier); the residual fields still cover the full grid.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotMinimal, NotSpacelike, ValidationError
+from .errors import NotClosed, NotMinimal, NotSpacelike, ValidationError
 from .fields import (
     GridDomain,
     HeightMap,
@@ -28,6 +28,7 @@ from .fields import (
     diff_y,
     first_fundamental_form,
     integrate_exact_form,
+    interior_max,
 )
 
 
@@ -166,33 +167,37 @@ def maximal_residual(g: HeightMap) -> ResidualReport:
     return _report("maximal_residual", g, "split")[0]
 
 
-def _euclidean(f: HeightMap | SurfaceReading) -> SurfaceReading:
-    """The euclidean reading ``f``, or the map ``f``'s with tol 0, which no spacing overflows."""
-    return read_surface(f, "euclidean", None if isinstance(f, SurfaceReading) else 0.0)
+def _fields(op: str, reading: SurfaceReading):
+    """The fields of ``op`` of ``reading``, one at a time: the closedness
+    identities |d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)|, or the
+    divergence form d/dx((G/w) a_k - (F/w) b_k) + d/dy((E/w) b_k - (F/w) a_k)."""
+    dom, (Ew, Fw, Gw) = reading.h.domain, reading.over_area
+    if op == "closedness_identities":
+        yield closedness_residual_field(Fw, Gw, dom)
+        yield closedness_residual_field(Ew, Fw, dom)
+    elif op == "divergence_residual":
+        for a, b in reading.h.gradients:
+            yield diff_x(Gw * a - Fw * b, dom.dx) + diff_y(Ew * b - Fw * a, dom.dy)
+    else:
+        raise ValidationError(f"unknown form {op!r}")
+
+
+def _form_report(op: str, f: HeightMap | SurfaceReading) -> ResidualReport:
+    """The report ``op`` of a reading, or of a map's read at tol 0, which no spacing overflows."""
+    read = f if isinstance(f, SurfaceReading) else read_surface(f, "euclidean", 0.0)
+    return ResidualReport(op, read.signature, list(_fields(op, read)), read.scale, read.h.domain)
 
 
 def divergence_residual(f: HeightMap | SurfaceReading) -> ResidualReport:
-    """d/dx((G/w) a_k - (F/w) b_k) + d/dy((E/w) b_k - (F/w) a_k) of a
-    minimal graph or of the map of its euclidean reading, in units of the
-    minimal residual's scale."""
-    reading = _euclidean(f)
-    h, dom = reading.h, reading.h.domain
-    Ew, Fw, Gw = reading.over_area
-    fields = [
-        diff_x(Gw * a - Fw * b, dom.dx) + diff_y(Ew * b - Fw * a, dom.dy) for a, b in h.gradients
-    ]
-    return ResidualReport("divergence_residual", "euclidean", fields, reading.scale, dom)
+    """The divergence form of a minimal graph or of a reading's map, hatted when split."""
+    return _form_report("divergence_residual", f)
 
 
 def closedness_identities(f: HeightMap | SurfaceReading) -> ResidualReport:
-    """|d/dx(G/w) - d/dy(F/w)| and |d/dx(F/w) - d/dy(E/w)| of a minimal
-    graph or of the map of its euclidean reading, in units of the minimal
-    residual's scale."""
-    reading = _euclidean(f)
-    dom = reading.h.domain
-    Ew, Fw, Gw = reading.over_area
-    fields = [closedness_residual_field(Fw, Gw, dom), closedness_residual_field(Ew, Fw, dom)]
-    return ResidualReport("closedness_identities", "euclidean", fields, reading.scale, dom)
+    """The closedness identities of a minimal graph or of a euclidean reading's map."""
+    if isinstance(f, SurfaceReading):
+        read_surface(f)  # a split reading is refused
+    return _form_report("closedness_identities", f)
 
 
 @dataclass(eq=False)
@@ -211,6 +216,7 @@ class SurfaceReading:
     over_area: tuple
     omega: np.ndarray
     _potentials: dict = field(default_factory=dict, repr=False)
+    _maxima: dict = field(default_factory=dict, repr=False)
 
     def require(self):
         """NOT_MINIMAL when the scaled residual exceeds ``tol``."""
@@ -218,16 +224,29 @@ class SurfaceReading:
             kind = "minimal" if self.signature == "euclidean" else "maximal"
             raise NotMinimal(f"scaled {kind} residual {self.worst:.3e} > tol {self.tol:.3e}")
 
+    def require_closed(self, worst: float):
+        """NOT_CLOSED when ``worst``, the scaled closedness of forms it builds, exceeds ``tol``."""
+        if worst > self.tol:
+            raise NotClosed(f"scaled closedness residual {worst:.3e} > tol {self.tol:.3e}")
+
+    def scaled_max(self, op: str) -> float:
+        """max |field / scale| off the boundary over the fields of ``op``, taken
+        once, a field at a time: the closedness identities or the divergence form."""
+        if op not in self._maxima:
+            scaled = map(lambda r: interior_max(np.divide(r, self.scale, out=r)), _fields(op, self))
+            self._maxima[op] = max(scaled)
+        return self._maxima[op]
+
     def potentials(self, basepoint=(0, 0)):
         """M, N of (E/w, F/w) and (F/w, G/w), vanishing at ``basepoint``, after
-        ``require``; integrated once per basepoint, so the lift and the chart
-        share them.  The residual scale budgets their closedness."""
+        ``require`` and the closedness of both forms; integrated once per
+        basepoint, so the lift and the chart share them."""
         self.require()
         key = self.h.domain.node(basepoint)
         if key not in self._potentials:
             Ew, Fw, Gw = (ScalarField(self.h.domain, c) for c in self.over_area)
-            M = integrate_exact_form(Ew, Fw, key, self.tol, self.scale)
-            N = integrate_exact_form(Fw, Gw, key, self.tol, self.scale)
+            self.require_closed(self.scaled_max("closedness_identities"))
+            M, N = integrate_exact_form(Ew, Fw, key), integrate_exact_form(Fw, Gw, key)
             self._potentials[key] = M, N
         return self._potentials[key]
 

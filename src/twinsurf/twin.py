@@ -11,12 +11,12 @@ divergence form; it is integrated to g_k anchored at the basepoint.  The
 backward direction is the same relation read with the hatted (split)
 coefficients and the opposite sign, so one routine, parameterised by the
 signature of its source, serves both directions and their involution,
-from a side's ``systems.SurfaceReading``.  ``_integrate_twin`` integrates
-a reading's twin one component at a time; ``_integrability`` reads c1 off
-the raw node values of one side and ``_correspondence`` reads c2..c4 off
-the metric and Jacobian data of both.  Construction, the involution and
-``verify_twin`` share them; each holds a residual's fields, E, F, G and
-finite-difference gradients only until they are read.
+from a side's ``systems.SurfaceReading``, whose divergence form judges the
+twin gradients closed.  ``_integrate_twin`` integrates them a component at
+a time, ``_integrability`` reads c1 off the raw values of one side and
+``_correspondence`` c2..c4 off the metric and Jacobian data of both.
+Construction, the involution and ``verify_twin`` share them; each holds a
+residual's fields, E, F, G and finite-difference gradients only until read.
 """
 
 from __future__ import annotations
@@ -68,19 +68,19 @@ def _twin_gradient(h: HeightMap, over_area, signature, k: int):
 def _integrate_twin(reading: SurfaceReading, jac, basepoint, grads=None):
     """The twin's node values of the map of ``reading``, one component at a
     time, after its checks: area-angle from its Jacobian data ``jac`` (which
-    dies here unless the caller holds it), closedness of each twin gradient
-    (the surface system in divergence form), then the residual.  Each
-    twin-relation gradient is appended to ``grads`` when a list is given."""
+    dies here unless the caller holds it), closedness of the twin gradients
+    (the reading's divergence form), then the residual.  Each twin-relation
+    gradient is appended to ``grads`` when a list is given."""
     if not jac.has_positive_area_angle:
         raise AreaAngleViolation("||J|| >= 1", nodes=jac.violations)
     del jac
     src, dom = reading.h, reading.h.domain
+    dom.node(basepoint)  # a bad basepoint fails before the forms are judged
+    reading.require_closed(reading.scaled_max("divergence_residual"))
     comps = []
     for k in range(src.n):
         P, Q = _twin_gradient(src, reading.over_area, reading.signature, k)
-        u = integrate_exact_form(
-            ScalarField(dom, P), ScalarField(dom, Q), basepoint, reading.tol, reading.scale
-        )
+        u = integrate_exact_form(ScalarField(dom, P), ScalarField(dom, Q), basepoint)
         comps.append(u.values)
         if grads is not None:
             grads.append((P, Q))

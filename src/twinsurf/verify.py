@@ -3,8 +3,8 @@
 minimal system in three forms, the twin correspondence, the special
 Lagrangian lift and the conformal chart.  The Gauss map, the divergence
 form, the closedness identities, the twin, the lift and the chart take one
-reading of the surface, and the lift and the chart its one pair of
-potentials.
+reading of the surface; its two closedness maxima are rows and judge the
+twin's forms and the potentials', which the lift and the chart share.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .errors import AreaAngleViolation
 from .fields import HeightMap
 from .gauss import gauss_map, quadric_residual
 from .slag import sl_lift
-from .systems import closedness_identities, divergence_residual, read_surface
+from .systems import read_surface
 from .twin import twin_forward
 
 
@@ -34,8 +34,8 @@ def verify_surface(f: HeightMap, tol: float | None = None) -> list:
     add("minimal_residual", reading.worst)
     if not reading.worst <= tol:
         return checks
-    add("closedness_identities", closedness_identities(reading).max_abs("scaled"))
-    add("divergence_residual", divergence_residual(reading).max_abs("scaled"))
+    for op in ("closedness_identities", "divergence_residual"):
+        add(op, reading.scaled_max(op))
     try:
         pair = twin_forward(reading)
     except AreaAngleViolation as exc:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import twinsurf
-from twinsurf import conformal, systems
+from twinsurf import conformal, fields, systems
 from twinsurf.cli import run
 from twinsurf.fields import GridDomain
 from twinsurf.gfield import read_gfield, read_heightmap, write_gfield, write_heightmap
@@ -69,6 +69,13 @@ def test_twin_forward_rejects_non_closed(tmp_path, capsys):
     write_gfield(path, dom, [X**3])
     assert run(["twin", "forward", "--in", path]) == 2
     assert "NOT_CLOSED" in capsys.readouterr().err
+
+
+def test_jorgens_refuses_a_height_read_as_a_potential(catenoid_file, capsys):
+    # a catalog height is no unimodular-Hessian potential: its max
+    # |det D^2 F - 1| is O(1), far above the grid's tolerance
+    assert run(["gauss", "jorgens", "--in", catenoid_file]) == 2
+    assert capsys.readouterr().err.startswith("NOT_UNIMODULAR: max |det D^2 F - 1|")
 
 
 def test_sl_lift_and_detect_angle(catenoid_file, tmp_path, capsys):
@@ -519,6 +526,48 @@ def test_verify_all_takes_the_jacobian_data_once_per_map(monkeypatch, capsys):
     assert calls == {"jacobian_data": 3}
 
 
+def _count_first_derivatives(monkeypatch):
+    """Count the first-derivative stencil passes of ``diff_x``/``diff_y``."""
+    calls = {"_diff1": 0}
+    original = fields._diff1
+
+    def counted(*args):
+        calls["_diff1"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(fields, "_diff1", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, first_derivatives", [("catenoid", 20), ("holomorphic", 30)])
+def test_verify_all_judges_each_form_once(name, first_derivatives, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, ("closedness_residual_field",))
+    diffs = _count_first_derivatives(monkeypatch)
+    assert run(["verify-all", "--name", name, "--grid", "65,65"]) == 0
+    # f's closedness identities once, for their row and the potentials, and
+    # each side's divergence form once, for f's row, the twin and its
+    # involution.  Per component: 3 passes in each side's residual and 2 in
+    # its divergence form; then 4 in the identities, 4 for the lift's
+    # M_y, N_x, M_x, N_y and 2 for its Hessian (28 and 40, and 7 and 9
+    # closedness_residual_field calls, when the integrator judged each form)
+    assert calls == {"closedness_residual_field": 2}
+    assert diffs == {"_diff1": first_derivatives}
+
+
+@pytest.mark.parametrize("name, first_derivatives", [("catenoid", 17), ("holomorphic", 30)])
+def test_the_chart_item_judges_each_form_once(name, first_derivatives, monkeypatch):
+    f = twinsurf.make_surface(name, None, twinsurf.default_domain(name, None, 65, 65))
+    calls = _count_calls(monkeypatch, ("closedness_residual_field",))
+    diffs = _count_first_derivatives(monkeypatch)
+    twin_forward(f)
+    conformal.build_chart(f)
+    # only the chart's potentials take the identities; the twin judges its
+    # gradients by each side's divergence form, in as many passes as the
+    # integrator took (4 and 6 closedness_residual_field calls then)
+    assert calls == {"closedness_residual_field": 2}
+    assert diffs == {"_diff1": first_derivatives}
+
+
 @pytest.mark.parametrize("name", ["catenoid", "holomorphic"])
 def test_verify_all_takes_the_surfaces_metric_from_its_reading(name, monkeypatch, capsys):
     calls = _count_calls(monkeypatch, ("first_fundamental_form",))
@@ -699,9 +748,9 @@ def test_written_files_feed_the_readers(tmp_path, capsys, name):
         ["twin", "verify", "--in", p["f"], "--twin", p["g"]],
         ["twin", "backward", "--in", p["g"]],
     ]
-    # only the holomorphic lift is unimodular to the 1e-6 that jorgens_gauss asks of a file
-    if name == "holomorphic":
-        chains.append(["gauss", "jorgens", "--in", p["h"]])
+    # every lift is unimodular to the grid's tolerance, which jorgens_gauss
+    # asks of a file as verify-all's lift_hessian_det row does
+    chains.append(["gauss", "jorgens", "--in", p["h"]])
     for argv in chains:
         assert run(argv) == 0, argv
     capsys.readouterr()

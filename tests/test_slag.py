@@ -3,6 +3,7 @@ import pytest
 
 from twinsurf.errors import (
     DenominatorVanishes,
+    NotClosed,
     NotMinimal,
     NotSpacelike,
     ParamConstraintViolation,
@@ -12,8 +13,27 @@ from twinsurf.errors import (
 from twinsurf import reports
 from twinsurf.fields import GridDomain, HeightMap, ScalarField
 from twinsurf.slag import SLParams, detect_angle, graph_rotate, sl_lift, sl_residual, split_sl_residual
+from twinsurf.systems import SurfaceReading
 
 from conftest import surface
+
+
+def test_the_lift_judges_its_form_by_its_gradient_symmetry():
+    # (E/w, F/w, G/w) = (-y, x, 0) on [0, 4] x [0, 1]: the potentials' forms
+    # miss closedness by 2, within tol 3, but M dx + N dy misses it by
+    # |M_y - N_x| = x from the basepoint (0, 0), which the lift reports and
+    # judges in units of the reading's scale before h is integrated
+    dom = GridDomain.from_bounds(0.0, 0.0, 4.0, 1.0, 65, 17)
+    X, Y = dom.meshgrid()
+    f = HeightMap(dom, [np.zeros(dom.shape)])
+
+    def reading(scale):
+        over_area = (-Y, X, np.zeros(dom.shape))
+        return SurfaceReading(f, "euclidean", 3.0, 0.0, np.full(dom.shape, scale), over_area, X)
+
+    with pytest.raises(NotClosed, match=r"residual 3\.938e\+00 > tol 3\.000e\+00"):
+        sl_lift(reading(1.0))
+    assert sl_lift(reading(2.0)).gradient_symmetry_residual == 4.0 - dom.dx
 
 
 def test_lift_of_flat_graph():

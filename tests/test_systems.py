@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twinsurf.errors import ValidationError
+from twinsurf.errors import NotClosed, ValidationError
 from twinsurf.fields import (
     GridDomain,
     HeightMap,
@@ -11,6 +11,7 @@ from twinsurf.fields import (
     first_fundamental_form,
 )
 from twinsurf.systems import (
+    SurfaceReading,
     _quasilinear,
     _second_derivatives,
     closedness_identities,
@@ -160,9 +161,59 @@ def test_closedness_of_a_map_and_of_its_reading_is_its_metrics_bit_for_bit():
             for rep in (report(f), report(read_surface(f))):
                 assert all(same_bits(a, b) for a, b in zip(rep.fields, ref))
                 assert rep.to_report() == report(f).to_report()
-    for report in refs:
-        with pytest.raises(ValidationError, match="expected a euclidean reading"):
-            report(read_surface(surface("catenoid", 17, 17), "split"))
+    # the divergence form of a split reading is the hatted one; its
+    # closedness identities are refused
+    split = read_surface(surface("catenoid", 17, 17), "split")
+    with pytest.raises(ValidationError, match="expected a euclidean reading"):
+        closedness_identities(split)
+    dom, (Ew, Fw, Gw) = split.h.domain, split.over_area
+    ref = [
+        diff_x(Gw * a - Fw * b, dom.dx) + diff_y(Ew * b - Fw * a, dom.dy)
+        for a, b in split.h.gradients
+    ]
+    rep = divergence_residual(split)
+    assert rep.signature == "split" and all(same_bits(a, b) for a, b in zip(rep.fields, ref))
+    assert same_bits(rep.scale, split.scale)
+
+
+@pytest.mark.parametrize("signature", ["euclidean", "split"])
+def test_divergence_of_a_reading_is_the_closedness_of_its_twin_gradients_bit_for_bit(signature):
+    # the twin gradient of component k is s ((E/w) b_k - (F/w) a_k, (F/w) b_k
+    # - (G/w) a_k), s = -1 from a euclidean reading and +1 from a split one;
+    # the twin judges it closed by the reading's divergence form
+    s = -1.0 if signature == "euclidean" else 1.0
+    for name, nx, ny in (("catenoid", 33, 17), ("helicoid", 17, 17), ("holomorphic", 17, 33)):
+        f = surface(name, nx, ny)
+        reading = read_surface(f, signature)
+        Ew, Fw, Gw = reading.over_area
+        fields = divergence_residual(reading).fields
+        assert len(fields) == f.n
+        for field, (a, b) in zip(fields, f.gradients):
+            P, Q = s * Ew * b - s * Fw * a, s * Fw * b - s * Gw * a
+            assert same_bits(np.abs(field), closedness_residual_field(P, Q, f.domain))
+
+
+def test_a_reading_judges_closedness_in_units_of_its_scale(square_domain):
+    # (E/w, F/w) = (-y, x) is not closed: d/dx(F/w) - d/dy(E/w) = 2; the
+    # reading refuses to integrate it beyond tol, reading it in units of its
+    # scale: 2 / 4 = 0.5
+    X, Y = square_domain.meshgrid()
+    r = closedness_residual_field(-Y, X, square_domain)
+    assert np.abs(r[1:-1, 1:-1] - 2.0).max() < 1e-12
+    f = HeightMap(square_domain, [np.zeros(X.shape)])
+
+    def reading(tol, scale):
+        over_area = (-Y, X, np.zeros(X.shape))
+        return SurfaceReading(f, "euclidean", tol, 0.0, np.full(X.shape, scale), over_area, X)
+
+    with pytest.raises(NotClosed):
+        reading(1e-6, 1.0).potentials()
+    assert reading(0.6, 4.0).scaled_max("closedness_identities") == pytest.approx(0.5)
+    reading(0.6, 4.0).potentials()
+    with pytest.raises(NotClosed, match="scaled closedness residual 5.000e-01 > tol 4.000e-01"):
+        reading(0.4, 4.0).potentials()
+    with pytest.raises(ValidationError, match="unknown form"):
+        reading(0.6, 4.0).scaled_max("minimal_residual")
 
 
 def test_closedness_of_a_map_reads_no_tolerance():
