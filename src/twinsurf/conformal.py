@@ -220,21 +220,24 @@ def _blocks(chart: ConformalChart, *maps: HeightMap):
 
 def _pullback(chart: ConformalChart, rows: slice):
     """A, B of d/dxi = (DPsi)^{-T} d/d(x, y) = A d/dx + B d/dy on the source
-    ``rows``, DPsi differenced from the chart's nodes there."""
+    ``rows``, DPsi differenced from the chart's nodes there: (xi2_y + i
+    xi1_y)/det and -(xi2_x + i xi1_x)/det from real products with 1/det, the
+    bits of numpy's complex / real, (a + b 0)(1/det) (Smith, CACM 5, 1962),
+    wherever det > 0 and no derivative of xi is -0.0 (any chart of ``build_chart``)."""
     dom = chart.source.domain
     xi1 = chart.M.values[rows] + dom.xs
     xi2 = chart.N.values[rows] + dom.ys[rows, None]
     xi1_x, xi1_y = diff_x(xi1, dom.dx), diff_y(xi1, dom.dy)
     xi2_x, xi2_y = diff_x(xi2, dom.dx), diff_y(xi2, dom.dy)
-    det = xi1_x * xi2_y
-    det -= xi1_y * xi2_x
-    A = np.multiply(1j, xi1_y)
-    np.add(xi2_y, A, out=A)
-    A /= det
-    B = np.multiply(1j, xi1_x)
-    np.add(xi2_x, B, out=B)
-    np.negative(B, out=B)
-    B /= det
+    inv = xi1_x * xi2_y
+    inv -= xi1_y * xi2_x
+    np.divide(1.0, inv, out=inv)
+    A, B = np.empty(inv.shape, complex), np.empty(inv.shape, complex)
+    np.multiply(xi2_y, inv, out=A.real)
+    np.multiply(xi1_y, inv, out=A.imag)
+    np.negative(inv, out=inv)
+    np.multiply(xi2_x, inv, out=B.real)
+    np.multiply(xi1_x, inv, out=B.imag)
     return A, B
 
 

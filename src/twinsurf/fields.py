@@ -4,11 +4,14 @@ Arrays are stored with shape ``(ny, nx)``: the y index is the slow (row)
 axis, so a row-major flatten runs through x fastest.  All derivative
 stencils are second order: central in the interior, one-sided on the
 boundary rows and columns, along a given axis (the last for x, the first
-for y), written into one output array.  First derivatives have two end
-rules: three-point in ``diff_x``/``diff_y``, five-point (error matched to
-the central one) for a ``HeightMap`` without analytic gradients.  Exact
-1-forms are integrated by cumulative trapezoids, unchecked: ``systems``
-judges whether one is closed.
+for y), written into one C-contiguous output array and scaled there in
+one pass.  First differences run over the flattened grid (``_central1``);
+the other sums stay strided along x, where a flat run would sum across
+the row ends.  First derivatives have two end rules: three-point in
+``diff_x``/``diff_y``, five-point (error matched to the central one) for
+a ``HeightMap`` without analytic gradients.  Exact 1-forms are
+integrated by cumulative trapezoids, unchecked: ``systems`` judges
+whether one is closed.
 The kernels write only into arrays they allocated.
 """
 
@@ -114,23 +117,27 @@ class ScalarField:
             raise ValidationError("field contains non-finite values")
 
 
-def _central1(v: np.ndarray, h: float, axis: int):
-    """First derivative along ``axis`` at the interior nodes, central; the
-    result and the views of ``v`` and of it with ``axis`` last, whose two
-    end nodes the caller fills."""
-    d = np.empty_like(v, dtype=np.result_type(v, float))
-    v, e = v.swapaxes(axis, -1), d.swapaxes(axis, -1)
-    inner = np.subtract(v[..., 2:], v[..., :-2], out=e[..., 1:-1])
-    inner /= 2.0 * h
-    return d, v, e
+def _central1(v: np.ndarray, axis: int):
+    """v[k+1] - v[k-1] along ``axis``, unscaled, over ``v`` C-contiguous
+    (copied once if it is not) as one flat run, shifted by 1 along x and
+    by nx along y; the result and the views of ``v`` and of it with
+    ``axis`` last.  Along x the run also writes each row's two end nodes
+    from across the row ends; the caller overwrites them, then scales.  On
+    finite input those differences overflow only where the ends do."""
+    v = np.ascontiguousarray(v)
+    d = np.empty(v.shape, np.result_type(v, float))
+    s, vf = (v.shape[1] if axis == 0 else 1), v.ravel()
+    np.subtract(vf[2 * s :], vf[: -2 * s], out=d.ravel()[s:-s])
+    return d, v.swapaxes(axis, -1), d.swapaxes(axis, -1)
 
 
 def _diff1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     """First derivative along ``axis``: central, three-point one-sided at
     the two ends."""
-    d, v, e = _central1(v, h, axis)
-    e[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
-    e[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    d, v, e = _central1(v, axis)
+    e[..., 0] = -3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]
+    e[..., -1] = 3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]
+    d /= 2.0 * h
     return d
 
 
@@ -148,35 +155,35 @@ def _diff1_matched(v: np.ndarray, h: float, axis: int) -> np.ndarray:
 
     Both ends are taken at once, each sum elementwise in node order from
     the end inwards (no BLAS)."""
-    d, v, e = _central1(v, h, axis)
+    d, v, e = _central1(v, axis)
     t = v[..., _END_NODES]
     t *= _END_WEIGHTS
     s = t[..., 0, :] + t[..., 1, :]
     for j in (2, 3, 4):
         s += t[..., j, :]
-    s /= 2.0 * h
     e[..., 0], e[..., -1] = s[..., 0], s[..., 1]
+    d /= 2.0 * h
     return d
 
 
 def _diff2(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second derivative along ``axis``: central, four-point one-sided at
-    the two ends."""
-    d = np.empty_like(v, dtype=np.result_type(v, float))
+    the two ends.  The sums stay strided: over one flat run, a sum across
+    a row end can overflow where no end does (row ends past a quarter of
+    the float range)."""
+    d = np.empty(v.shape, np.result_type(v, float))
     v, e = v.swapaxes(axis, -1), d.swapaxes(axis, -1)
     inner = np.multiply(2.0, v[..., 1:-1], out=e[..., 1:-1])
     np.subtract(v[..., 2:], inner, out=inner)
     inner += v[..., :-2]
-    inner /= h**2
-    e[..., 0] = (2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]) / h**2
-    e[..., -1] = (
-        2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]
-    ) / h**2
+    e[..., 0] = 2.0 * v[..., 0] - 5.0 * v[..., 1] + 4.0 * v[..., 2] - v[..., 3]
+    e[..., -1] = 2.0 * v[..., -1] - 5.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]
+    d /= h**2
     return d
 
 
-# x runs along the last axis and y along the first; the result has the
-# memory layout of ``values``.  The ends stay three-point: with those of
+# x runs along the last axis and y along the first; the result is
+# C-contiguous.  The ends stay three-point: with those of
 # ``_diff1_matched`` the longer end sums amplify rounding, and the Jorgens
 # field of exact quadratics reads planarity 5.9e-13 to 7.1e-12 (bound 1e-12)
 def diff_x(values: np.ndarray, dx: float) -> np.ndarray:
@@ -325,9 +332,10 @@ class JacobianData:
 
 def _sum_of_products(xs, ys) -> np.ndarray:
     """sum(x * y for x, y in zip(xs, ys)) in one array: the additions of
-    Python's sum from 0, which turns a first -0.0 into 0.0."""
+    Python's sum from 0, which turns a first -0.0 (never a square) into 0.0."""
     acc = np.multiply(xs[0], ys[0])
-    acc += 0
+    if xs is not ys:  # not a sum of squares
+        acc += 0
     t = None
     for x, y in zip(xs[1:], ys[1:]):
         t = np.multiply(x, y, out=t)
@@ -354,9 +362,10 @@ def first_fundamental_form(h: HeightMap, signature: str = "euclidean") -> Metric
     disc = E * G
     disc -= F * F
     mask = (E > 0) & (disc > 0)
-    np.copyto(disc, 0.0, where=~mask)
+    if not (valid := mask.all()):
+        np.copyto(disc, 0.0, where=~mask)
     omega = np.sqrt(disc, out=disc)
-    if signature == "euclidean" and not mask.all():
+    if signature == "euclidean" and not valid:
         # cannot happen analytically (EG - F^2 >= 1); numerical garbage in
         raise ValidationError("euclidean metric with non-positive discriminant")
     return MetricData(signature, E, F, G, omega, mask)
@@ -390,12 +399,14 @@ def closedness_residual_field(P: np.ndarray, Q: np.ndarray, domain: GridDomain):
 
 
 def _cumtrapz(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Cumulative trapezoid along ``axis``, 0 at the first node."""
+    """Cumulative trapezoid along ``axis``, 0 at the first node.  The
+    neighbour sums stay strided (a flat run would add across the row ends);
+    the scaling runs over the whole array, whose zero first nodes stay 0."""
     out = np.zeros_like(v)
     v, o = v.swapaxes(axis, -1), out.swapaxes(axis, -1)
     step = np.add(v[..., 1:], v[..., :-1], out=o[..., 1:])
-    np.multiply(h, step, out=step)
-    step /= 2.0
+    np.multiply(h, out, out=out)
+    out /= 2.0
     np.cumsum(step, axis=-1, out=step)
     return out
 
@@ -412,9 +423,9 @@ def integrate_exact_form(P: ScalarField, Q: ScalarField, basepoint: tuple = (0, 
         raise ValidationError("P and Q must share a domain")
     ix, iy = dom.node(basepoint)
     cumx = _cumtrapz(P.values, dom.dx, -1)
-    cumx -= cumx[:, ix][:, None]
+    cumx -= cumx[:, ix, None].copy()  # a copy: no buffered overlap with the output
     cumy = _cumtrapz(Q.values, dom.dy, 0)
-    cumy -= cumy[iy, :][None, :]
+    cumy -= cumy[iy].copy()
 
     # u = (x-first + y-first) / 2, the x-first path summed into cumy and
     # the y-first path into cumx

@@ -264,23 +264,33 @@ def test_criterion_10_dirichlet_solvers():
     _report(10, ok, f"minimal err={e1:.2e}, maximal err={e2:.2e}, t={elapsed:.1f}s")
 
 
-def test_criterion_11_thread_determinism():
-    cmd = [
-        sys.executable,
-        "-c",
-        "import sys; from twinsurf.cli import run; sys.exit(run(sys.argv[1:]))",
-        "verify-all",
-        "--name",
-        "scherk",
-        "--grid",
-        "65,65",
-    ]
-    outputs = []
-    for threads in ("1", "2", "8"):
+def test_criterion_11_thread_determinism(tmp_path):
+    def cli(argv, threads="1"):
         # BLAS reads its thread count when numpy loads in the child
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        p = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
+        code = "import sys; from twinsurf.cli import run; sys.exit(run(sys.argv[1:]))"
+        p = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, timeout=300, env=env)
         assert p.returncode == 0, p.stderr.decode()
-        outputs.append(p.stdout)
-    ok = outputs[0] == outputs[1] == outputs[2]
-    _report(11, ok, f"verify-all report bytes identical at 1/2/8 threads ({len(outputs[0])} bytes)")
+        return p.stdout
+
+    c257, c65, out = (str(tmp_path / name) for name in ("c257.gf", "c65.gf", "s.gf"))
+    cli(["catalog", "sample", "--name", "catenoid", "--grid", "257,257", "--out", c257])
+    cli(["catalog", "sample", "--name", "catenoid", "--grid", "65,65", "--out", c65])
+    # gauss planarity at 257^2 reads the 4096-node subsample of 513^2; solve
+    # is byte-identical across thread counts only below 129^2
+    commands = {
+        "verify-all scherk 65^2": ["verify-all", "--name", "scherk", "--grid", "65,65"],
+        "gauss planarity catenoid 257^2": ["gauss", "planarity", "--in", c257],
+        "solve minimal catenoid 65^2": ["solve", "minimal", "--boundary", c65, "--out", out],
+    }
+    differ = []
+    for label, argv in commands.items():
+        outputs = []
+        for threads in ("1", "2", "8"):
+            report = cli(argv, threads)
+            written = (tmp_path / "s.gf").read_bytes() if out in argv else b""
+            outputs.append((report, written))
+        if not outputs[0] == outputs[1] == outputs[2]:
+            differ.append(label)
+    ok = not differ
+    _report(11, ok, f"report and file bytes identical at 1/2/8 threads for {list(commands)}; differ: {differ}")

@@ -302,9 +302,9 @@ def test_bilinear_exact_on_bilinear_functions():
 # the expressions of the null-curve kernels that held every phi_k at once
 
 
-def _ref_pullback(chart):
+def _ref_pullback(chart, rows=slice(None)):
     dom = chart.source.domain
-    xi1, xi2 = chart.xi1.values, chart.xi2.values
+    xi1, xi2 = chart.xi1.values[rows], chart.xi2.values[rows]
     xi1_x, xi1_y = diff_x(xi1, dom.dx), diff_y(xi1, dom.dy)
     xi2_x, xi2_y = diff_x(xi2, dom.dx), diff_y(xi2, dom.dy)
     det = xi1_x * xi2_y - xi1_y * xi2_x
@@ -394,6 +394,22 @@ def test_null_curve_kernels_match_their_reference_bit_for_bit():
     # a first square with -0.0 parts, which Python's sum from 0 turns into 0.0
     terms = [np.array([1.0 - 0.0j, -0.0 + 0.0j, 2.0 + 1j]), np.array([3.0, -0.0 - 0.0j, 1j])]
     assert same_bits(conformal._square_sum(terms), sum(p * p for p in terms))
+
+
+@pytest.mark.parametrize("name", ["plane", "catenoid", "helicoid", "scherk", "holomorphic"])
+def test_pullback_of_each_row_block_matches_its_reference_bit_for_bit(name):
+    # A, B from real products with 1/det: the bits of the complex division
+    # they replaced, block by block as the null-curve kernels take them
+    f = surface(name, 65, 49)
+    charts = [build_chart(f), build_chart(random_heightmap(np.random.default_rng(7), f.domain), tol=1e6)]
+    for chart in charts:
+        blocks = [rows for rows, *_ in conformal._blocks(chart)]
+        assert len(blocks) == 3
+        for rows in blocks + [slice(0, 5), slice(None)]:
+            A, B = conformal._pullback(chart, rows)
+            refA, refB = _ref_pullback(chart, rows)
+            assert same_bits(A, refA) and same_bits(B, refB), (name, rows)
+            assert A.flags.c_contiguous and B.flags.c_contiguous
 
 
 def test_weierstrass_twin_matches_its_reference_bit_for_bit():

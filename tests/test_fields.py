@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from twinsurf.fields import (
     HeightMap,
     ScalarField,
     _cumtrapz,
+    _diff1_matched,
     closedness_residual_field,
     diff2_x,
     diff2_y,
@@ -333,15 +336,95 @@ def _ref_metric(h, signature):
     return E, F, G, np.sqrt(np.where(mask, disc, 0.0)), mask
 
 
-@pytest.mark.parametrize("shape", [(9, 7), (33, 65)])
+def _layouts(rng, shape):
+    """``bit_inputs`` of ``shape`` in every layout the stencils take:
+    C-contiguous, strided, transposed (F-contiguous), and row-block and
+    column-block slices of larger fields."""
+    ny, nx = shape
+    out = bit_inputs(rng, shape)
+    for kind in ("real", "complex"):
+        out[f"transposed_{kind}"] = bit_inputs(rng, (nx, ny))[kind].T
+        out[f"row_block_{kind}"] = bit_inputs(rng, (ny + 6, nx))[kind][3:-3]
+        out[f"column_block_{kind}"] = bit_inputs(rng, (ny, nx + 4))[kind][:, 2:-2]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (33, 65), (5, 5), (17, 33), (33, 17)])
 @pytest.mark.parametrize("stencil", sorted(_REF_STENCILS))
 def test_stencils_match_their_reference_bit_for_bit(stencil, shape):
     fn, ref = _REF_STENCILS[stencil]
     args = (0.3, 0.7) if stencil == "diff_xy" else (0.7 if stencil.endswith("y") else 0.3,)
-    for kind, v in bit_inputs(np.random.default_rng(11), shape).items():
+    for kind, v in _layouts(np.random.default_rng(11), shape).items():
         got = fn(v, *args)
         assert same_bits(got, ref(v)), kind
         assert got.flags.c_contiguous, kind  # the layout downstream kernels read
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (17, 33), (33, 17)])
+def test_matched_stencil_matches_its_reference_in_every_layout(shape):
+    for kind, v in _layouts(np.random.default_rng(14), shape).items():
+        if not np.iscomplexobj(v):
+            assert same_bits(_diff1_matched(v, 0.3, -1), _ref_diff1_matched(v, 0.3, 1)), kind
+            assert same_bits(_diff1_matched(v, 0.7, 0), _ref_diff1_matched(v, 0.7, 0)), kind
+
+
+# each kernel with the expression it replaced, (kernel, reference) per axis
+_PARITY = {
+    "diff_x": (lambda v, h: diff_x(v, h), lambda v, h: _ref_diff1(v, h)),
+    "diff_y": (lambda v, h: diff_y(v, h), lambda v, h: _ref_diff1(v.T, h).T),
+    "diff2_x": (lambda v, h: diff2_x(v, h), lambda v, h: _ref_diff2(v, h)),
+    "diff2_y": (lambda v, h: diff2_y(v, h), lambda v, h: _ref_diff2(v.T, h).T),
+    "matched_x": (lambda v, h: _diff1_matched(v, h, -1), lambda v, h: _ref_diff1_matched(v, h, 1)),
+    "matched_y": (lambda v, h: _diff1_matched(v, h, 0), lambda v, h: _ref_diff1_matched(v, h, 0)),
+    "cumtrapz_x": (lambda v, h: _cumtrapz(v, h, -1), lambda v, h: _ref_cumtrapz(v, h)),
+    "cumtrapz_y": (lambda v, h: _cumtrapz(v, h, 0), lambda v, h: _ref_cumtrapz(v.T, h).T),
+}
+
+
+def _warned(fn, v, h):
+    """fn(v, h) and whether numpy warned while it ran."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(v, h)
+    return out, bool(caught)
+
+
+def _extreme_fields():
+    """(field, spacing) pairs.  1e306 x on 513 columns: every difference is
+    in range, but a difference across a row end, scaled by 1/(2h) or 1/h^2,
+    overflows.  Rows of alternating +-1e308 overflow across the row ends and
+    in the reference's one-sided ends.  The checkerboard's flat sum across
+    a row end (512 columns) overflows where no sum within a row does.  Row
+    ends of 0.5e308 and -0.85e308 with h = 10 overflow in a second
+    difference across the row end, where no one-sided end overflows."""
+    x = np.linspace(-1.0, 1.0, 513)
+    rows = np.arange(6)[:, None]
+    row_ends = np.zeros((6, 9))
+    row_ends[1, -1], row_ends[2, 0] = 0.5e308, -0.85e308
+    fields = {
+        "1e306 x": (np.tile(1e306 * x, (6, 1)), 2.0 / 512),
+        "alternating rows": (np.where(rows % 2 == 1, -1e308, 1e308) * np.ones(513), 2.0 / 512),
+        "checkerboard": (np.where((rows + np.arange(512)) % 2 == 1, -1e308, 1e308), 2.0 / 512),
+        "row ends": (row_ends, 10.0),
+    }
+    fields["1e306 x complex"] = (fields["1e306 x"][0] * (1.0 - 0.5j), 2.0 / 512)
+    fields.update({f"{k}, transposed": (v.T, h) for k, (v, h) in list(fields.items())})
+    return fields
+
+
+@pytest.mark.parametrize("kernel", sorted(_PARITY))
+def test_kernels_warn_exactly_where_their_reference_warns(kernel):
+    fn, ref = _PARITY[kernel]
+    for kind, (v, h) in _extreme_fields().items():
+        if kernel.startswith("cumtrapz") and np.iscomplexobj(v):
+            continue
+        (got, warned), (want, ref_warned) = _warned(fn, v, h), _warned(ref, v, h)
+        assert warned == ref_warned, kind
+        assert same_bits(got, want), kind
+    # finite fields in range warn nowhere
+    for kind, v in _layouts(np.random.default_rng(15), (17, 33)).items():
+        if not (kernel.startswith(("cumtrapz", "matched")) and np.iscomplexobj(v)):
+            assert not _warned(fn, v, 0.3)[1], kind
 
 
 def test_interior_max_matches_its_reference_bit_for_bit():
@@ -368,7 +451,7 @@ def test_cumtrapz_matches_its_reference_bit_for_bit(axis):
         assert same_bits(_cumtrapz(v, 0.3, axis), ref), kind
 
 
-@pytest.mark.parametrize("name", ["catenoid", "scherk", "holomorphic"])
+@pytest.mark.parametrize("name", ["plane", "catenoid", "helicoid", "scherk", "holomorphic"])
 def test_integration_matches_its_reference_bit_for_bit(name):
     f = surface(name, 33, 17)
     dom = f.domain
@@ -376,7 +459,8 @@ def test_integration_matches_its_reference_bit_for_bit(name):
     ref_closed = np.abs(_ref_diff1(P.T, dom.dy).T - _ref_diff1(Q, dom.dx))
     assert same_bits(closedness_residual_field(P, Q, dom), ref_closed)
     Pf, Qf = ScalarField(dom, P), ScalarField(dom, Q)
-    for basepoint in [(0, 0), (5, 3), (32, 16)]:
+    # corners, edges and interior nodes
+    for basepoint in [(0, 0), (32, 0), (0, 16), (32, 16), (11, 0), (0, 9), (32, 4), (20, 16), (5, 3)]:
         u = integrate_exact_form(Pf, Qf, basepoint)
         assert same_bits(u.values, _ref_integrate(P, Q, dom, basepoint)), basepoint
 
@@ -395,6 +479,26 @@ def test_metric_and_jacobians_match_their_reference_bit_for_bit(name, signature)
     jac = jacobian_data(f)
     if jac.pairs:
         assert same_bits(jac.norm, np.sqrt(sum(J * J for J in jac.pairs.values())))
+
+
+@pytest.mark.parametrize("signature", ["euclidean", "split"])
+def test_metric_of_partly_masked_maps_matches_its_reference_bit_for_bit(signature):
+    # split: |grad| = 1.6|x| reaches 1 inside the square, so some nodes are
+    # masked and zeroed, and a -0.0 gradient enters the sums
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 33)
+    X, Y = dom.meshgrid()
+    maps = [
+        HeightMap(dom, [0.8 * X * X, -0.0 * Y]),
+        HeightMap(dom, [0.8 * X * X], [(1.6 * X, np.full(dom.shape, -0.0))]),
+        random_heightmap(np.random.default_rng(4), dom, n=3, amplitude=0.6),
+    ]
+    for f in maps:
+        metric = first_fundamental_form(f, signature)
+        E, F, G, omega, mask = _ref_metric(f, signature)
+        got = (metric.E, metric.F, metric.G, metric.omega)
+        assert all(same_bits(a, b) for a, b in zip(got, (E, F, G, omega)))
+        assert np.array_equal(metric.mask, mask)
+        assert mask.all() == (signature == "euclidean")
 
 
 def test_metric_sums_start_from_zero_as_python_sum():

@@ -3,6 +3,7 @@ grid arrays at once."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from twinsurf import (
@@ -24,6 +25,7 @@ from twinsurf import (
     write_heightmap,
 )
 from twinsurf.cli import run
+from twinsurf.fields import HeightMap
 
 from conftest import surface
 
@@ -57,6 +59,33 @@ def test_kernels_write_only_into_arrays_they_allocated(name):
     field = gauss_map(f)
     _read_only(field)
     planarity_score(field)
+    verify_surface(f)
+
+
+@pytest.mark.parametrize("layout", ["transposed", "row_block"])
+def test_kernels_write_only_into_arrays_they_allocated_in_any_layout(layout):
+    # components and gradients as transposed (F-contiguous) views, which the
+    # stencils copy once, or as a row block of taller arrays, which they
+    # read in place
+    f = surface("scherk", 33, 33)
+    place = {
+        "transposed": lambda a: a.T.copy().T,
+        "row_block": lambda a: np.pad(a, ((3, 3), (0, 0)))[3:-3],
+    }[layout]
+    comps = [place(c) for c in f.components]
+    grads = [tuple(place(g) for g in pair) for pair in f.gradients]
+    assert all(c.flags.c_contiguous == (layout == "row_block") for c in comps)
+    c_map, f = f, _read_only_map(HeightMap(f.domain, comps, grads))
+    raw = _read_only_map(HeightMap(f.domain, comps))
+    assert minimal_residual(f).to_report() == minimal_residual(c_map).to_report()
+    pair = twin_forward(f)
+    twin_backward(_read_only_map(pair.g))
+    sl_lift(raw)
+    chart = build_chart(f)
+    null_curve(f, chart, "euclidean")
+    c_pair = twin_forward(c_map)
+    assert verify_weierstrass_twin(pair, chart) == verify_weierstrass_twin(c_pair, build_chart(c_map))
+    planarity_score(gauss_map(raw))
     verify_surface(f)
 
 

@@ -119,6 +119,33 @@ def _bit_maps():
     yield HeightMap(dom, [0.8 * X * X, -0.0 * Y])  # split data not spacelike everywhere; -0.0
 
 
+def _ref_max_abs(rep, normalization):
+    # the gathered form: the fields on the interior nodes of the mask
+    m = np.zeros(rep.domain.shape, dtype=bool)
+    m[1:-1, 1:-1] = True
+    if rep.mask is not None:
+        m &= rep.mask
+    if normalization == "scaled":
+        return max(float(np.abs((f / rep.scale)[m]).max()) for f in rep.fields)
+    return max(float(np.abs(f[m]).max()) for f in rep.fields)
+
+
+def test_max_abs_without_the_gather_is_the_gathered_max_bit_for_bit():
+    # a mask that keeps every node (euclidean) or none given (the forms)
+    # skip the gather; a split mask with masked nodes keeps it
+    reports = []
+    for f in _bit_maps():
+        reports += [minimal_residual(f), divergence_residual(f), maximal_residual(f)]
+    assert any(r.mask is None for r in reports)
+    assert any(r.mask is not None and r.mask.all() for r in reports)
+    assert any(r.mask is not None and not r.mask.all() for r in reports)
+    for rep in reports:
+        for normalization in ("scaled", "raw"):
+            got = np.float64(rep.max_abs(normalization))
+            assert same_bits(got, np.float64(_ref_max_abs(rep, normalization))), rep.op
+        assert rep.to_report()["max_abs"] == rep.max_abs()
+
+
 @pytest.mark.parametrize("signature", ["euclidean", "split"])
 def test_residual_kernels_match_their_reference_bit_for_bit(signature):
     for f in _bit_maps():
