@@ -254,8 +254,5 @@ def make_surface(name: str, params: dict | None, domain: GridDomain) -> HeightMa
 
 
 def known_lift(name: str, params: dict | None = None):
-    """Closed-form (M, N) evaluators for entries with a stated lift, else None."""
-    lift = make_entry(name, params).lift
-    if lift is None:
-        return None
-    return (lambda X, Y: lift(X, Y)[0], lambda X, Y: lift(X, Y)[1])
+    """The closed-form lift (X, Y) -> (M, N) of an entry that states one, else None."""
+    return make_entry(name, params).lift

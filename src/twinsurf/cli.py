@@ -11,6 +11,7 @@ last bits from 129^2 up: OpenBLAS takes other kernels on one thread.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -208,14 +209,7 @@ def _cmd_chart(args):
         return 0
     if args.action == "nullcurve":
         nc = conformal.null_curve(f, chart)
-        _emit(
-            {
-                "holomorphy_residual": nc.holomorphy_residual,
-                "nullity_residual": nc.nullity_residual,
-                "signature": nc.signature,
-            },
-            args.out,
-        )
+        _emit({**dataclasses.asdict(nc), "signature": "euclidean"}, args.out)
         return 0
     # weierstrass: compare the null curves of the twin pair
     _emit(conformal.verify_weierstrass_twin(pair, chart), args.out)

@@ -47,7 +47,6 @@ class ConformalChart:
 class NullCurveField:
     holomorphy_residual: float
     nullity_residual: float
-    signature: str
 
 
 def build_chart(f: HeightMap | SurfaceReading, basepoint=(0, 0), tol=None) -> ConformalChart:
@@ -285,32 +284,25 @@ def _split_null(a, b, tail) -> np.ndarray:
     return null
 
 
-def null_curve(
-    h: HeightMap, chart: ConformalChart, signature: str = "euclidean"
-) -> NullCurveField:
+def null_curve(h: HeightMap, chart: ConformalChart) -> NullCurveField:
     """phi_k = dF_k/dxi1 - i dF_k/dxi2 of F = (x, y, h_1..h_n) on the source
     grid: d = A d/dx + B d/dy and dbar = conj(A) d/dx + conj(B) d/dy from
-    ``_pullback``.  Nullity is taken ``_MARGIN_CELLS`` rings in, holomorphy
-    a ring further, one row block of ``_blocks`` at a time: the euclidean
-    sum starts from phi_1^2 + phi_2^2, the split one subtracts its height
-    tail from them, and each block's maxima fold into the grid's."""
-    if signature not in ("euclidean", "split"):
-        raise ValidationError(f"unknown signature {signature!r}")
+    ``_pullback``.  Nullity, the euclidean sum of phi_k^2, is taken
+    ``_MARGIN_CELLS`` rings in, holomorphy a ring further, one row block of
+    ``_blocks`` at a time, and each block's maxima fold into the grid's.
+    The split nullity of a maximal side is ``verify_weierstrass_twin``'s."""
     dom = h.domain
-    euclidean = signature == "euclidean"
     maxima = []
     for rows, A, B, null_ring, holo_ring in _blocks(chart, h):
         Ac, Bc = A.conj(), B.conj()
         holo = [_abs_max(_dbar(v, Ac, Bc, dom), holo_ring) for v in (A, B)]
-        acc = _square_sum([A, B]) if euclidean else None
+        null = _square_sum([A, B])
         for c in h.components:
             p = _phi(c[rows], A, B, dom)
             holo.append(_abs_max(_dbar(p, Ac, Bc, dom), holo_ring))
-            acc = _square_sum([p], acc)
-        null = acc if euclidean else _split_null(A, B, acc)
+            null = _square_sum([p], null)
         maxima.append((max(holo), _abs_max(null, null_ring)))
-    holo, null = np.max(maxima, axis=0).tolist()
-    return NullCurveField(holo, null, signature)
+    return NullCurveField(*np.max(maxima, axis=0).tolist())
 
 
 def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:

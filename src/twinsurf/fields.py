@@ -248,7 +248,7 @@ class HeightMap:
     ``gradients[k]`` holds the pair (df_k/dx, df_k/dy), checked like the
     components.  When none are given they are taken once, at construction,
     by finite differences of the values, with the error-matched ends of
-    ``_diff1_matched``; ``alpha``/``beta`` look them up.
+    ``_diff1_matched``.
     """
 
     domain: GridDomain
@@ -281,14 +281,6 @@ class HeightMap:
     def raw(self) -> HeightMap:
         """These node values with finite-difference gradients: this map if it has them."""
         return self if self._differenced else HeightMap(self.domain, self.components)
-
-    def alpha(self, k: int) -> np.ndarray:
-        """df_k/dx (0-based k)."""
-        return self.gradients[k][0]
-
-    def beta(self, k: int) -> np.ndarray:
-        """df_k/dy (0-based k)."""
-        return self.gradients[k][1]
 
 
 @dataclass

@@ -119,9 +119,9 @@ def gauss_map(f: HeightMap | SurfaceReading) -> np.ndarray:
     z1 = np.add(Gw, 0j, out=z[..., 0])
     z2 = np.subtract(1j, Fw, out=z[..., 1])
     del Fw, Gw  # z1 and z2 are views of z
-    for k in range(f.n):
-        zk = np.multiply(z1, f.alpha(k), out=z[..., k + 2])
-        zk += z2 * f.beta(k)
+    for k, (a, b) in enumerate(f.gradients):
+        zk = np.multiply(z1, a, out=z[..., k + 2])
+        zk += z2 * b
     return _normalize(z)
 
 

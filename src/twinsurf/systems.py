@@ -60,7 +60,7 @@ def _second_derivatives(h: HeightMap, k: int):
     """(f_xx, f_xy, f_yy) of component k, differentiating the gradient
     fields so analytic first derivatives are honored when present."""
     dom = h.domain
-    a, b = h.alpha(k), h.beta(k)
+    a, b = h.gradients[k]
     return diff_x(a, dom.dx), diff_y(a, dom.dy), diff_y(b, dom.dy)
 
 
@@ -187,21 +187,19 @@ def _fields(op: str, reading: SurfaceReading):
         raise ValidationError(f"unknown form {op!r}")
 
 
-def _form_report(op: str, f: HeightMap | SurfaceReading) -> ResidualReport:
-    """The report ``op`` of a reading, or of a map's read at tol 0, which no spacing overflows."""
-    read = f if isinstance(f, SurfaceReading) else read_surface(f, "euclidean", 0.0)
-    return ResidualReport(op, read.signature, list(_fields(op, read)), read.scale, read.h.domain)
+def _form_report(op: str, f: HeightMap) -> ResidualReport:
+    """The report ``op`` of a map, read at tol 0, which no spacing overflows."""
+    read = read_surface(f, "euclidean", 0.0)
+    return ResidualReport(op, read.signature, list(_fields(op, read)), read.scale, f.domain)
 
 
-def divergence_residual(f: HeightMap | SurfaceReading) -> ResidualReport:
-    """The divergence form of a minimal graph or of a reading's map, hatted when split."""
+def divergence_residual(f: HeightMap) -> ResidualReport:
+    """The divergence form of a minimal graph."""
     return _form_report("divergence_residual", f)
 
 
-def closedness_identities(f: HeightMap | SurfaceReading) -> ResidualReport:
-    """The closedness identities of a minimal graph or of a euclidean reading's map."""
-    if isinstance(f, SurfaceReading):
-        read_surface(f)  # a split reading is refused
+def closedness_identities(f: HeightMap) -> ResidualReport:
+    """The closedness identities of a minimal graph."""
     return _form_report("closedness_identities", f)
 
 
@@ -244,10 +242,10 @@ class SurfaceReading:
 
     def potentials(self, basepoint=(0, 0)):
         """M, N of (E/w, F/w) and (F/w, G/w), vanishing at ``basepoint``, after
-        ``require`` and the closedness of both forms; integrated once per
-        basepoint, so the lift and the chart share them."""
-        self.require()
+        the basepoint's check, ``require`` and the closedness of both forms;
+        integrated once per basepoint, so the lift and the chart share them."""
         key = self.h.domain.node(basepoint)
+        self.require()
         if key not in self._potentials:
             Ew, Fw, Gw = (ScalarField(self.h.domain, c) for c in self.over_area)
             self.require_closed(self.scaled_max("closedness_identities"))

@@ -60,22 +60,22 @@ def _twin_gradient(h: HeightMap, over_area, signature, k: int):
     one negated.  The sign multiplies each product, which keeps the
     rounding of both directions exact, signed zeros included."""
     Ew, Fw, Gw = over_area
-    a, b = h.alpha(k), h.beta(k)
+    a, b = h.gradients[k]
     s = -1.0 if signature == "euclidean" else 1.0
     return (s * Ew * b - s * Fw * a, s * Fw * b - s * Gw * a)
 
 
 def _integrate_twin(reading: SurfaceReading, jac, basepoint, grads=None):
     """The twin's node values of the map of ``reading``, one component at a
-    time, after its checks: area-angle from its Jacobian data ``jac`` (which
-    dies here unless the caller holds it), closedness of the twin gradients
-    (the reading's divergence form), then the residual.  Each twin-relation
-    gradient is appended to ``grads`` when a list is given."""
+    time, after its checks: the basepoint, area-angle from its Jacobian data
+    ``jac`` (which dies here unless the caller holds it), closedness of the
+    twin gradients (the reading's divergence form), then the residual.  Each
+    twin-relation gradient is appended to ``grads`` when a list is given."""
+    src, dom = reading.h, reading.h.domain
+    dom.node(basepoint)  # a usage error precedes every verdict
     if not jac.has_positive_area_angle:
         raise AreaAngleViolation("||J|| >= 1", nodes=jac.violations)
     del jac
-    src, dom = reading.h, reading.h.domain
-    dom.node(basepoint)  # a bad basepoint fails before the forms are judged
     reading.require_closed(reading.scaled_max("divergence_residual"))
     comps = []
     for k in range(src.n):
@@ -94,8 +94,8 @@ def _integrability(raw: HeightMap, grads) -> float:
     raw node values ``raw`` of one side (so the identities are checked
     honestly) and the twin-relation ``grads`` read from the other."""
     c1 = 0.0
-    for k, (P, Q) in enumerate(grads):
-        c1 = max(c1, interior_max(raw.alpha(k) - P), interior_max(raw.beta(k) - Q))
+    for (a, b), (P, Q) in zip(raw.gradients, grads):
+        c1 = max(c1, interior_max(a - P), interior_max(b - Q))
     return c1
 
 

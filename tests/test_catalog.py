@@ -22,12 +22,12 @@ def test_analytic_gradients_match_finite_differences(name):
     dom = default_domain(name, None, 49, 49)
     f = make_surface(name, None, dom)
     h2 = dom.h**2
-    for k in range(f.n):
-        fd_a = diff_x(f.components[k], dom.dx)
-        fd_b = diff_y(f.components[k], dom.dy)
-        scale = max(1.0, np.abs(f.alpha(k)).max())
-        assert np.abs(f.alpha(k) - fd_a)[1:-1, 1:-1].max() <= 60 * h2 * scale
-        assert np.abs(f.beta(k) - fd_b)[1:-1, 1:-1].max() <= 60 * h2 * scale
+    for c, (a, b) in zip(f.components, f.gradients):
+        fd_a = diff_x(c, dom.dx)
+        fd_b = diff_y(c, dom.dy)
+        scale = max(1.0, np.abs(a).max())
+        assert np.abs(a - fd_a)[1:-1, 1:-1].max() <= 60 * h2 * scale
+        assert np.abs(b - fd_b)[1:-1, 1:-1].max() <= 60 * h2 * scale
 
 
 @pytest.mark.parametrize("name", MINIMAL_SURFACES)
@@ -40,10 +40,10 @@ def test_minimal_entries_solve_the_system(name):
 def test_lagrangian_catenoid_matches_catenoid_lift():
     dom = default_domain("catenoid", None, 49, 49)
     f = make_surface("lagrangian_catenoid", None, dom)
-    fM, fN = known_lift("catenoid")
     X, Y = dom.meshgrid()
-    assert np.abs(f.components[0] - fM(X, Y)).max() < 1e-12
-    assert np.abs(f.components[1] - fN(X, Y)).max() < 1e-12
+    M, N = known_lift("catenoid")(X, Y)
+    assert np.abs(f.components[0] - M).max() < 1e-12
+    assert np.abs(f.components[1] - N).max() < 1e-12
 
 
 def test_lagrangian_catenoid_is_minimal():
@@ -234,11 +234,11 @@ def test_closed_forms_match_symbolic_oracle(name, params):
         close(value, expr)
         close(gx, sp.diff(expr, x))
         close(gy, sp.diff(expr, y))
-    evaluators = known_lift(name, params)
-    assert (evaluators is None) == (lift is None)
+    closed_form = known_lift(name, params)
+    assert (closed_form is None) == (lift is None)
     if lift is not None:
-        for fn, expr in zip(evaluators, lift):
-            close(fn(X, Y), expr)
+        for value, expr in zip(closed_form(X, Y), lift):
+            close(value, expr)
 
 
 def test_imports_and_runs_without_sympy():

@@ -366,6 +366,34 @@ def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, argv, tol):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["twin", "forward"], "bump"),
+        (["twin", "forward"], "quadratic_gradient"),
+        (["sl", "lift"], "bump"),
+        (["chart", "build"], "bump"),
+        (["chart", "weierstrass"], "bump"),
+    ],
+)
+def test_a_bad_basepoint_precedes_every_verdict_after_the_reading(tmp_path, capsys, argv, name):
+    # the bump is spacelike but not minimal, and the quadratic gradient
+    # graph has ||J|| >= 1: from a good basepoint each command reaches a
+    # verdict (exit 2), from a bad one it stops at the basepoint first
+    gf = str(tmp_path / f"{name}.gf")
+    if name == "bump":
+        dom = GridDomain.from_bounds(-0.5, -0.5, 0.5, 0.5, 33, 33)
+        X, Y = dom.meshgrid()
+        write_gfield(gf, dom, [0.3 * np.exp(-10.0 * (X * X + Y * Y))])
+    else:
+        assert run(["catalog", "sample", "--name", name, "--grid", "17,17", "--out", gf]) == 0
+    assert run([*argv, "--in", gf]) == 2
+    capsys.readouterr()
+    assert run([*argv, "--in", gf, "--basepoint", "99,99"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("VALIDATION:") and "basepoint" in err[0], err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--theta=inf"],

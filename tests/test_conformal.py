@@ -138,20 +138,13 @@ def test_invert_chart_rejects_target_past_the_image():
 
 def test_null_curve_of_flat_immersion():
     f, chart = flat_chart()
-    nc = null_curve(f, chart, "euclidean")
+    nc = null_curve(f, chart)
     phi = _ref_null_phi(f, *_ref_pullback(chart))
     assert np.abs(phi[0] - 0.5).max() < 1e-8
     assert np.abs(phi[1] + 0.5j).max() < 1e-8
     assert np.abs(phi[2]).max() < 1e-8
     assert nc.holomorphy_residual < 1e-7
     assert nc.nullity_residual < 1e-7
-
-
-def test_null_curve_signatures():
-    f, chart = flat_chart()
-    assert null_curve(f, chart, "split").nullity_residual < 2e-7
-    with pytest.raises(ValidationError):
-        null_curve(f, chart, "lorentz")
 
 
 def test_weierstrass_relation_on_plane_pair():
@@ -204,8 +197,8 @@ def test_weierstrass_residuals_vanish_on_holomorphic_pair(values_only):
 
 
 def _weierstrass_from_null_curves(pair, chart):
-    nf = null_curve(pair.f, chart, "euclidean")
-    ng = null_curve(pair.g, chart, "split")
+    # null_curve reads a minimal side; the maximal side's split nullity is the reference's
+    nf = null_curve(pair.f, chart)
     A, B = _ref_pullback(chart)
     phi, phihat = _ref_null_phi(pair.f, A, B), _ref_null_phi(pair.g, A, B)
     r = max(
@@ -217,7 +210,7 @@ def _weierstrass_from_null_curves(pair, chart):
         "max_residual": r,
         "holomorphy_residual_min_side": nf.holomorphy_residual,
         "nullity_residual_min_side": nf.nullity_residual,
-        "nullity_residual_max_side": ng.nullity_residual,
+        "nullity_residual_max_side": _ref_nullity(phihat, "split"),
     }
 
 
@@ -262,8 +255,7 @@ def test_row_blocks_equal_one_whole_grid_block_bit_for_bit(name, rest, monkeypat
     def residuals():
         return repr([
             verify_weierstrass_twin(pair, chart),
-            null_curve(pair.f, chart, "euclidean"),
-            null_curve(pair.g, chart, "split"),
+            null_curve(pair.f, chart),
         ])
 
     blocked = residuals()
@@ -375,7 +367,7 @@ def test_null_curve_kernels_match_their_reference_bit_for_bit():
         A, B = conformal._pullback(chart, slice(None))
         assert all(same_bits(a, b) for a, b in zip((A, B), _ref_pullback(chart)))
         Ac, Bc = A.conj(), B.conj()
-        for h, signature in ((pair.f, "euclidean"), (pair.g, "split")):
+        for h in (pair.f, pair.g):
             phi = _ref_null_phi(h, A, B)
             assert all(
                 same_bits(conformal._phi(c, A, B, dom), p)
@@ -388,9 +380,9 @@ def test_null_curve_kernels_match_their_reference_bit_for_bit():
             assert same_bits(conformal._square_sum(phi), sum(p * p for p in phi))
             split = conformal._split_null(phi[0], phi[1], conformal._square_sum(phi[2:]))
             assert same_bits(split, phi[0] ** 2 + phi[1] ** 2 - sum(p * p for p in phi[2:]))
-            curve = null_curve(h, chart, signature)
+            curve = null_curve(h, chart)
             assert same_bits(curve.holomorphy_residual, _ref_holomorphy(phi, A, B, dom))
-            assert same_bits(curve.nullity_residual, _ref_nullity(phi, signature))
+            assert same_bits(curve.nullity_residual, _ref_nullity(phi, "euclidean"))
     # a first square with -0.0 parts, which Python's sum from 0 turns into 0.0
     terms = [np.array([1.0 - 0.0j, -0.0 + 0.0j, 2.0 + 1j]), np.array([3.0, -0.0 - 0.0j, 1j])]
     assert same_bits(conformal._square_sum(terms), sum(p * p for p in terms))

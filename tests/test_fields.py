@@ -94,9 +94,9 @@ def test_derivatives_preserve_complex_dtype(square_domain):
 def test_heightmap_gradient_fallback_and_override(square_domain):
     X, Y = square_domain.meshgrid()
     f_fd = HeightMap(square_domain, [X * Y])
-    assert np.abs(f_fd.alpha(0) - Y).max() < 1e-12  # FD fallback
+    assert np.abs(f_fd.gradients[0][0] - Y).max() < 1e-12  # FD fallback
     f_ex = HeightMap(square_domain, [X * Y], [(Y + 1.0, X)])
-    assert np.array_equal(f_ex.alpha(0), Y + 1.0)  # attached wins
+    assert np.array_equal(f_ex.gradients[0][0], Y + 1.0)  # attached wins
 
 
 def _ref_diff1_matched(v, h, axis):
@@ -116,13 +116,12 @@ def test_heightmap_differentiates_once_at_construction():
     X, Y = dom.meshgrid()
     comps = [np.sin(X) * Y, X * X - Y, np.exp(X - 2 * Y)]
     f = HeightMap(dom, comps)
-    for k, c in enumerate(comps):
+    for c, (a, b) in zip(comps, f.gradients):
         # diff_x's and diff_y's interior, with error-matched ends
-        assert same_bits(f.alpha(k), _ref_diff1_matched(c, dom.dx, 1))
-        assert same_bits(f.beta(k), _ref_diff1_matched(c, dom.dy, 0))
-        assert same_bits(f.alpha(k)[:, 1:-1], diff_x(c, dom.dx)[:, 1:-1])
-        assert same_bits(f.beta(k)[1:-1], diff_y(c, dom.dy)[1:-1])
-        assert f.alpha(k) is f.alpha(k)  # a lookup, not a new stencil pass
+        assert same_bits(a, _ref_diff1_matched(c, dom.dx, 1))
+        assert same_bits(b, _ref_diff1_matched(c, dom.dy, 0))
+        assert same_bits(a[:, 1:-1], diff_x(c, dom.dx)[:, 1:-1])
+        assert same_bits(b[1:-1], diff_y(c, dom.dy)[1:-1])
 
 
 def test_heightmap_rejects_shape_mismatch(square_domain):
@@ -210,7 +209,7 @@ def test_lagrange_identity(seed):
     f = random_heightmap(rng, dom, n=int(rng.integers(1, 4)), amplitude=1.0)
     m = first_fundamental_form(f, "euclidean")
     jac = jacobian_data(f)
-    ssq = 1.0 + sum(f.alpha(k) ** 2 + f.beta(k) ** 2 for k in range(f.n))
+    ssq = 1.0 + sum(a**2 + b**2 for a, b in f.gradients)
     jsq = jac.norm**2
     scale = np.abs(m.omega**2).max()
     assert np.abs(m.omega**2 - (ssq + jsq)).max() <= 1e-12 * scale
@@ -455,7 +454,7 @@ def test_cumtrapz_matches_its_reference_bit_for_bit(axis):
 def test_integration_matches_its_reference_bit_for_bit(name):
     f = surface(name, 33, 17)
     dom = f.domain
-    P, Q = f.alpha(0), f.beta(0)
+    P, Q = f.gradients[0]
     ref_closed = np.abs(_ref_diff1(P.T, dom.dy).T - _ref_diff1(Q, dom.dx))
     assert same_bits(closedness_residual_field(P, Q, dom), ref_closed)
     Pf, Qf = ScalarField(dom, P), ScalarField(dom, Q)

@@ -26,8 +26,8 @@ def gauss_map_alt(f: HeightMap) -> np.ndarray:
     z1 = 1.0 - 1j * metric.F / metric.omega
     z2 = 1j * metric.E / metric.omega
     comps = [z1, z2]
-    for k in range(f.n):
-        comps.append(z1 * f.alpha(k) + z2 * f.beta(k))
+    for a, b in f.gradients:
+        comps.append(z1 * a + z2 * b)
     return normalize_projective(comps)
 
 
@@ -261,7 +261,7 @@ def _ref_gauss_map(f):
     z1 = Gw + 0j
     z2 = 1j - Fw
     return _ref_normalize_projective(
-        [z1, z2] + [z1 * f.alpha(k) + z2 * f.beta(k) for k in range(f.n)]
+        [z1, z2] + [z1 * a + z2 * b for a, b in f.gradients]
     )
 
 

@@ -53,8 +53,7 @@ def test_kernels_write_only_into_arrays_they_allocated(name):
     sl_lift(f)
     chart = build_chart(f)
     _read_only(*(s.values for s in (chart.M, chart.N, chart.J_psi)))
-    null_curve(f, chart, "euclidean")
-    null_curve(g, chart, "split")
+    null_curve(f, chart)
     verify_weierstrass_twin(TwinPair(f, g, pair.diagnostics), chart)
     field = gauss_map(f)
     _read_only(field)
@@ -82,7 +81,7 @@ def test_kernels_write_only_into_arrays_they_allocated_in_any_layout(layout):
     twin_backward(_read_only_map(pair.g))
     sl_lift(raw)
     chart = build_chart(f)
-    null_curve(f, chart, "euclidean")
+    null_curve(f, chart)
     c_pair = twin_forward(c_map)
     assert verify_weierstrass_twin(pair, chart) == verify_weierstrass_twin(c_pair, build_chart(c_map))
     planarity_score(gauss_map(raw))
@@ -120,8 +119,7 @@ _PEAK_BOUNDS = {
     "verify_surface": 24.3,
     "verify_weierstrass_twin": 3.6,
     "build_chart": 16.5,
-    "null_curve_euclidean": 3.0,
-    "null_curve_split": 3.2,
+    "null_curve": 3.0,
     "resample_to_chart": 18.1,
 }
 
@@ -139,8 +137,7 @@ def test_stage_peaks_stay_under_their_bounds():
         "verify_surface": _peak_units(verify_surface, f),
         "verify_weierstrass_twin": _peak_units(verify_weierstrass_twin, pair, chart),
         "build_chart": _peak_units(build_chart, f),
-        "null_curve_euclidean": _peak_units(null_curve, f, chart, "euclidean"),
-        "null_curve_split": _peak_units(null_curve, f, chart, "split"),
+        "null_curve": _peak_units(null_curve, f, chart),
         "resample_to_chart": _peak_units(resample_to_chart, chart, f),
     }
     assert all(peaks[k] <= _PEAK_BOUNDS[k] for k in peaks), peaks

@@ -46,17 +46,18 @@ def test_catenoid_twin_gradient_at_known_node():
     # at (2, 0): alpha = 1/sqrt(3), beta = 0, E = 4/3, F = 0, omega = 2/sqrt(3)
     # so the twin gradient is (-E beta/w + F alpha/w, G alpha/w - F beta/w) = (0, 1/2)
     pair = twin_forward(catenoid_through_2_0())
-    g = pair.g
-    assert g.alpha(0)[32, 32] == pytest.approx(0.0, abs=1e-12)
-    assert g.beta(0)[32, 32] == pytest.approx(0.5, abs=1e-12)
+    a, b = pair.g.gradients[0]
+    assert a[32, 32] == pytest.approx(0.0, abs=1e-12)
+    assert b[32, 32] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_twin_of_affine_graph_is_affine():
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 33, 33)
     X, Y = dom.meshgrid()
     pair = twin_forward(HeightMap(dom, [0.3 * X - 0.1 * Y]))
-    assert np.ptp(pair.g.alpha(0)) < 1e-13
-    assert np.ptp(pair.g.beta(0)) < 1e-13
+    a, b = pair.g.gradients[0]
+    assert np.ptp(a) < 1e-13
+    assert np.ptp(b) < 1e-13
     d = pair.diagnostics
     assert max(d.c2_residual, d.c3_residual, d.c4_residual) < 1e-12
     assert d.involution_residual < 1e-12
