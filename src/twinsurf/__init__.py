@@ -1,5 +1,20 @@
 """Twin correspondences between minimal, maximal and special Lagrangian
-graphs, computed and verified on discrete grids."""
+graphs, computed and verified on discrete grids.
+
+Imported before numpy, twinsurf pins OpenMP, OpenBLAS and MKL to one
+thread (BLAS reads its thread count when numpy loads): OpenBLAS takes
+other ``gemm``, ``gemv`` and ``dot`` kernels on one thread than on
+several, and the solver's fixed point moves in the last bits with them.
+So every report and file is byte-identical at any thread setting.  A
+caller who imports numpy first keeps its own setting.
+"""
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ[_var] = "1"
 
 from .catalog import (
     MINIMAL_SURFACES,

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 flag/validation error, 2 computation error (the
 error code name is printed to stderr), 3 a verify-all check failed.
 
-All numeric JSON output uses 17 significant digits.  Across BLAS thread
-counts (read when numpy loads) ``solve`` reports and files differ in the
-last bits from 129^2 up: OpenBLAS takes other kernels on one thread.
+All numeric JSON output uses 17 significant digits.  Reports and files
+are byte-identical at any BLAS thread count: importing twinsurf before
+numpy pins BLAS to one thread.
 """
 
 from __future__ import annotations

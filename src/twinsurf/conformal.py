@@ -188,9 +188,12 @@ def resample_to_chart(chart: ConformalChart, h: HeightMap) -> HeightMap:
     return HeightMap(target, [x, y] + [_bilinear(c, cell) for c in h.components])
 
 
-# rows per block of the null-curve kernels; each block reads _HALO more
-# rows on each side, so every central difference it keeps is the whole
-# grid's: phi differences xi and the heights once, dbar differences phi
+# rows per block of the null-curve kernels: _BLOCK_ROWS on grids up to 260
+# rows, which keeps their traced peaks, and a 16th of the kept rows above
+# (32 at 513^2), which keeps each block's halo recomputation and call
+# overhead a fixed share of its work.  Each block reads _HALO more rows on
+# each side, so every central difference it keeps is the whole grid's: phi
+# differences xi and the heights once, dbar differences phi
 _BLOCK_ROWS = 16
 _HALO = 2
 
@@ -208,8 +211,9 @@ def _blocks(chart: ConformalChart, *maps: HeightMap):
     if min(dom.nx, dom.ny) < 2 * _MARGIN_CELLS + 3:
         raise ValidationError(f"null curve needs at least {2 * _MARGIN_CELLS + 3} nodes per axis")
     m = _MARGIN_CELLS
-    for r0 in range(m, dom.ny - m, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, dom.ny - m)
+    step = max(_BLOCK_ROWS, -(-(dom.ny - 2 * m) // 16))
+    for r0 in range(m, dom.ny - m, step):
+        r1 = min(r0 + step, dom.ny - m)
         lo = r0 - _HALO  # the block's first row
         rows = slice(lo, r1 + _HALO)
         null = slice(r0 - lo, r1 - lo), slice(m, -m)

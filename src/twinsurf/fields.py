@@ -335,11 +335,13 @@ def _sum_of_products(xs, ys) -> np.ndarray:
     return acc
 
 
-def first_fundamental_form(h: HeightMap, signature: str = "euclidean") -> MetricData:
-    """Metric coefficients of the graph of ``h`` in either ambient signature."""
+def first_fundamental_form(gradients, signature: str = "euclidean") -> MetricData:
+    """Metric coefficients of the graph with these gradient pairs (a
+    ``HeightMap``'s ``gradients``, or a row block of them) in either ambient
+    signature; elementwise, so a block of rows gets its rows' bits."""
     if signature not in ("euclidean", "split"):
         raise ValidationError(f"unknown signature {signature!r}")
-    alphas, betas = zip(*h.gradients)
+    alphas, betas = zip(*gradients)
     sa2 = _sum_of_products(alphas, alphas)
     sab = _sum_of_products(alphas, betas)
     sb2 = _sum_of_products(betas, betas)

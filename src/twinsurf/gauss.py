@@ -8,9 +8,11 @@ coordinates z_1 .. z_{n+2} of one point of the quadric per grid node
 unit vectors with a fixed representative: unit norm and positive real
 part of the first component whose modulus exceeds a small threshold.
 That gauge makes fields continuous wherever the underlying map is and
-comparable nodewise.  Fields are normalized and gauged in place, one
-block of rows at a time, so no whole-grid temporary of the field's shape
-is held.
+comparable nodewise.  A field is built one block of rows at a time in
+real arithmetic: each block's real and imaginary parts are divided by
+the node norm, the square root of their summed squares, into the
+field's float view, and only nodes whose z_1 is not already real and
+above the threshold are gauged; no whole-grid temporary is held.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ _FIRST_NONZERO_TOL = 1e-13
 # nodes, and |Im lambda| above the threshold marks a non-real relation
 _MIN_VALID_FRACTION = 0.99
 _NONREAL_THRESHOLD = 1e-8
-# rows per block of the in-place normalization, whose temporaries are a
-# few real arrays of the block's shape
-_BLOCK_ROWS = 64
+# rows per block of the field's build, whose temporaries are a few real
+# arrays of the block's shape
+_BLOCK_ROWS = 32
 
 
 @dataclass
@@ -55,74 +57,94 @@ class HyperplaneFit:
 
 def normalize_projective(components) -> np.ndarray:
     """The ``(ny, nx, n+2)`` field of ``components``, each node scaled to
-    unit norm and a positive-real first non-negligible component; the
-    stacked copy is normalized and gauged in place."""
-    z = np.stack([np.asarray(c, dtype=complex) for c in components], axis=-1)
-    return _normalize(z)
+    unit norm and a positive-real first non-negligible component."""
+    comps = [np.asarray(c, dtype=complex) for c in components]
+    if any(c.shape != comps[0].shape for c in comps):
+        raise ValidationError("components differ in shape")
+    return _normalized(
+        comps[0].shape, len(comps),
+        lambda rows: [p for c in comps for p in (c[rows].real, c[rows].imag)],
+    )
 
 
-def _normalize(z: np.ndarray) -> np.ndarray:
-    """Scale each node of the field ``z``, which the caller allocated, to
-    unit norm and gauge it, in place, ``_BLOCK_ROWS`` rows at a time;
-    returns ``z``."""
-    for r0 in range(0, z.shape[0], _BLOCK_ROWS):
-        block = z[r0 : r0 + _BLOCK_ROWS]
-        block /= _node_norms(block)[..., None]
+def _normalized(shape, m: int, planes) -> np.ndarray:
+    """The ``shape + (m,)`` field whose block of rows ``rows`` is
+    ``planes(rows)`` (re z_1, im z_1, re z_2, ...: real arrays of the
+    block's shape, or scalars) over its node norm, gauged; built
+    ``_BLOCK_ROWS`` rows at a time.  The norm is the square root of the
+    planes' squares added in plane order; each plane is divided into the
+    field's float view out of place (numpy 2.4.6 miscomputes an in-place
+    unary ufunc on a view of 64-byte stride, as the n = 2 field's planes
+    are)."""
+    z = np.empty(shape + (m,), dtype=complex)
+    for r0 in range(0, shape[0], _BLOCK_ROWS):
+        rows = slice(r0, r0 + _BLOCK_ROWS)
+        block, ps = z[rows], planes(rows)
+        norm = np.zeros(block.shape[:-1])
+        t = np.empty_like(norm)
+        for p in ps:
+            norm += np.square(p, out=t)
+        np.sqrt(norm, out=norm)
+        if not norm.all():
+            raise ValidationError("zero homogeneous vector")
+        v = block.view(float)
+        for j, p in enumerate(ps):
+            np.divide(p, norm, out=v[..., j])
         _gauge(block)
     return z
 
 
-def _node_norms(z: np.ndarray) -> np.ndarray:
-    """The norm of each node of ``z``; a zero vector fails."""
-    sq = np.abs(z)
-    sq **= 2
-    norm = np.sum(sq, axis=-1)
-    np.sqrt(norm, out=norm)
-    if np.any(norm == 0):
-        raise ValidationError("zero homogeneous vector")
-    return norm
-
-
 def _gauge(z: np.ndarray) -> None:
     """Turn each node of ``z`` in place by the phase that makes its first
-    component with |z_k| > tol positive real."""
-    phase = np.ones(z.shape[:-1], dtype=complex)
-    fixed = np.zeros(z.shape[:-1], dtype=bool)
-    for k in range(z.shape[-1]):
-        sel = (~fixed) & (np.abs(z[..., k]) > _FIRST_NONZERO_TOL)
-        zk = z[..., k][sel]
+    component with |z_k| > tol positive real.  A node whose z_1 is real and
+    above tol, as on a graph with |grad f| below ~7e12, is left as it is."""
+    todo = (z[..., 0].imag != 0) | ~(z[..., 0].real > _FIRST_NONZERO_TOL)
+    if not todo.any():
+        return
+    w = z[todo]
+    phase = np.ones(w.shape[:-1], dtype=complex)
+    fixed = np.zeros(w.shape[:-1], dtype=bool)
+    for k in range(w.shape[-1]):
+        sel = (~fixed) & (np.abs(w[..., k]) > _FIRST_NONZERO_TOL)
+        zk = w[..., k][sel]
         r = np.abs(zk)
         phase[sel] = np.divide(np.conj(zk, out=zk), r, out=zk)
         fixed |= sel
         if fixed.all():
             break
-    z *= phase[..., None]
+    w *= phase[..., None]
+    z[todo] = w
 
 
 def gauss_map(f: HeightMap | SurfaceReading) -> np.ndarray:
-    """[G/w, i - F/w, (G/w) f_k,x + (i - F/w) f_k,y, ...] normalized, of a
-    height map or of the map of its euclidean reading.
+    """[G/w, i - F/w, (G/w) f_k,x - (F/w) f_k,y + i f_k,y, ...] normalized,
+    of a height map or of the map of its euclidean reading.
 
     The formula is evaluated for any height map; it lands on the
     hyperquadric identically (an algebraic identity), minimality is only
-    needed for the geometric interpretation.  Each z_k is written into
-    the ``(ny, nx, n+2)`` result, which is then normalized in place.
+    needed for the geometric interpretation.  Each row block takes its own
+    metric from its rows of the gradients and writes the real and
+    imaginary parts of each z_k, normalized, into the field.  z_1 = G/w is
+    real and positive, so the gauge turns no node where |grad f| is below
+    ~7e12 (there z_1 stays above its threshold).
     """
     if isinstance(f, SurfaceReading):
-        _, Fw, Gw = read_surface(f).over_area  # a split reading is refused
+        read_surface(f)  # a split reading is refused
         f = f.h
-    else:
-        m = first_fundamental_form(f, "euclidean")  # its mask is all true
-        Fw, Gw = m.F / m.omega, m.G / m.omega
-        del m
-    z = np.empty(f.domain.shape + (f.n + 2,), dtype=complex)
-    z1 = np.add(Gw, 0j, out=z[..., 0])
-    z2 = np.subtract(1j, Fw, out=z[..., 1])
-    del Fw, Gw  # z1 and z2 are views of z
-    for k, (a, b) in enumerate(f.gradients):
-        zk = np.multiply(z1, a, out=z[..., k + 2])
-        zk += z2 * b
-    return _normalize(z)
+
+    def planes(rows):
+        grads = [(a[rows], b[rows]) for a, b in f.gradients]
+        m = first_fundamental_form(grads, "euclidean")  # its mask is all true
+        Fw = np.divide(m.F, m.omega, out=m.F)
+        Gw = np.divide(m.G, m.omega, out=m.G)
+        out = [Gw, 0.0, np.subtract(0.0, Fw), 1.0]
+        for a, b in grads:
+            re = np.multiply(Gw, a)
+            re -= np.multiply(Fw, b, out=m.E)
+            out += [re, b]
+        return out
+
+    return _normalized(f.domain.shape, f.n + 2, planes)
 
 
 def quadric_residual(g: np.ndarray) -> float:

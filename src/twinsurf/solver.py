@@ -156,7 +156,7 @@ def _iterate(domain, boundary, max_outer, signature):
 
     def metric(comps):
         h = HeightMap(domain, list(comps))
-        met = first_fundamental_form(h, signature)
+        met = first_fundamental_form(h.gradients, signature)
         if signature == "euclidean":
             return h, met, np.inf
         disc = met.E * met.G - met.F**2

@@ -133,7 +133,7 @@ def _report(op: str, h: HeightMap, signature: str) -> tuple[ResidualReport, Metr
     >= 1e-12 so split data near the light cone cannot scale a residual up
     to inf; the second derivatives go one component at a time into one
     running max."""
-    metric = first_fundamental_form(h, signature)
+    metric = first_fundamental_form(h.gradients, signature)
     fields = []
     m = np.ones(h.domain.shape)
     for k in range(h.n):

@@ -105,7 +105,7 @@ def _built_side(dom, comps, grads, signature):
     spacelike fails."""
     raw = HeightMap(dom, comps)
     c1 = _integrability(raw, grads)
-    metric = first_fundamental_form(raw, signature)
+    metric = first_fundamental_form(raw.gradients, signature)
     if not metric.mask.all():
         raise NotSpacelike("twin output not spacelike", nodes=metric.invalid_nodes)
     jac = jacobian_data(raw)
@@ -195,7 +195,7 @@ def verify_twin(
     involution = _anchored_difference(f.components, back, basepoint)
     g_side = (read.over_area, read.omega, jac)
     del back, read, jac  # the scale of g is read
-    metric = first_fundamental_form(f, "euclidean")
+    metric = first_fundamental_form(f.gradients, "euclidean")
     f_side = (metric.over_area, metric.omega, jacobian_data(f))
     del metric
     c2, c3, c4 = _correspondence(f_side, g_side, True)

@@ -272,15 +272,22 @@ def test_criterion_11_thread_determinism(tmp_path):
         assert p.returncode == 0, p.stderr.decode()
         return p.stdout
 
-    c257, c65, out = (str(tmp_path / name) for name in ("c257.gf", "c65.gf", "s.gf"))
+    c257, c129, g129, c65, out = (
+        str(tmp_path / name) for name in ("c257.gf", "c129.gf", "g129.gf", "c65.gf", "s.gf")
+    )
     cli(["catalog", "sample", "--name", "catenoid", "--grid", "257,257", "--out", c257])
+    cli(["catalog", "sample", "--name", "catenoid", "--grid", "129,129", "--out", c129])
     cli(["catalog", "sample", "--name", "catenoid", "--grid", "65,65", "--out", c65])
-    # gauss planarity at 257^2 reads the 4096-node subsample of 513^2; solve
-    # is byte-identical across thread counts only below 129^2
+    cli(["twin", "forward", "--in", c129, "--out", g129])
+    # gauss planarity at 257^2 reads the 4096-node subsample of 513^2; the
+    # solves at 129^2 took other bits on one BLAS thread than on several
+    # before twinsurf pinned BLAS to one thread
     commands = {
         "verify-all scherk 65^2": ["verify-all", "--name", "scherk", "--grid", "65,65"],
         "gauss planarity catenoid 257^2": ["gauss", "planarity", "--in", c257],
         "solve minimal catenoid 65^2": ["solve", "minimal", "--boundary", c65, "--out", out],
+        "solve minimal catenoid 129^2": ["solve", "minimal", "--boundary", c129, "--out", out],
+        "solve maximal catenoid twin 129^2": ["solve", "maximal", "--boundary", g129, "--out", out],
     }
     differ = []
     for label, argv in commands.items():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import twinsurf
-from twinsurf import conformal, fields, systems
+from twinsurf import conformal, fields, gauss, systems
 from twinsurf.cli import run
 from twinsurf.fields import GridDomain
 from twinsurf.gfield import read_gfield, read_heightmap, write_gfield, write_heightmap
@@ -598,11 +598,22 @@ def test_the_chart_item_judges_each_form_once(name, first_derivatives, monkeypat
 
 @pytest.mark.parametrize("name", ["catenoid", "holomorphic"])
 def test_verify_all_takes_the_surfaces_metric_from_its_reading(name, monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, ("first_fundamental_form",))
+    rows = []
+    original = fields.first_fundamental_form
+
+    def counted(gradients, *args):
+        rows.append(len(gradients[0][0]))
+        return original(gradients, *args)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("twinsurf") and getattr(mod, "first_fundamental_form", None) is original:
+            monkeypatch.setattr(mod, "first_fundamental_form", counted)
     assert run(["verify-all", "--name", name, "--grid", "65,65"]) == 0
-    # the reading of f (its Gauss map, divergence and closedness rows read
-    # it too), the raw twin and the involution's source
-    assert calls == {"first_fundamental_form": 3}
+    # the reading of f (its divergence and closedness rows read it too),
+    # the raw twin and the involution's source on the whole grid; the
+    # Gauss map takes each row block's own
+    blocks = [min(gauss._BLOCK_ROWS, 65 - r0) for r0 in range(0, 65, gauss._BLOCK_ROWS)]
+    assert sorted(rows) == sorted([65, 65, 65] + blocks)
 
 
 def test_closedness_reads_the_surface_once(catenoid_file, monkeypatch, capsys):

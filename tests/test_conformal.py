@@ -250,6 +250,26 @@ def test_row_blocks_equal_one_whole_grid_block_bit_for_bit(name, rest, monkeypat
     # the kept rows 2 .. ny - 3 end in a block of ``rest`` rows, no more
     # than the halo; a block height of ny takes the whole grid in one block
     ny = 2 * conformal._MARGIN_CELLS + 3 * conformal._BLOCK_ROWS + rest
+    _blocks_equal_one_block(name, ny, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["catenoid", "scherk", "holomorphic", "random"])
+def test_row_blocks_past_260_rows_equal_one_whole_grid_block_bit_for_bit(name, monkeypatch):
+    # 257 kept rows: 17-row blocks, the last of 2 rows
+    rows = []
+    pullback = conformal._pullback
+
+    def counted(chart, block):
+        rows.append(block.stop - block.start - 2 * conformal._HALO)
+        return pullback(chart, block)
+
+    with monkeypatch.context() as m:
+        m.setattr(conformal, "_pullback", counted)
+        _blocks_equal_one_block(name, 2 * conformal._MARGIN_CELLS + 257, monkeypatch)
+    assert rows[:16] == [17] * 15 + [2]
+
+
+def _blocks_equal_one_block(name, ny, monkeypatch):
     pair, chart = _block_pair(name, ny)
 
     def residuals():
@@ -357,7 +377,7 @@ def test_chart_xi_equals_its_meshgrid_form_bit_for_bit():
 
 def test_chart_jacobian_is_its_metrics_over_area_bit_for_bit():
     for _, chart in _bit_pairs():
-        Ew, _, Gw = first_fundamental_form(chart.source).over_area
+        Ew, _, Gw = first_fundamental_form(chart.source.gradients).over_area
         assert same_bits(chart.J_psi.values, 2.0 + Ew + Gw)
 
 

@@ -153,7 +153,7 @@ def test_heightmap_rejects_gradient_entries_that_are_not_pairs(entry):
 
 def test_metric_plane(square_domain):
     f = HeightMap(square_domain, [np.zeros(square_domain.shape)])
-    m = first_fundamental_form(f, "euclidean")
+    m = first_fundamental_form(f.gradients, "euclidean")
     assert np.abs(m.E - 1.0).max() == 0.0
     assert np.abs(m.F).max() == 0.0
     assert np.abs(m.G - 1.0).max() == 0.0
@@ -162,7 +162,7 @@ def test_metric_plane(square_domain):
 
 def test_over_area_is_metric_over_omega(square_domain):
     X, Y = square_domain.meshgrid()
-    m = first_fundamental_form(HeightMap(square_domain, [X * Y, np.sin(X + Y)]))
+    m = first_fundamental_form(HeightMap(square_domain, [X * Y, np.sin(X + Y)]).gradients)
     Ew, Fw, Gw = m.over_area
     assert np.array_equal(Ew, m.E / m.omega)
     assert np.array_equal(Fw, m.F / m.omega)
@@ -173,7 +173,7 @@ def test_over_area_is_metric_over_omega(square_domain):
 def test_over_area_is_zero_at_masked_split_nodes(square_domain):
     X, _ = square_domain.meshgrid()
     # |grad| = 2|x| reaches 1 at |x| = 1/2: the outer columns are masked
-    m = first_fundamental_form(HeightMap(square_domain, [X * X]), "split")
+    m = first_fundamental_form(HeightMap(square_domain, [X * X]).gradients, "split")
     assert m.mask.any() and not m.mask.all()
     with np.errstate(all="raise"):
         fields = m.over_area
@@ -186,7 +186,7 @@ def test_over_area_is_zero_at_masked_split_nodes(square_domain):
 def test_split_metric_masks_non_spacelike(square_domain):
     X, _ = square_domain.meshgrid()
     g = HeightMap(square_domain, [2.0 * X])  # gradient norm 2 > 1
-    m = first_fundamental_form(g, "split")
+    m = first_fundamental_form(g.gradients, "split")
     assert not m.mask.any()
     assert len(m.invalid_nodes) == square_domain.nx * square_domain.ny
 
@@ -195,7 +195,7 @@ def test_split_metric_masks_negative_definite(square_domain):
     # (2x, 2y): E = G = -3 and F = 0, a positive discriminant (9) but no
     # spacelike node
     X, Y = square_domain.meshgrid()
-    m = first_fundamental_form(HeightMap(square_domain, [2.0 * X, 2.0 * Y]), "split")
+    m = first_fundamental_form(HeightMap(square_domain, [2.0 * X, 2.0 * Y]).gradients, "split")
     assert np.all(m.E * m.G - m.F**2 > 0)
     assert not m.mask.any()
 
@@ -207,7 +207,7 @@ def test_lagrange_identity(seed):
     rng = np.random.default_rng(seed)
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
     f = random_heightmap(rng, dom, n=int(rng.integers(1, 4)), amplitude=1.0)
-    m = first_fundamental_form(f, "euclidean")
+    m = first_fundamental_form(f.gradients, "euclidean")
     jac = jacobian_data(f)
     ssq = 1.0 + sum(a**2 + b**2 for a, b in f.gradients)
     jsq = jac.norm**2
@@ -468,7 +468,7 @@ def test_integration_matches_its_reference_bit_for_bit(name):
 @pytest.mark.parametrize("signature", ["euclidean", "split"])
 def test_metric_and_jacobians_match_their_reference_bit_for_bit(name, signature):
     f = surface(name, 17, 17)
-    metric = first_fundamental_form(f, signature)
+    metric = first_fundamental_form(f.gradients, signature)
     E, F, G, omega, mask = _ref_metric(f, signature)
     if name == "quadratic_gradient" and signature == "split":
         assert not mask.any()  # ||J|| = 1: omega is zeroed at every node
@@ -492,7 +492,7 @@ def test_metric_of_partly_masked_maps_matches_its_reference_bit_for_bit(signatur
         random_heightmap(np.random.default_rng(4), dom, n=3, amplitude=0.6),
     ]
     for f in maps:
-        metric = first_fundamental_form(f, signature)
+        metric = first_fundamental_form(f.gradients, signature)
         E, F, G, omega, mask = _ref_metric(f, signature)
         got = (metric.E, metric.F, metric.G, metric.omega)
         assert all(same_bits(a, b) for a, b in zip(got, (E, F, G, omega)))
@@ -500,10 +500,22 @@ def test_metric_of_partly_masked_maps_matches_its_reference_bit_for_bit(signatur
         assert mask.all() == (signature == "euclidean")
 
 
+@pytest.mark.parametrize("signature", ["euclidean", "split"])
+def test_a_row_block_of_gradients_gets_its_rows_of_the_metric_bit_for_bit(signature):
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 33)
+    f = random_heightmap(np.random.default_rng(5), dom, n=2, amplitude=0.6)
+    whole = first_fundamental_form(f.gradients, signature)
+    for rows in (slice(0, 7), slice(7, 31), slice(31, 33)):
+        block = first_fundamental_form([(a[rows], b[rows]) for a, b in f.gradients], signature)
+        for k in ("E", "F", "G", "omega"):
+            assert same_bits(getattr(block, k), getattr(whole, k)[rows])
+        assert np.array_equal(block.mask, whole.mask[rows])
+
+
 def test_metric_sums_start_from_zero_as_python_sum():
     # a lone product -0.0 * 1.0: Python's sum from 0 reads 0.0, so F does
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9)
     f = HeightMap(dom, [np.zeros(dom.shape)], [(np.full(dom.shape, -0.0), np.ones(dom.shape))])
-    metric = first_fundamental_form(f)
+    metric = first_fundamental_form(f.gradients)
     assert same_bits(metric.F, _ref_metric(f, "euclidean")[1])
     assert not np.signbit(metric.F).any()

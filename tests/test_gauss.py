@@ -22,7 +22,7 @@ from conftest import random_heightmap, same_bits, surface
 
 def gauss_map_alt(f: HeightMap) -> np.ndarray:
     """The equivalent [1 - iF/w, iE/w, ...] form; cross-oracle for gauss_map."""
-    metric = first_fundamental_form(f, "euclidean")
+    metric = first_fundamental_form(f.gradients, "euclidean")
     z1 = 1.0 - 1j * metric.F / metric.omega
     z2 = 1j * metric.E / metric.omega
     comps = [z1, z2]
@@ -239,10 +239,45 @@ def test_tile_bounds_prune_most_tile_pairs():
 
 
 # ---------------------------------------------------------------- bitwise oracles
-# the expressions of the field built from a list and normalized by copies
+# the field's arithmetic on the whole grid: the real and imaginary planes
+# over the node norm (their squares added in plane order), and the gauge
+# on the nodes whose z_1 is not real and above 1e-13
+
+
+def _ref_field(planes):
+    norm = np.sqrt(sum(p * p for p in planes))
+    z = np.stack([np.broadcast_to(p / norm, norm.shape) for p in planes], axis=-1).view(complex)
+    turn = (z[..., 0].imag != 0) | ~(z[..., 0].real > 1e-13)
+    w = z[turn]
+    phase = np.ones(w.shape[:-1], dtype=complex)
+    fixed = np.zeros(w.shape[:-1], dtype=bool)
+    for k in range(w.shape[-1]):
+        sel = (~fixed) & (np.abs(w[..., k]) > 1e-13)
+        wk = w[..., k][sel]
+        phase[sel] = np.conj(wk) / np.abs(wk)
+        fixed |= sel
+    z[turn] = w * phase[..., None]
+    return z
 
 
 def _ref_normalize_projective(components):
+    comps = [np.asarray(c, dtype=complex) for c in components]
+    return _ref_field([p for c in comps for p in (c.real, c.imag)])
+
+
+def _ref_gauss_map(f):
+    _, Fw, Gw = first_fundamental_form(f.gradients, "euclidean").over_area
+    planes = [Gw, 0.0, 0.0 - Fw, 1.0]
+    for a, b in f.gradients:
+        planes += [Gw * a - Fw * b, b]
+    return _ref_field(planes)
+
+
+# tolerance oracles: the complex formula normalized by complex abs, and
+# every node gauged
+
+
+def _complex_normalize_projective(components):
     z = np.stack([np.asarray(c, dtype=complex) for c in components], axis=-1)
     norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))
     z = z / norm[..., None]
@@ -256,13 +291,54 @@ def _ref_normalize_projective(components):
     return z * phase[..., None]
 
 
-def _ref_gauss_map(f):
-    _, Fw, Gw = first_fundamental_form(f, "euclidean").over_area
+def _complex_gauss_map(f):
+    _, Fw, Gw = first_fundamental_form(f.gradients, "euclidean").over_area
     z1 = Gw + 0j
     z2 = 1j - Fw
-    return _ref_normalize_projective(
+    return _complex_normalize_projective(
         [z1, z2] + [z1 * a + z2 * b for a, b in f.gradients]
     )
+
+
+_ULP4 = 4 * np.finfo(float).eps  # 4 ulp of 1
+
+
+def _within_4_ulp_of_the_complex_formula(f):
+    g = gauss_map(f)
+    assert np.abs(np.linalg.norm(g, axis=-1) - 1.0).max() <= _ULP4
+    assert np.abs(g.view(float) - _complex_gauss_map(f).view(float)).max() <= _ULP4
+
+
+@pytest.mark.parametrize("n", [33, 129, 513])
+@pytest.mark.parametrize("name", ["plane"] + _CATALOG)
+def test_gauss_field_is_within_4_ulp_of_the_complex_formula(name, n):
+    _within_4_ulp_of_the_complex_formula(surface(name, n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_gauss_field_of_random_maps_is_within_4_ulp_of_the_complex_formula(n):
+    # rows of 2(n + 2) floats: 6, 8 and 16; the n = 2 planes are views of
+    # 64-byte stride
+    rng = np.random.default_rng(n)
+    for ny in (33, 97):
+        dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 65, ny)
+        _within_4_ulp_of_the_complex_formula(random_heightmap(rng, dom, n=n, amplitude=2.0))
+
+
+def test_a_steep_map_is_gauged_on_its_second_component():
+    # with f_x = 1e14 and f_y = 0, z_1 = 1e-14/sqrt 2 falls under the gauge
+    # threshold, so z_2 = i/sqrt 2 is turned to 1/sqrt 2; the steep rows end
+    # inside a row block
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 2 * twinsurf.gauss._BLOCK_ROWS + 5)
+    X, Y = dom.meshgrid()
+    fx = np.where(np.arange(dom.ny)[:, None] < twinsurf.gauss._BLOCK_ROWS + 3, 1e14, X)
+    f = HeightMap(dom, [np.zeros(dom.shape)], [(fx, np.zeros(dom.shape))])
+    g = gauss_map(f)
+    steep = g[: twinsurf.gauss._BLOCK_ROWS + 3]
+    assert np.abs(steep[..., 0]).max() < 1e-13
+    assert (steep[..., 1].imag == 0).all() and (steep[..., 1].real > 0.7).all()
+    assert same_bits(g, _ref_gauss_map(f))
+    assert np.abs(g - _complex_gauss_map(f)).max() <= _ULP4
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 7, 8, 9])

@@ -223,7 +223,7 @@ def _assert_fixed_point(res, system):
     the returned surface itself, scaled as the solver's stop rule is."""
     dom = res.surface.domain
     met = first_fundamental_form(
-        res.surface, "euclidean" if system == "minimal" else "split"
+        res.surface.gradients, "euclidean" if system == "minimal" else "split"
     )
     E, F, G = (a[1:-1, 1:-1] for a in (met.E, met.F, met.G))
     diag = float(np.max(np.abs(2.0 * (G / dom.dx**2 + E / dom.dy**2))))

@@ -65,7 +65,7 @@ def test_twin_of_affine_graph_is_affine():
 
 def test_twin_output_is_spacelike():
     pair = twin_forward(surface("scherk", 65, 65))
-    m = first_fundamental_form(pair.g, "split")
+    m = first_fundamental_form(pair.g.gradients, "split")
     assert m.mask.all()
 
 
