@@ -32,6 +32,7 @@ def _asinh(t):
 @dataclass
 class CatalogEntry:
     n: int
+    bounds: tuple  # (x0, y0, x1, y1): the rectangle of ``default_domain``
     admissible: callable  # (X, Y) -> bool array
     evaluate: callable  # (X, Y) -> (components, [(d/dx, d/dy), ...])
     lift: callable | None = None  # (X, Y) -> (M, N), when a closed form exists
@@ -48,11 +49,10 @@ def _match(pattern, key, name):
     return hit
 
 
-def _rho(params, family=None):
-    """rho (default 1), finite and > 0; the only param of a rho ``family``."""
-    if family:
-        for key in params:
-            _match("rho", key, family)
+def _rho(params, family):
+    """rho (default 1), finite and > 0: the only param of ``family``."""
+    for key in params:
+        _match("rho", key, family)
     rho = float(params.get("rho", 1.0))
     if not (np.isfinite(rho) and rho > 0):
         raise ValidationError(f"rho must be finite and > 0, got {rho!r}")
@@ -77,7 +77,7 @@ def _plane(params):
         comps = [a + b * X + c * Y for a, b, c in coef]
         return comps, [(b * one, c * one) for _, b, c in coef]
 
-    return CatalogEntry(n, _everywhere, evaluate)
+    return CatalogEntry(n, (-1.0, -1.0, 1.0, 1.0), _everywhere, evaluate)
 
 
 def _catenoid(params):
@@ -90,7 +90,11 @@ def _catenoid(params):
         return [rho * _acosh(r / rho)], [(rho * X / d, rho * Y / d)]
 
     return CatalogEntry(
-        1, lambda X, Y: X**2 + Y**2 > rho**2, evaluate, lambda X, Y: _radial(X, Y, -(rho**2))
+        1,
+        (1.5 * rho, -0.75 * rho, 3.0 * rho, 0.75 * rho),
+        lambda X, Y: X**2 + Y**2 > rho**2,
+        evaluate,
+        lambda X, Y: _radial(X, Y, -(rho**2)),
     )
 
 
@@ -101,7 +105,8 @@ def _helicoid(params):
         r2 = X * X + Y * Y
         return [rho * np.arctan(Y / X)], [(-rho * Y / r2, rho * X / r2)]
 
-    return CatalogEntry(1, lambda X, Y: X > 0, evaluate, lambda X, Y: _radial(X, Y, rho**2))
+    bounds = (rho, rho, 2.0 * rho, 2.0 * rho)
+    return CatalogEntry(1, bounds, lambda X, Y: X > 0, evaluate, lambda X, Y: _radial(X, Y, rho**2))
 
 
 def _scherk(params):
@@ -118,7 +123,10 @@ def _scherk(params):
             _asinh(np.tan(rho * Y) * np.cos(rho * X)) / rho,
         )
 
-    return CatalogEntry(1, lambda X, Y: (np.abs(X) < lim) & (np.abs(Y) < lim), evaluate, lift)
+    bounds = (-0.6 / rho, -0.6 / rho, 0.6 / rho, 0.6 / rho)
+    return CatalogEntry(
+        1, bounds, lambda X, Y: (np.abs(X) < lim) & (np.abs(Y) < lim), evaluate, lift
+    )
 
 
 def _lagrangian_catenoid(params):
@@ -132,7 +140,8 @@ def _lagrangian_catenoid(params):
         grads = [(s + t * X * X, t * X * Y), (t * X * Y, s + t * Y * Y)]
         return [s * X, s * Y], grads
 
-    return CatalogEntry(2, lambda X, Y: X**2 + Y**2 > rho**2, evaluate)
+    bounds = (1.5 * rho, -0.75 * rho, 3.0 * rho, 0.75 * rho)
+    return CatalogEntry(2, bounds, lambda X, Y: X**2 + Y**2 > rho**2, evaluate)
 
 
 def _holomorphic(params):
@@ -161,7 +170,7 @@ def _holomorphic(params):
             grads += [(du, -dv), (dv, du)]
         return comps, grads
 
-    return CatalogEntry(2 * len(c), _everywhere, evaluate)
+    return CatalogEntry(2 * len(c), (-0.3, -0.3, 0.3, 0.3), _everywhere, evaluate)
 
 
 def _quadratic_gradient(params):
@@ -174,7 +183,7 @@ def _quadratic_gradient(params):
         one = np.ones_like(X)
         return [a * X + c * Y, c * X + b * Y], [(a * one, c * one), (c * one, b * one)]
 
-    return CatalogEntry(2, _everywhere, evaluate)
+    return CatalogEntry(2, (-0.5, -0.5, 0.5, 0.5), _everywhere, evaluate)
 
 
 def _chamberland_reverse(params):
@@ -191,7 +200,7 @@ def _chamberland_reverse(params):
         grads = [(P.polyval(X, d2f), one), (one, np.zeros_like(X))]
         return [Y + P.polyval(X, df), X.copy()], grads
 
-    return CatalogEntry(2, _everywhere, evaluate)
+    return CatalogEntry(2, (-0.5, -0.5, 0.5, 0.5), _everywhere, evaluate)
 
 
 _FAMILIES = {
@@ -217,21 +226,9 @@ def make_entry(name: str, params: dict | None = None) -> CatalogEntry:
 
 
 def default_domain(name: str, params: dict | None, nx: int, ny: int) -> GridDomain:
-    """A representative admissible rectangle for each surface family."""
-    rho = _rho(dict(params or {}))
-    bounds = {
-        "plane": (-1.0, -1.0, 1.0, 1.0),
-        "catenoid": (1.5 * rho, -0.75 * rho, 3.0 * rho, 0.75 * rho),
-        "helicoid": (rho, rho, 2.0 * rho, 2.0 * rho),
-        "scherk": (-0.6 / rho, -0.6 / rho, 0.6 / rho, 0.6 / rho),
-        "holomorphic": (-0.3, -0.3, 0.3, 0.3),
-        "quadratic_gradient": (-0.5, -0.5, 0.5, 0.5),
-        "lagrangian_catenoid": (1.5 * rho, -0.75 * rho, 3.0 * rho, 0.75 * rho),
-        "chamberland_reverse": (-0.5, -0.5, 0.5, 0.5),
-    }
-    if name not in bounds:
-        raise ValidationError(f"unknown catalog surface {name!r}")
-    return GridDomain.from_bounds(*bounds[name], nx, ny)
+    """A representative admissible rectangle for each surface family; bad
+    params are refused as ``make_surface`` refuses them."""
+    return GridDomain.from_bounds(*make_entry(name, params).bounds, nx, ny)
 
 
 def make_surface(name: str, params: dict | None, domain: GridDomain) -> HeightMap:

@@ -268,26 +268,6 @@ def _dbar(p: np.ndarray, Ac, Bc, dom: GridDomain) -> np.ndarray:
     return d
 
 
-def _square_sum(terms, acc=None) -> np.ndarray:
-    """``acc`` plus p * p for each of ``terms``, added in the order of
-    Python's sum from 0 (which turns a first -0.0 into 0.0) in one array."""
-    for p in terms:
-        if acc is None:
-            acc = p * p
-            acc += 0
-        else:
-            acc += p * p
-    return acc
-
-
-def _split_null(a, b, tail) -> np.ndarray:
-    """a^2 + b^2 - ``tail``: the split <phi, phi> from its height sum."""
-    null = a**2
-    null += b**2
-    null -= tail
-    return null
-
-
 def null_curve(h: HeightMap, chart: ConformalChart) -> NullCurveField:
     """phi_k = dF_k/dxi1 - i dF_k/dxi2 of F = (x, y, h_1..h_n) on the source
     grid: d = A d/dx + B d/dy and dbar = conj(A) d/dx + conj(B) d/dy from
@@ -300,11 +280,12 @@ def null_curve(h: HeightMap, chart: ConformalChart) -> NullCurveField:
     for rows, A, B, null_ring, holo_ring in _blocks(chart, h):
         Ac, Bc = A.conj(), B.conj()
         holo = [_abs_max(_dbar(v, Ac, Bc, dom), holo_ring) for v in (A, B)]
-        null = _square_sum([A, B])
+        null = A * A
+        null += B * B
         for c in h.components:
             p = _phi(c[rows], A, B, dom)
             holo.append(_abs_max(_dbar(p, Ac, Bc, dom), holo_ring))
-            null = _square_sum([p], null)
+            null += p * p
         maxima.append((max(holo), _abs_max(null, null_ring)))
     return NullCurveField(*np.max(maxima, axis=0).tolist())
 
@@ -329,16 +310,18 @@ def verify_weierstrass_twin(pair: TwinPair, chart: ConformalChart) -> dict:
     for rows, A, B, null_ring, holo_ring in _blocks(chart, f, g):
         Ac, Bc = A.conj(), B.conj()
         holo = [_abs_max(_dbar(v, Ac, Bc, dom), holo_ring) for v in (A, B)]
-        null_f, tail_g, r = _square_sum([A, B]), None, 0.0
+        null_f, tail_g, r = A * A, 0, 0.0
+        null_f += B * B
         for c, chat in zip(f.components, g.components):
             p = _phi(c[rows], A, B, dom)
             holo.append(_abs_max(_dbar(p, Ac, Bc, dom), holo_ring))
-            null_f = _square_sum([p], null_f)
+            null_f += p * p
             rel = np.multiply(1j, p)
             q = _phi(chat[rows], A, B, dom)
-            tail_g = _square_sum([q], tail_g)
+            tail_g += q * q
             r = max(r, _abs_max(np.add(q, rel, out=rel), null_ring))
-        null_g = _split_null(A, B, tail_g)
+        # the sum of q^2 before it is subtracted: term by term rounds otherwise once n >= 2
+        null_g = A**2 + B**2 - tail_g
         maxima.append((r, max(holo), _abs_max(null_f, null_ring), _abs_max(null_g, null_ring)))
     r, holo, null_f, null_g = np.max(maxima, axis=0).tolist()
     return {

@@ -75,7 +75,7 @@ class SLParams:
             err = abs(-eps * l1 * l1 + l2 * l2 - 1.0)
         else:
             raise ValidationError(f"unknown mode {mode!r}")
-        if err > PARAM_TOL:
+        if not err <= PARAM_TOL:  # NaN coefficients too
             raise ParamConstraintViolation(
                 f"{mode} constraint violated by {err:.3e}"
             )

@@ -66,9 +66,9 @@ def _second_derivatives(h: HeightMap, k: int):
 
 @dataclass
 class ResidualReport:
-    """Residual fields over a grid.  A report with a ``scale`` aggregates
-    scaled by default, one without only raw; a report with a ``mask``
-    leaves the nodes outside it out of the aggregates."""
+    """Residual fields over a grid, read in its own normalization: scaled
+    with a ``scale``, raw without; a report with a ``mask`` leaves the
+    nodes outside it out of the aggregates."""
 
     op: str
     signature: str
@@ -81,29 +81,21 @@ class ResidualReport:
     def normalization(self):
         return "raw" if self.scale is None else "scaled"
 
-    def _aggregated(self, normalization, gather=True):
-        """The fields in ``normalization``, one at a time: on the interior
-        nodes of the mask, or whole without ``gather``."""
-        m = ...
-        if gather:
-            m = np.zeros(self.domain.shape, dtype=bool)
-            m[1:-1, 1:-1] = True
-            if self.mask is not None:
-                m &= self.mask
-            if not m.any():
-                raise ValidationError("no interior nodes left to aggregate")
-        normalization = normalization or self.normalization
-        if normalization == "raw":
-            return (f[m] for f in self.fields)
-        if normalization != "scaled":
-            raise ValidationError(f"unknown normalization {normalization!r}")
+    def _aggregated(self, normalization):
+        """The fields, scaled by a report with a scale, one at a time on the
+        interior nodes of the mask; ``normalization`` is None or the report's."""
+        if normalization not in (None, self.normalization):
+            has = "no" if self.scale is None else "a"
+            raise ValidationError(f"{self.op} has {has} scale; read it {self.normalization}")
+        m = np.zeros(self.domain.shape, dtype=bool)
+        m[1:-1, 1:-1] = True if self.mask is None else self.mask[1:-1, 1:-1]
+        if not m.any():
+            raise ValidationError("no interior nodes left to aggregate")
         if self.scale is None:
-            raise ValidationError(f"{self.op} has no scale; read it raw")
+            return (f[m] for f in self.fields)
         return ((f / self.scale)[m] for f in self.fields)
 
     def max_abs(self, normalization=None):
-        if self.mask is None or self.mask.all():  # a max is exact without the gather
-            return max(map(interior_max, self._aggregated(normalization, gather=False)))
         return max(float(np.abs(v).max()) for v in self._aggregated(normalization))
 
     def l2(self, normalization=None):
@@ -124,15 +116,14 @@ class ResidualReport:
         }
 
 
-def _report(op: str, h: HeightMap, signature: str) -> tuple[ResidualReport, MetricData]:
-    """The report ``op`` of ``h`` and the metric of ``signature`` it was
-    read from, which ``read_surface`` takes and the report does not hold.
-    Its fields are the quasilinear form per component; the aggregates leave
-    out nodes outside the metric's mask (only split data has any).  Its
-    scale is |E + G| * max(1, |second derivatives|) nodewise, with |E + G|
-    >= 1e-12 so split data near the light cone cannot scale a residual up
-    to inf; the second derivatives go one component at a time into one
-    running max."""
+def _report(h: HeightMap, signature: str) -> tuple[list, np.ndarray, MetricData]:
+    """The residual fields of ``h`` in ``signature``, their scale and the
+    metric they were read from.  The fields are the quasilinear form per
+    component; a report leaves out nodes outside the metric's mask (only
+    split data has any).  The scale is |E + G| * max(1, |second
+    derivatives|) nodewise, with |E + G| >= 1e-12 so split data near the
+    light cone cannot scale a residual up to inf; the second derivatives go
+    one component at a time into one running max."""
     metric = first_fundamental_form(h.gradients, signature)
     fields = []
     m = np.ones(h.domain.shape)
@@ -144,8 +135,12 @@ def _report(op: str, h: HeightMap, signature: str) -> tuple[ResidualReport, Metr
         del second, d  # before the next component's are taken
     s = np.add(metric.E, metric.G)
     np.maximum(np.abs(s, out=s), 1e-12, out=s)
-    scale = np.multiply(s, m, out=s)
-    return ResidualReport(op, signature, fields, scale, h.domain, metric.mask), metric
+    return fields, np.multiply(s, m, out=s), metric
+
+
+def _scaled_max(fields, scale) -> float:
+    """max |field / scale| off the boundary over ``fields``, each divided in place."""
+    return max(interior_max(np.divide(r, scale, out=r)) for r in fields)
 
 
 def _quasilinear(metric: MetricData, seconds) -> list:
@@ -161,15 +156,21 @@ def _quasilinear(metric: MetricData, seconds) -> list:
     return out
 
 
+def _residual(op: str, h: HeightMap, signature: str) -> ResidualReport:
+    """The report ``op`` of ``h``, aggregated on the mask of its metric."""
+    fields, scale, metric = _report(h, signature)
+    return ResidualReport(op, signature, fields, scale, h.domain, metric.mask)
+
+
 def minimal_residual(f: HeightMap) -> ResidualReport:
     """G f_xx - 2 F f_xy + E f_yy per component."""
-    return _report("minimal_residual", f, "euclidean")[0]
+    return _residual("minimal_residual", f, "euclidean")
 
 
 def maximal_residual(g: HeightMap) -> ResidualReport:
     """Hatted quasilinear form; non-spacelike nodes are masked out of the
     aggregates instead of raising."""
-    return _report("maximal_residual", g, "split")[0]
+    return _residual("maximal_residual", g, "split")
 
 
 def _fields(op: str, reading: SurfaceReading):
@@ -236,8 +237,7 @@ class SurfaceReading:
         """max |field / scale| off the boundary over the fields of ``op``, taken
         once, a field at a time: the closedness identities or the divergence form."""
         if op not in self._maxima:
-            scaled = map(lambda r: interior_max(np.divide(r, self.scale, out=r)), _fields(op, self))
-            self._maxima[op] = max(scaled)
+            self._maxima[op] = _scaled_max(_fields(op, self), self.scale)
         return self._maxima[op]
 
     def potentials(self, basepoint=(0, 0)):
@@ -265,13 +265,12 @@ def read_surface(h, signature: str = "euclidean", tol: float | None = None) -> S
         if tol is not None and tol != h.tol:
             raise ValidationError(f"tolerance {tol!r} differs from the reading's {h.tol!r}")
         return h
-    op = {"euclidean": "minimal_residual", "split": "maximal_residual"}.get(signature)
-    if op is None:
+    if signature not in ("euclidean", "split"):
         raise ValidationError(f"unknown signature {signature!r}")
     tol = resolve_tol(tol, h.domain)
-    res, metric = _report(op, h, signature)
+    fields, scale, metric = _report(h, signature)
     if not metric.mask.all():
         raise NotSpacelike("input not spacelike", nodes=metric.invalid_nodes)
-    worst, scale = res.max_abs("scaled"), res.scale
-    del res
+    worst = _scaled_max(fields, scale)
+    del fields
     return SurfaceReading(h, signature, tol, worst, scale, metric.over_area, metric.omega)

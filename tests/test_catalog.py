@@ -16,6 +16,8 @@ from twinsurf.errors import DomainNotAdmissible, ValidationError
 from twinsurf.fields import GridDomain, HeightMap, diff_x, diff_y
 from twinsurf.systems import maximal_residual, minimal_residual
 
+from conftest import same_bits
+
 
 @pytest.mark.parametrize("name", SURFACES)
 def test_analytic_gradients_match_finite_differences(name):
@@ -125,11 +127,19 @@ def test_known_lift_only_for_stated_entries():
         ("holomorphic", {"c0_1_foo": 1.0}),
         ("catenoid", {"rh0": 2.0}),
         ("quadratic_gradient", {"d": 1.0}),
+        ("helicoid", {"rho": 1.0, "r": 1.0}),
+        ("scherk", {"rho1": 1.0}),
+        ("lagrangian_catenoid", {"a1": 1.0}),
+        ("plane", {"rho": 2.0}),
     ],
 )
 def test_bad_param_names_rejected(name, params):
-    with pytest.raises(ValidationError):
-        make_entry(name, params)
+    # default_domain refuses them as make_surface does
+    with pytest.raises(ValidationError) as made:
+        make_surface(name, params, GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 9, 9))
+    with pytest.raises(ValidationError) as sampled:
+        default_domain(name, params, 9, 9)
+    assert str(sampled.value) == str(made.value)
 
 
 @pytest.mark.parametrize(
@@ -141,6 +151,35 @@ def test_rho_must_be_finite_and_positive(name, rho):
         make_entry(name, {"rho": rho})
     with pytest.raises(ValidationError):
         default_domain(name, {"rho": rho}, 9, 9)
+
+
+def _ref_bounds(name, rho):
+    # the reference: default_domain's rectangle per family, as one table
+    return {
+        "plane": (-1.0, -1.0, 1.0, 1.0),
+        "catenoid": (1.5 * rho, -0.75 * rho, 3.0 * rho, 0.75 * rho),
+        "helicoid": (rho, rho, 2.0 * rho, 2.0 * rho),
+        "scherk": (-0.6 / rho, -0.6 / rho, 0.6 / rho, 0.6 / rho),
+        "holomorphic": (-0.3, -0.3, 0.3, 0.3),
+        "quadratic_gradient": (-0.5, -0.5, 0.5, 0.5),
+        "lagrangian_catenoid": (1.5 * rho, -0.75 * rho, 3.0 * rho, 0.75 * rho),
+        "chamberland_reverse": (-0.5, -0.5, 0.5, 0.5),
+    }[name]
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_default_domain_is_the_reference_rectangle_bit_for_bit(name):
+    # the oracle's params, and for a rho family the variants the benchmark
+    # samples (0.8-1.25) and more
+    params = [None] + [p for n, p in ORACLE_PARAMS if n == name]
+    if name in ("catenoid", "helicoid", "scherk", "lagrangian_catenoid"):
+        params += [{"rho": round(0.8 + 0.05 * k, 2)} for k in range(10)] + [{"rho": 2}]
+    for p in params:
+        rho = float((p or {}).get("rho", 1.0))
+        ref = GridDomain.from_bounds(*_ref_bounds(name, rho), 33, 17)
+        dom = default_domain(name, p, 33, 17)
+        got, want = (np.array([d.x0, d.y0, d.dx, d.dy, d.nx, d.ny]) for d in (dom, ref))
+        assert same_bits(got, want), p
 
 
 # two parameter sets per family for the symbolic oracle below

@@ -114,14 +114,16 @@ def test_sl_rotate_defaults_to_standard_mode(catenoid_file, tmp_path):
 
 
 def test_sl_rotate_rejects_bad_params(catenoid_file, capsys):
-    code = run(
-        [
-            "sl", "rotate", "--in", catenoid_file,
-            "--lambda1", "1", "--lambda2", "1", "--epsilon", "1",
-        ]
-    )
-    assert code == 2
-    assert "PARAM_CONSTRAINT_VIOLATION" in capsys.readouterr().err
+    # a NaN coefficient violates the constraint too
+    for l1, l2 in (("1", "1"), ("nan", "1"), ("0", "nan")):
+        code = run(
+            [
+                "sl", "rotate", "--in", catenoid_file,
+                "--lambda1", l1, "--lambda2", l2, "--epsilon", "1",
+            ]
+        )
+        assert code == 2
+        assert "PARAM_CONSTRAINT_VIOLATION" in capsys.readouterr().err
 
 
 def test_gauss_quadric(catenoid_file, capsys):
@@ -237,7 +239,7 @@ def test_oversized_input_exits_1_without_traceback(tmp_path, capsys, monkeypatch
     def refuse(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(twinsurf.catalog, "make_surface", refuse)
+    monkeypatch.setattr(twinsurf.catalog, "make_entry", refuse)  # default_domain's and make_surface's
     argv = ["catalog", "sample", "--name", "holomorphic", "--grid", "9,9"]
     code = run(argv + ["--param", "c0_1000000000000_re=1", "--out", str(tmp_path / "x.gf")])
     assert code == 1
@@ -524,13 +526,13 @@ def _count_calls(monkeypatch, names):
 
 
 def _count_residuals(monkeypatch):
-    """Count the residual reports built, by op, public or for a reading."""
+    """Count the residual fields taken, by signature, public or for a reading."""
     built = {}
     original = systems._report
 
-    def counted(op, *args, **kwargs):
-        built[op] = built.get(op, 0) + 1
-        return original(op, *args, **kwargs)
+    def counted(h, signature, *args, **kwargs):
+        built[signature] = built.get(signature, 0) + 1
+        return original(h, signature, *args, **kwargs)
 
     monkeypatch.setattr(systems, "_report", counted)
     return built
@@ -542,7 +544,7 @@ def test_verify_all_shares_the_residual_and_the_potentials(monkeypatch, capsys):
     assert run(["verify-all", "--name", "catenoid", "--grid", "65,65"]) == 0
     # one residual per side (the divergence row reads f's); the twin and
     # its involution, then M, N and the lift's h
-    assert built == {"minimal_residual": 1, "maximal_residual": 1}
+    assert built == {"euclidean": 1, "split": 1}
     assert calls == {"integrate_exact_form": 5}
 
 
@@ -642,7 +644,7 @@ def test_one_reading_feeds_the_twin_the_lift_and_the_chart(monkeypatch):
     # jacobian_data: f, the raw twin and the involution's source; integrals:
     # the twin, the involution, then M and N once for the lift and the
     # chart, and the lift's h
-    assert built == {"minimal_residual": 1, "maximal_residual": 1}
+    assert built == {"euclidean": 1, "split": 1}
     assert calls == {"jacobian_data": 3, "integrate_exact_form": 5}
 
 
@@ -650,7 +652,7 @@ def test_chart_weierstrass_reads_the_surface_once(catenoid_file, monkeypatch, ca
     built = _count_residuals(monkeypatch)
     assert run(["chart", "weierstrass", "--in", catenoid_file]) == 0
     # one reading of f for the chart and the twin, one of the twin in its involution
-    assert built == {"minimal_residual": 1, "maximal_residual": 1}
+    assert built == {"euclidean": 1, "split": 1}
 
 
 def test_verify_all_matches_the_public_constructions():

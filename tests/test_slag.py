@@ -74,6 +74,14 @@ def test_params_constraint_checked():
         SLParams(0.0, 1.0, 1).check("diagonal")
 
 
+@pytest.mark.parametrize("mode", ["standard", "reverse"])
+@pytest.mark.parametrize("lambda1, lambda2", [(np.nan, 1.0), (0.0, np.nan)])
+def test_nan_coefficients_violate_the_constraint(mode, lambda1, lambda2):
+    # err > tol reads False for a NaN err
+    with pytest.raises(ParamConstraintViolation, match="nan"):
+        SLParams(lambda1, lambda2, 1).check(mode)
+
+
 def test_rotation_of_harmonic_potential():
     # F = (x^2+y^2)/2, eps = +1: constraint forces (l1, l2) = (0, -1),
     # h = -F, and det D^2 h = 1 exactly

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twinsurf.errors import NotClosed, ValidationError
+from twinsurf.errors import NotClosed, NotSpacelike, ValidationError
 from twinsurf.fields import (
     GridDomain,
     HeightMap,
@@ -120,31 +120,37 @@ def _bit_maps():
     yield HeightMap(dom, [0.8 * X * X, -0.0 * Y])  # split data not spacelike everywhere; -0.0
 
 
-def _ref_max_abs(rep, normalization):
-    # the gathered form: the fields on the interior nodes of the mask
+def _ref_max_abs(rep):
+    # the scaled fields on the interior nodes of the mask
     m = np.zeros(rep.domain.shape, dtype=bool)
     m[1:-1, 1:-1] = True
     if rep.mask is not None:
         m &= rep.mask
-    if normalization == "scaled":
-        return max(float(np.abs((f / rep.scale)[m]).max()) for f in rep.fields)
-    return max(float(np.abs(f[m]).max()) for f in rep.fields)
+    return max(float(np.abs((f / rep.scale)[m]).max()) for f in rep.fields)
 
 
-def test_max_abs_without_the_gather_is_the_gathered_max_bit_for_bit():
-    # a mask that keeps every node (euclidean) or none given (the forms)
-    # skip the gather; a split mask with masked nodes keeps it
+def test_max_abs_is_the_gathered_max_and_the_readings_verdict_bit_for_bit():
+    # one gathered path for every report, its mask keeping every node, some
+    # or none given (the forms); a reading's verdict, each field divided in
+    # place, is the max of the report of its signature
     reports = []
     for f in _bit_maps():
         reports += [minimal_residual(f), divergence_residual(f), maximal_residual(f)]
+        for signature, residual in (("euclidean", minimal_residual), ("split", maximal_residual)):
+            try:
+                worst = read_surface(f, signature).worst
+            except NotSpacelike:
+                continue
+            assert same_bits(np.float64(worst), np.float64(residual(f).max_abs())), signature
     assert any(r.mask is None for r in reports)
     assert any(r.mask is not None and r.mask.all() for r in reports)
     assert any(r.mask is not None and not r.mask.all() for r in reports)
     for rep in reports:
-        for normalization in ("scaled", "raw"):
-            got = np.float64(rep.max_abs(normalization))
-            assert same_bits(got, np.float64(_ref_max_abs(rep, normalization))), rep.op
-        assert rep.to_report()["max_abs"] == rep.max_abs()
+        got = np.float64(rep.max_abs())
+        assert same_bits(got, np.float64(_ref_max_abs(rep))), rep.op
+        assert rep.to_report()["max_abs"] == rep.max_abs("scaled") == got
+        with pytest.raises(ValidationError, match="has a scale"):
+            rep.max_abs("raw")
 
 
 @pytest.mark.parametrize("signature", ["euclidean", "split"])
