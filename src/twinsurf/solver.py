@@ -33,14 +33,14 @@ import numpy as np
 
 from .errors import Diverged, MaxIterations, SpacelikeUnreachable, ValidationError
 from .fields import GridDomain, HeightMap, first_fundamental_form
-from .systems import maximal_residual, minimal_residual
+from .systems import ResidualReport, maximal_residual, minimal_residual
 
 
 @dataclass
 class SolveResult:
     surface: HeightMap
     outer_iterations: int
-    residual_report: object
+    residual_report: ResidualReport
     update_history: list = field(default_factory=list)
 
 

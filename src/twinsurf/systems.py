@@ -7,8 +7,8 @@ into a ``SurfaceReading``; and, from its E/w, F/w, G/w, the divergence-zero
 form and the two closedness identities.  Those are the closedness of the
 twin gradients and of the lift's forms, which only the reading judges.
 
-Boundary nodes are excluded from max/l2 aggregation (one-sided second
-derivatives are noisier); the residual fields still cover the full grid.
+A report aggregates interior nodes only (one-sided second derivatives
+are noisier): it takes its max and l2 once, when built, and keeps no field.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import NotClosed, NotMinimal, NotSpacelike, ValidationError
 from .fields import (
-    GridDomain,
     HeightMap,
     MetricData,
     ScalarField,
@@ -64,52 +63,41 @@ def _second_derivatives(h: HeightMap, k: int):
     return diff_x(a, dom.dx), diff_y(a, dom.dy), diff_y(b, dom.dy)
 
 
-@dataclass
 class ResidualReport:
-    """Residual fields over a grid, read in its own normalization: scaled
-    with a ``scale``, raw without; a report with a ``mask`` leaves the
-    nodes outside it out of the aggregates."""
+    """The max and l2 of residual fields over the interior nodes of ``mask``
+    (all of them without one), read in the report's own normalization:
+    scaled with a ``scale``, each field divided in place, raw without.  The
+    aggregates are taken once, at construction, and the report keeps no array."""
 
-    op: str
-    signature: str
-    fields: list  # raw residual per component
-    scale: np.ndarray | None  # nodewise scaling divisor
-    domain: GridDomain
-    mask: np.ndarray | None = None  # where the metric it was read from is valid
-
-    @property
-    def normalization(self):
-        return "raw" if self.scale is None else "scaled"
-
-    def _aggregated(self, normalization):
-        """The fields, scaled by a report with a scale, one at a time on the
-        interior nodes of the mask; ``normalization`` is None or the report's."""
-        if normalization not in (None, self.normalization):
-            has = "no" if self.scale is None else "a"
-            raise ValidationError(f"{self.op} has {has} scale; read it {self.normalization}")
-        m = np.zeros(self.domain.shape, dtype=bool)
-        m[1:-1, 1:-1] = True if self.mask is None else self.mask[1:-1, 1:-1]
+    def __init__(self, op, signature, fields, scale, domain, mask=None):
+        m = np.zeros(domain.shape, dtype=bool)
+        m[1:-1, 1:-1] = True if mask is None else mask[1:-1, 1:-1]
         if not m.any():
             raise ValidationError("no interior nodes left to aggregate")
-        if self.scale is None:
-            return (f[m] for f in self.fields)
-        return ((f / self.scale)[m] for f in self.fields)
+        vals = [(f if scale is None else np.divide(f, scale, out=f))[m] for f in fields]
+        self.op, self.signature, self.domain = op, signature, domain
+        self.normalization = "raw" if scale is None else "scaled"
+        self._max_abs = max(float(np.abs(v).max()) for v in vals)
+        with np.errstate(over="ignore"):  # past the float range it reads inf
+            self._l2 = float(np.sqrt(sum(np.mean(np.square(v)) for v in vals) / len(vals)))
 
     def max_abs(self, normalization=None):
-        return max(float(np.abs(v).max()) for v in self._aggregated(normalization))
+        """The largest interior |field|; ``normalization`` is None or the report's own."""
+        if normalization not in (None, self.normalization):
+            has = "no" if self.normalization == "raw" else "a"
+            raise ValidationError(f"{self.op} has {has} scale; read it {self.normalization}")
+        return self._max_abs
 
-    def l2(self, normalization=None):
-        vals = list(self._aggregated(normalization))
-        with np.errstate(over="ignore"):  # past the float range it reads inf
-            return float(np.sqrt(sum(np.mean(np.square(v)) for v in vals) / len(vals)))
+    def l2(self):
+        return self._l2
 
     def to_report(self):
         dom = self.domain
         return {
             "op": self.op,
             "signature": self.signature,
-            "max_abs": self.max_abs(),
-            "l2": self.l2(),
+            "max_abs": self._max_abs,
+            "l2": self._l2,
             "normalization": self.normalization,
             "excluded_boundary": True,
             "grid": {"nx": dom.nx, "ny": dom.ny, "dx": dom.dx, "dy": dom.dy},
@@ -169,7 +157,7 @@ def minimal_residual(f: HeightMap) -> ResidualReport:
 
 def maximal_residual(g: HeightMap) -> ResidualReport:
     """Hatted quasilinear form; non-spacelike nodes are masked out of the
-    aggregates instead of raising."""
+    aggregates instead of raising, unless no interior node is left."""
     return _residual("maximal_residual", g, "split")
 
 

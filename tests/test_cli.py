@@ -346,6 +346,22 @@ def test_twin_verify_non_spacelike_side_fails_before_dividing(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("NOT_SPACELIKE:"), p.stderr
 
 
+def test_maximal_residual_of_an_everywhere_timelike_map_exits_1(tmp_path):
+    # |grad g| = 2 everywhere leaves no node to aggregate: one error line,
+    # no traceback
+    g = _write_field(str(tmp_path / "g.gf"), lambda X, Y: 2.0 * X)
+    src = os.path.dirname(os.path.dirname(twinsurf.__file__))
+    p = subprocess.run(
+        [sys.executable, "-m", "twinsurf.cli", "residual", "--system", "maximal", "--in", g],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert p.returncode == 1 and not p.stdout
+    assert p.stderr == "VALIDATION: no interior nodes left to aggregate\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize(
     "argv",

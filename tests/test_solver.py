@@ -90,6 +90,31 @@ def test_dirichlet_recovery_is_second_order(system, name):
     assert errors[1] / errors[2] >= 3.5
 
 
+def _grid_arrays(obj):
+    # the 2-D arrays obj holds, through its attributes and containers
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.ndim == 2 else []
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        items = vars(obj).values() if hasattr(obj, "__dict__") else []
+    return [a for item in items for a in _grid_arrays(item)]
+
+
+@pytest.mark.parametrize("solve", [solve_minimal, solve_maximal])
+def test_a_result_holds_no_grid_array_but_its_surface(solve):
+    # its residual report, walked through its attributes, holds the
+    # report's numbers, not the solution's fields, scale or mask
+    f = surface("catenoid", 33, 33)
+    exact = f if solve is solve_minimal else twin_forward(f).g
+    result = solve(exact.domain, [c.copy() for c in exact.components])
+    assert _grid_arrays(result.surface)
+    held = {k: v for k, v in vars(result).items() if k != "surface"}
+    assert _grid_arrays(held) == []
+
+
 def test_maximal_rejects_non_spacelike_boundary():
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 33, 33)
     X, _ = dom.meshgrid()

@@ -5,15 +5,18 @@ from twinsurf.errors import NotClosed, NotSpacelike, ValidationError
 from twinsurf.fields import (
     GridDomain,
     HeightMap,
+    ScalarField,
     closedness_residual_field,
     diff_x,
     diff_y,
     first_fundamental_form,
 )
+from twinsurf.slag import _sl_terms, sl_residual
 from twinsurf.systems import (
     SurfaceReading,
     _fields,
     _quasilinear,
+    _report,
     _second_derivatives,
     closedness_identities,
     default_tol,
@@ -72,10 +75,22 @@ def test_report_schema(square_domain):
     assert set(rep) >= {"op", "signature", "max_abs", "l2"}
 
 
-def test_reports_hold_no_metric():
+def test_reports_hold_no_array():
+    # a report is its numbers: the fields, their scale and mask die with its builder
     f = surface("catenoid", 17, 17)
-    for rep in (minimal_residual(f), maximal_residual(f), divergence_residual(f)):
-        assert sorted(vars(rep)) == ["domain", "fields", "mask", "op", "scale", "signature"]
+    reports = [minimal_residual(f), maximal_residual(f), divergence_residual(f)]
+    reports += [closedness_identities(f), sl_residual(ScalarField(f.domain, f.components[0]), 0.3)]
+    for rep in reports:
+        assert not any(isinstance(v, np.ndarray) for v in vars(rep).values()), rep.op
+        assert sorted(vars(rep)) == ["_l2", "_max_abs", "domain", "normalization", "op", "signature"]
+
+
+def test_a_maximal_residual_with_no_spacelike_interior_node_raises():
+    # |grad g| = 2 everywhere: the report refuses to be built, not later read
+    dom = GridDomain.from_bounds(-0.5, -0.5, 0.5, 0.5, 17, 17)
+    X, _ = dom.meshgrid()
+    with pytest.raises(ValidationError, match="no interior nodes left to aggregate"):
+        maximal_residual(HeightMap(dom, [2.0 * X]))
 
 
 def test_maximal_residual_masks_non_spacelike_nodes():
@@ -120,37 +135,75 @@ def _bit_maps():
     yield HeightMap(dom, [0.8 * X * X, -0.0 * Y])  # split data not spacelike everywhere; -0.0
 
 
-def _ref_max_abs(rep):
-    # the scaled fields on the interior nodes of the mask
-    m = np.zeros(rep.domain.shape, dtype=bool)
+def _gathered(fields, scale, mask):
+    # the fields, over a scale when there is one, on the interior nodes of the mask
+    m = np.zeros(fields[0].shape, dtype=bool)
     m[1:-1, 1:-1] = True
-    if rep.mask is not None:
-        m &= rep.mask
-    return max(float(np.abs((f / rep.scale)[m]).max()) for f in rep.fields)
+    if mask is not None:
+        m &= mask
+    return [(f if scale is None else f / scale)[m] for f in fields]
+
+
+def _ref_max_abs(fields, scale, mask):
+    return max(float(np.abs(v).max()) for v in _gathered(fields, scale, mask))
+
+
+def _ref_l2(fields, scale, mask):
+    vals = _gathered(fields, scale, mask)
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(sum(np.mean(np.square(v)) for v in vals) / len(vals)))
+
+
+def _built(f):
+    # each scaled report of f with what its builder hands it: the fields,
+    # their scale and the metric's mask, none for the forms
+    for report, signature in ((minimal_residual, "euclidean"), (maximal_residual, "split")):
+        fields, scale, metric = _report(f, signature)
+        yield report(f), fields, scale, metric.mask
+    read = read_surface(f, "euclidean", 0.0)
+    fields = list(_fields("divergence_residual", read))
+    yield divergence_residual(f), fields, read.scale, None
 
 
 def test_max_abs_is_the_gathered_max_and_the_readings_verdict_bit_for_bit():
     # one gathered path for every report, its mask keeping every node, some
     # or none given (the forms); a reading's verdict, each field divided in
     # place, is the max of the report of its signature
-    reports = []
+    built = []
     for f in _bit_maps():
-        reports += [minimal_residual(f), divergence_residual(f), maximal_residual(f)]
+        built += _built(f)
         for signature, residual in (("euclidean", minimal_residual), ("split", maximal_residual)):
             try:
                 worst = read_surface(f, signature).worst
             except NotSpacelike:
                 continue
             assert same_bits(np.float64(worst), np.float64(residual(f).max_abs())), signature
-    assert any(r.mask is None for r in reports)
-    assert any(r.mask is not None and r.mask.all() for r in reports)
-    assert any(r.mask is not None and not r.mask.all() for r in reports)
-    for rep in reports:
+    masks = [mask for *_, mask in built]
+    assert any(m is None for m in masks)
+    assert any(m is not None and m.all() for m in masks)
+    assert any(m is not None and not m.all() for m in masks)
+    for rep, fields, scale, mask in built:
         got = np.float64(rep.max_abs())
-        assert same_bits(got, np.float64(_ref_max_abs(rep))), rep.op
+        assert same_bits(got, np.float64(_ref_max_abs(fields, scale, mask))), rep.op
         assert rep.to_report()["max_abs"] == rep.max_abs("scaled") == got
         with pytest.raises(ValidationError, match="has a scale"):
             rep.max_abs("raw")
+
+
+def test_l2_is_the_gathered_root_mean_square_bit_for_bit():
+    # every scaled report of every map, and a raw one
+    for f in _bit_maps():
+        for rep, fields, scale, mask in _built(f):
+            got = np.float64(rep.l2())
+            assert same_bits(got, np.float64(_ref_l2(fields, scale, mask))), rep.op
+            assert rep.to_report()["l2"] == got
+    f, theta = surface("catenoid", 33, 17), 0.7
+    h = ScalarField(f.domain, f.components[0])
+    trace, det = _sl_terms(h, "euclidean")
+    ref = [np.cos(theta) * trace + np.sin(theta) * det]
+    rep = sl_residual(h, theta)
+    assert same_bits(np.float64(rep.l2()), np.float64(_ref_l2(ref, None, None)))
+    assert same_bits(np.float64(rep.max_abs()), np.float64(_ref_max_abs(ref, None, None)))
 
 
 @pytest.mark.parametrize("signature", ["euclidean", "split"])
@@ -174,7 +227,18 @@ def test_report_scale_is_the_reference_scale_over_all_components(signature):
     for f in [*_bit_maps(), surface("holomorphic", 129, 129)]:
         metric = first_fundamental_form(f.gradients, signature)
         ref = _ref_residual_scale(metric, [_second_derivatives(f, k) for k in range(f.n)])
-        assert all(same_bits(report(f).scale, ref) for report in reports)
+        fields, scale, _ = _report(f, signature)
+        assert same_bits(scale, ref)
+        if signature == "euclidean":  # the forms' scale is their reading's
+            reading = read_surface(f, signature, 0.0)
+            assert same_bits(reading.scale, ref)
+        # and each report reads its fields in it
+        for report in reports:
+            if report in (minimal_residual, maximal_residual):
+                ref_max = _ref_max_abs(fields, ref, metric.mask)
+            else:
+                ref_max = _ref_max_abs(list(_fields(report.__name__, reading)), ref, None)
+            assert same_bits(np.float64(report(f).max_abs()), np.float64(ref_max))
 
 
 def test_closedness_of_a_map_and_of_its_reading_is_its_metrics_bit_for_bit():
@@ -191,14 +255,17 @@ def test_closedness_of_a_map_and_of_its_reading_is_its_metrics_bit_for_bit():
                 for a, b in f.gradients
             ],
         }
-        reading = read_surface(f)
+        # the map's report reads its fields from a reading at tol 0
+        reading, built = read_surface(f), read_surface(f, "euclidean", 0.0)
+        assert same_bits(built.scale, reading.scale)
         for report, ref in refs.items():
             rep, op = report(f), report.__name__
-            for fields in (rep.fields, list(_fields(op, reading))):
+            for fields in (list(_fields(op, built)), list(_fields(op, reading))):
                 assert len(fields) == len(ref)
                 assert all(same_bits(a, b) for a, b in zip(fields, ref))
+            got = np.float64(rep.max_abs())
+            assert same_bits(got, np.float64(_ref_max_abs(ref, reading.scale, None)))
             # the reading's maximum, which verify_surface reports, is the map's report's
-            assert same_bits(rep.scale, reading.scale)
             assert reading.scaled_max(op) == rep.max_abs("scaled")
     # the divergence form of a split reading is the hatted one, in its scale
     split = read_surface(surface("catenoid", 17, 17), "split")
