@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 flag/validation error, 2 computation error (the
-error code name is printed to stderr), 3 a verify-all check failed.
+error code name is printed to stderr), 3 a verify-all check failed.  On
+an error stderr carries that one line and no numpy warning.
 
 All numeric JSON output uses 17 significant digits.  Reports and files
 are byte-identical at any BLAS thread count: importing twinsurf before
@@ -135,7 +136,7 @@ def _cmd_sl(args):
         return 0
     if args.action == "rotate":
         params = slag.SLParams(args.lambda1, args.lambda2, args.epsilon)
-        h = slag.graph_rotate(_scalar_in(args.inp), params, args.mode or "standard")
+        h = slag.graph_rotate(_scalar_in(args.inp), params, args.mode)
         write_gfield(_out(args), h.domain, [h.values])
         return 0
     if args.action == "residual":
@@ -147,18 +148,18 @@ def _cmd_sl(args):
         _emit(rep.to_report(), args.out)
         return 0
     # detect-angle
-    mode = args.mode or "euclidean"
-    theta, const = slag.detect_angle(_scalar_in(args.inp), mode)
-    _emit({"theta": theta, "constancy_residual": const, "mode": mode}, args.out)
+    theta, const = slag.detect_angle(_scalar_in(args.inp), args.signature)
+    _emit({"theta": theta, "constancy_residual": const, "mode": args.signature}, args.out)
     return 0
 
 
 def _cmd_gauss(args):
-    if args.action == "jorgens":
-        g = gauss.jorgens_gauss(_scalar_in(args.inp))
-    else:
-        g = gauss.gauss_map(read_heightmap(args.inp))
-    if args.action == "quadric":
+    jorgens = args.action == "jorgens"
+    f = _scalar_in(args.inp) if jorgens else read_heightmap(args.inp)
+    g = gauss.jorgens_gauss(f) if jorgens else gauss.gauss_map(f)
+    if args.action in ("map", "jorgens"):  # planes Re z_1, Im z_1, Re z_2, ...
+        write_gfield(_out(args), f.domain, np.moveaxis(g.view(float), -1, 0))
+    elif args.action == "quadric":
         _emit({"quadric_residual": gauss.quadric_residual(g)}, args.out)
     elif args.action == "fit":
         i, j = _parse_ints(args.pair, "--pair i,j")
@@ -173,16 +174,8 @@ def _cmd_gauss(args):
             },
             args.out,
         )
-    elif args.action == "planarity":
+    else:  # planarity
         _emit({"planarity_score": gauss.planarity_score(g)}, args.out)
-    else:  # map / jorgens: dump the normalized field
-        _emit(
-            {
-                "grid": {"nx": g.shape[1], "ny": g.shape[0]},
-                "components": np.moveaxis(g, -1, 0),
-            },
-            args.out,
-        )
     return 0
 
 
@@ -295,9 +288,7 @@ def build_parser():
     p.add_argument("--lambda1", type=float, default=0.0)
     p.add_argument("--lambda2", type=float, default=1.0)
     p.add_argument("--epsilon", type=int, default=1)
-    p.add_argument("--mode", choices=["standard", "reverse", "euclidean", "split"],
-                   help="rotate: standard|reverse (default standard); "
-                   "detect-angle: euclidean|split (default euclidean)")
+    p.add_argument("--mode", choices=["standard", "reverse"], default="standard")
     p.add_argument("--theta", type=float, default=np.pi / 2)
     p.add_argument("--signature", choices=["euclidean", "split"], default="euclidean")
     _add_common(p, basepoint=True)
@@ -344,7 +335,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # stderr carries the error line alone
+            return args.fn(args)
     except TwinsurfError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ValidationError) else 2

@@ -34,7 +34,7 @@ from .fields import (
     hessian,
     interior_max,
 )
-from .systems import SurfaceReading, default_tol, read_surface
+from .systems import default_tol
 
 _FIRST_NONZERO_TOL = 1e-13
 # hyperplane fits: z_j must clear _FIRST_NONZERO_TOL on this share of the
@@ -116,9 +116,9 @@ def _gauge(z: np.ndarray) -> None:
     z[todo] = w
 
 
-def gauss_map(f: HeightMap | SurfaceReading) -> np.ndarray:
-    """[G/w, i - F/w, (G/w) f_k,x - (F/w) f_k,y + i f_k,y, ...] normalized,
-    of a height map or of the map of its euclidean reading.
+def gauss_map(f: HeightMap) -> np.ndarray:
+    """[G/w, i - F/w, (G/w) f_k,x - (F/w) f_k,y + i f_k,y, ...] of a height
+    map, normalized.
 
     The formula is evaluated for any height map; it lands on the
     hyperquadric identically (an algebraic identity), minimality is only
@@ -128,9 +128,6 @@ def gauss_map(f: HeightMap | SurfaceReading) -> np.ndarray:
     real and positive, so the gauge turns no node where |grad f| is below
     ~7e12 (there z_1 stays above its threshold).
     """
-    if isinstance(f, SurfaceReading):
-        read_surface(f)  # a split reading is refused
-        f = f.h
 
     def planes(rows):
         grads = [(a[rows], b[rows]) for a, b in f.gradients]

@@ -32,7 +32,7 @@ def _encode(obj):
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 

@@ -1,10 +1,11 @@
 """The paper's identity suite on one minimal graph, as the check rows that
 ``twinsurf verify-all`` reports: the Gauss map's quadric residual, the
 minimal system in three forms, the twin correspondence, the special
-Lagrangian lift and the conformal chart.  The Gauss map, the divergence
-form, the closedness identities, the twin, the lift and the chart take one
-reading of the surface; its two closedness maxima are rows and judge the
-twin's forms and the potentials', which the lift and the chart share.
+Lagrangian lift and the conformal chart.  The Gauss map takes the map;
+the divergence form, the closedness identities, the twin, the lift and the
+chart take one reading of the surface; its two closedness maxima are rows
+and judge the twin's forms and the potentials', which the lift and the
+chart share.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def verify_surface(f: HeightMap, tol: float | None = None) -> list:
     def add(name, value, check_tol=tol):
         checks.append((name, float(value), float(check_tol)))
 
-    add("quadric_residual", quadric_residual(gauss_map(reading)), 1e-10)
+    add("quadric_residual", quadric_residual(gauss_map(f)), 1e-10)
     add("minimal_residual", reading.worst)
     if not reading.worst <= tol:
         return checks

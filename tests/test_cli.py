@@ -87,7 +87,7 @@ def test_sl_lift_and_detect_angle(catenoid_file, tmp_path, capsys):
     assert report["hessian_det_residual"] <= 0.1
     _, comps = read_gfield(lift_path)
     assert len(comps) == 1  # h alone: M and N are its gradient
-    assert run(["sl", "detect-angle", "--in", lift_path, "--mode", "euclidean"]) == 0
+    assert run(["sl", "detect-angle", "--in", lift_path, "--signature", "euclidean"]) == 0
     out = _json_out(capsys)
     assert out["theta"] == pytest.approx(np.pi / 2, abs=1e-2)
 
@@ -101,8 +101,10 @@ def test_sl_detect_angle_defaults_to_euclidean_mode(tmp_path, capsys):
     out = _json_out(capsys)
     assert out["mode"] == "euclidean"
     assert out["theta"] == pytest.approx(np.pi / 2)
-    assert run(["sl", "detect-angle", "--in", path, "--mode", "euclidean"]) == 0
+    assert run(["sl", "detect-angle", "--in", path, "--signature", "euclidean"]) == 0
     assert _json_out(capsys) == out
+    # --mode names rotate's standard|reverse alone
+    assert run(["sl", "detect-angle", "--in", path, "--mode", "split"]) == 1
 
 
 def test_sl_rotate_defaults_to_standard_mode(catenoid_file, tmp_path):
@@ -721,6 +723,38 @@ def test_catalog_overflow_exits_1_without_warning(tmp_path, capsys, argv, messag
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["residual", "--system", "minimal", "--in"], 1),
+        (["residual", "--system", "maximal", "--in"], 0),
+        (["residual", "--system", "divergence", "--in"], 1),
+        (["twin", "forward", "--in"], 1),
+        (["twin", "backward", "--in"], 2),
+        (["sl", "lift", "--in"], 1),
+        (["gauss", "planarity", "--in"], 1),
+        (["chart", "build", "--in"], 1),
+        (["solve", "minimal", "--boundary"], 1),
+        (["solve", "maximal", "--boundary"], 1),
+    ],
+    ids=[
+        "residual-minimal", "residual-maximal", "residual-divergence", "twin-forward",
+        "twin-backward", "sl-lift", "gauss-planarity", "chart-build", "solve-minimal",
+        "solve-maximal",
+    ],
+)
+def test_overflowing_gradients_leave_only_the_error_line(tmp_path, capsys, argv, code):
+    # the squares of 1e150 x^2's gradients overflow: numpy's warnings (errors
+    # under this suite's filter) stay out of stderr, which holds the one
+    # error line or nothing
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
+    path = str(tmp_path / "steep.gf")
+    write_gfield(path, dom, [1e150 * dom.meshgrid()[0] ** 2])
+    assert run([*argv, path]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == (1 if code else 0) and "Traceback" not in err, err
+
+
 @pytest.fixture
 def cli_inputs(tmp_path):
     """33^2 inputs: a holomorphic minimal graph and its twin, the special
@@ -740,7 +774,6 @@ def cli_inputs(tmp_path):
 
 
 _RESIDUAL_KEYS = {"op", "signature", "max_abs", "l2", "normalization", "excluded_boundary", "grid"}
-_FIELD_KEYS = {"grid", "components"}
 
 
 @pytest.mark.parametrize(
@@ -753,10 +786,12 @@ _FIELD_KEYS = {"grid", "components"}
           f"--theta={-2 * float(np.arctanh(0.5))!r}"], "--out", 0, _RESIDUAL_KEYS),
         # (1 + det)^2 = trace^2: on the edge of the split spacelike region
         (["sl", "residual", "--in", "{quad}", "--signature", "split"], None, 2, "NOT_SPACELIKE"),
-        (["gauss", "map", "--in", "{holo}"], "--out", 0, _FIELD_KEYS),
+        # a Gauss field is a file: without --out, one error line
+        (["gauss", "map", "--in", "{holo}"], "--out", 1, "VALIDATION: gauss map needs --out"),
         (["gauss", "fit", "--in", "{holo}"], "--out", 0,
          {"i", "j", "lambda", "residual", "is_nonreal"}),
-        (["gauss", "jorgens", "--in", "{quad}"], "--out", 0, _FIELD_KEYS),
+        (["gauss", "jorgens", "--in", "{quad}"], "--out", 1,
+         "VALIDATION: gauss jorgens needs --out"),
         (["sl", "detect-angle", "--in", "{three}"], None, 1, "single-component"),
         ([*_SAMPLE, "catenoid", "--param", "rho", "--out", "{dir}/x.gf"], None, 1, "k=v"),
         ([*_SAMPLE, "catenoid", "--domain", "0,0,1", "--out", "{dir}/x.gf"], None, 1,
@@ -775,6 +810,11 @@ def test_cli_paths_in_process(cli_inputs, capsys, argv, report, code, keys):
     out, err = capsys.readouterr()
     if code:
         assert keys in err and "Traceback" not in err and not out
+        assert len(err.splitlines()) == 1
+        if report:  # the flag the command needs: with it, a file and no output
+            path = os.path.join(cli_inputs["dir"], "field.gf")
+            assert run([*argv, report, path]) == 0
+            assert capsys.readouterr() == ("", "") and os.path.getsize(path)
         return
     assert set(json.loads(out)) == keys
     path = os.path.join(cli_inputs["dir"], "report.json")
@@ -787,11 +827,12 @@ def test_cli_paths_in_process(cli_inputs, capsys, argv, report, code, keys):
 def test_written_files_feed_the_readers(tmp_path, capsys, name):
     # writer -> reader chains at 33^2; each written file holds the values of
     # the library call that made it, bit for bit
-    p = {k: str(tmp_path / f"{k}.gf") for k in ("f", "g", "xi", "u", "h")}
+    p = {k: str(tmp_path / f"{k}.gf") for k in ("f", "g", "xi", "u", "h", "zf", "zh")}
     chains = [
         [*_SAMPLE, name, "--grid", "33,33", "--out", p["f"]],
         ["residual", "--system", "minimal", "--in", p["f"]],
         ["gauss", "planarity", "--in", p["f"]],
+        ["gauss", "map", "--in", p["f"], "--out", p["zf"]],
         ["chart", "weierstrass", "--in", p["f"]],
         ["twin", "forward", "--in", p["f"], "--out", p["g"]],
         ["residual", "--system", "maximal", "--in", p["g"]],
@@ -807,7 +848,7 @@ def test_written_files_feed_the_readers(tmp_path, capsys, name):
     ]
     # every lift is unimodular to the grid's tolerance, which jorgens_gauss
     # asks of a file as verify-all's lift_hessian_det row does
-    chains.append(["gauss", "jorgens", "--in", p["h"]])
+    chains.append(["gauss", "jorgens", "--in", p["h"], "--out", p["zh"]])
     for argv in chains:
         assert run(argv) == 0, argv
     capsys.readouterr()
@@ -825,3 +866,9 @@ def test_written_files_feed_the_readers(tmp_path, capsys, name):
     lift = twinsurf.sl_lift(f)
     domain, comps = read_gfield(p["h"])
     assert domain == lift.h.domain and len(comps) == 1 and same_bits(comps[0], lift.h.values)
+    # Gauss fields as planes Re z_1, Im z_1, Re z_2, ...; holomorphic's n = 2
+    # field has planes of 64-byte stride, which the write copies out of place
+    for k, z in (("zf", gauss.gauss_map(f)), ("zh", gauss.jorgens_gauss(lift.h))):
+        domain, comps = read_gfield(p[k])
+        assert domain == f.domain and len(comps) == 2 * z.shape[-1]
+        assert same_bits(np.stack(comps, -1).view(complex), z), k

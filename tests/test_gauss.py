@@ -15,7 +15,6 @@ from twinsurf.gauss import (
     quadric_residual,
 )
 from twinsurf.slag import sl_lift
-from twinsurf.systems import read_surface
 
 from conftest import random_heightmap, same_bits, surface
 
@@ -37,14 +36,6 @@ def test_gauss_field_is_one_array():
     assert g.shape == (9, 17, 3) and g.dtype == complex
     # planarity_score reads the nodes as rows of g without a copy
     assert g.flags.c_contiguous
-
-
-@pytest.mark.parametrize("name", ["catenoid", "holomorphic"])
-def test_a_map_and_its_reading_have_one_gauss_field(name):
-    f = surface(name, 33, 17)
-    assert same_bits(gauss_map(read_surface(f)), gauss_map(f))
-    with pytest.raises(ValidationError, match="expected a euclidean reading"):
-        gauss_map(read_surface(f, "split"))
 
 
 def test_flat_graph_gauss_map(square_domain):

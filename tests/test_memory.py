@@ -22,6 +22,7 @@ from twinsurf import (
     verify_surface,
     verify_twin,
     verify_weierstrass_twin,
+    write_gfield,
     write_heightmap,
 )
 from twinsurf.cli import run
@@ -163,18 +164,26 @@ def test_solver_peaks_stay_under_their_bounds():
 # the CLI's heaviest commands, on files: measured peaks plus one grid array
 # (47.5 and 45.5 before their inputs stopped being copied and their
 # finished results stopped being held; verify-all 30.2 while it held the
-# surface's Jacobian data through the twin's involution)
-_CLI_PEAK_BOUNDS = {"twin verify": 28.5, "verify-all": 30.5}
+# surface's Jacobian data through the twin's involution; gauss map and
+# gauss jorgens 86.8 and 79.7 while they printed the field as JSON)
+_CLI_PEAK_BOUNDS = {
+    "twin verify": 28.5, "verify-all": 30.5, "gauss map": 16.8, "gauss jorgens": 22.5,
+}
 
 
 def test_cli_peaks_stay_under_their_bounds(tmp_path, capsys):
     f = surface("holomorphic", 257, 257)
-    f_path, g_path = str(tmp_path / "f.gf"), str(tmp_path / "g.gf")
+    f_path, g_path, h_path = (str(tmp_path / f"{k}.gf") for k in "fgh")
     write_heightmap(f_path, f)
     write_heightmap(g_path, twin_forward(f).g)
+    h = sl_lift(surface("catenoid", 257, 257)).h
+    write_gfield(h_path, h.domain, [h.values])
+    z_path = str(tmp_path / "z.gf")
     peaks = {
         "twin verify": _peak_units(run, ["twin", "verify", "--in", f_path, "--twin", g_path]),
         "verify-all": _peak_units(run, ["verify-all", "--name", "holomorphic", "--grid", "257,257"]),
+        "gauss map": _peak_units(run, ["gauss", "map", "--in", f_path, "--out", z_path]),
+        "gauss jorgens": _peak_units(run, ["gauss", "jorgens", "--in", h_path, "--out", z_path]),
     }
     assert '"pass": true' in capsys.readouterr().out
     assert all(peaks[k] <= _CLI_PEAK_BOUNDS[k] for k in peaks), peaks

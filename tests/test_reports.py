@@ -19,8 +19,11 @@ def test_complex_encoding():
 
 
 def test_numpy_scalars_and_arrays():
-    out = json.loads(dumps({"a": np.float64(2.0), "b": np.arange(3), "c": np.bool_(True)}))
-    assert out["a"] == 2.0 and out["b"] == [0, 1, 2] and out["c"] is True
+    out = json.loads(dumps({"a": np.float64(2.0), "c": np.bool_(True)}))
+    assert out["a"] == 2.0 and out["c"] is True
+    # a grid field is a GFIELD, never a report value
+    with pytest.raises(TypeError, match="ndarray"):
+        dumps({"b": np.arange(3)})
 
 
 def test_non_finite_rejected():
