@@ -25,7 +25,6 @@ from .catalog import (
 )
 from .conformal import (
     ConformalChart,
-    NullCurveField,
     build_chart,
     default_target_grid,
     null_curve,

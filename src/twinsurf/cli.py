@@ -12,7 +12,6 @@ numpy pins BLAS to one thread.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -201,8 +200,7 @@ def _cmd_chart(args):
         write_heightmap(_out(args), X)
         return 0
     if args.action == "nullcurve":
-        nc = conformal.null_curve(f, chart)
-        _emit({**dataclasses.asdict(nc), "signature": "euclidean"}, args.out)
+        _emit({**conformal.null_curve(f, chart), "signature": "euclidean"}, args.out)
         return 0
     # weierstrass: compare the null curves of the twin pair
     _emit(conformal.verify_weierstrass_twin(pair, chart), args.out)

@@ -245,18 +245,19 @@ def jorgens_gauss(F: ScalarField) -> np.ndarray:
     of the gradient graph of a unimodular-Hessian potential F.
 
     eps is the constant sign of F_xx + F_yy, which the unimodular Hessian
-    equation forces to vanish nowhere.  F must be unimodular to ``default_tol``.
+    equation forces to vanish nowhere.  F must be unimodular to ``default_tol``,
+    and its trace nonzero of one sign at every node: the nodes where it is
+    zero or of the sign most nodes do not take are refused.
     """
     Fxx, Fxy, Fyy = hessian(F.values, F.domain)
     det_err, tol = interior_max(Fxx * Fyy - Fxy * Fxy - 1.0), default_tol(F.domain)
     if det_err > tol:
         raise NotUnimodular(f"max |det D^2 F - 1| = {det_err:.3e} > tol {tol:.3e}")
     trace = Fxx + Fyy
-    if trace.max() > 0 and trace.min() < 0:
-        raise SignChange(
-            "F_xx + F_yy changes sign", nodes=np.argwhere(trace == 0)
-        )
-    eps = 1.0 if trace.flat[0] > 0 else -1.0
+    eps = 1.0 if np.count_nonzero(trace > 0) >= np.count_nonzero(trace < 0) else -1.0
+    off = ~(eps * trace > 0)
+    if off.any():
+        raise SignChange("F_xx + F_yy vanishes or changes sign", nodes=np.argwhere(off))
     comps = [
         eps * Fyy + 0j,
         1j - eps * Fxy,

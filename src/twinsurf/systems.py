@@ -117,7 +117,7 @@ def _report(h: HeightMap, signature: str) -> tuple[list, np.ndarray, MetricData]
     m = np.ones(h.domain.shape)
     for k in range(h.n):
         second = _second_derivatives(h, k)
-        fields += _quasilinear(metric, [second])
+        fields.append(_quasilinear(metric, *second))
         for d in second:  # read; its magnitude is taken in place
             np.maximum(m, np.abs(d, out=d), out=m)
         del second, d  # before the next component's are taken
@@ -131,17 +131,14 @@ def _scaled_max(fields, scale) -> float:
     return max(interior_max(np.divide(r, scale, out=r)) for r in fields)
 
 
-def _quasilinear(metric: MetricData, seconds) -> list:
-    """G h_xx - 2 F h_xy + E h_yy per component."""
-    out = []
+def _quasilinear(metric: MetricData, hxx, hxy, hyy) -> np.ndarray:
+    """G h_xx - 2 F h_xy + E h_yy of one component."""
     t = np.empty_like(metric.E)
-    for hxx, hxy, hyy in seconds:
-        r = metric.G * hxx
-        np.multiply(2.0, metric.F, out=t)
-        r -= np.multiply(t, hxy, out=t)
-        r += np.multiply(metric.E, hyy, out=t)
-        out.append(r)
-    return out
+    r = metric.G * hxx
+    np.multiply(2.0, metric.F, out=t)
+    r -= np.multiply(t, hxy, out=t)
+    r += np.multiply(metric.E, hyy, out=t)
+    return r
 
 
 def _residual(op: str, h: HeightMap, signature: str) -> ResidualReport:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twinsurf.catalog import default_domain, make_surface
-from twinsurf.fields import GridDomain, HeightMap
+from twinsurf.fields import GridDomain, HeightMap, ScalarField
 
 
 def surface(name, nx, ny, params=None):
@@ -52,3 +52,16 @@ def bit_inputs(rng, shape):
         "strided_real": g.real[..., 1],
         "strided_complex": g[..., 2],
     }
+
+
+def jorgens_trace_case(potential):
+    """A 7^2 potential whose Hessian trace is zero or of the other sign at
+    some nodes, and those nodes."""
+    # |det D^2 F - 1| = 1 passes the tolerance 50 h^2 = 1.39 of a 7^2 grid on
+    # [-0.5, 0.5]^2: F = 0 has trace 0 at every node, F = (x + 0.05)^3 has
+    # trace 6 (x + 0.05), negative on the three columns left of x = 0
+    dom = GridDomain.from_bounds(-0.5, -0.5, 0.5, 0.5, 7, 7)
+    X, _ = dom.meshgrid()
+    if potential == "zero":
+        return ScalarField(dom, np.zeros(dom.shape)), np.argwhere(np.ones(dom.shape, bool))
+    return ScalarField(dom, (X + 0.05) ** 3), np.argwhere(X < 0)

@@ -13,7 +13,7 @@ from twinsurf.fields import GridDomain
 from twinsurf.gfield import read_gfield, read_heightmap, write_gfield, write_heightmap
 from twinsurf.twin import twin_forward
 
-from conftest import same_bits
+from conftest import jorgens_trace_case, same_bits
 
 
 @pytest.fixture
@@ -76,6 +76,20 @@ def test_jorgens_refuses_a_height_read_as_a_potential(catenoid_file, capsys):
     # |det D^2 F - 1| is O(1), far above the grid's tolerance
     assert run(["gauss", "jorgens", "--in", catenoid_file]) == 2
     assert capsys.readouterr().err.startswith("NOT_UNIMODULAR: max |det D^2 F - 1|")
+
+
+@pytest.mark.parametrize("potential", ["zero", "cubic"])
+def test_jorgens_refuses_a_trace_that_vanishes_or_changes_sign(tmp_path, capsys, potential):
+    # the unimodular check passes both on 7^2 (test_gauss): the trace refuses them
+    F, nodes = jorgens_trace_case(potential)
+    path, out = str(tmp_path / "F.gf"), str(tmp_path / "z.gf")
+    write_gfield(path, F.domain, [F.values])
+    assert run(["gauss", "jorgens", "--in", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("SIGN_CHANGE: ")
+    assert f"first offending nodes (iy, ix): {nodes[:8].tolist()})" in err
+    assert not os.path.exists(out)
 
 
 def test_sl_lift_and_detect_angle(catenoid_file, tmp_path, capsys):
@@ -481,8 +495,8 @@ def test_chart_actions_match_library(catenoid_file, tmp_path, capsys):
     assert run(["chart", "nullcurve", "--in", catenoid_file]) == 0
     nc = conformal.null_curve(f, chart)
     assert _json_out(capsys) == {
-        "holomorphy_residual": nc.holomorphy_residual,
-        "nullity_residual": nc.nullity_residual,
+        "holomorphy_residual": nc["holomorphy_residual"],
+        "nullity_residual": nc["nullity_residual"],
         "signature": "euclidean",
     }
     # f's split nullity checks no identity, so the chart takes no --signature
@@ -827,7 +841,7 @@ def test_cli_paths_in_process(cli_inputs, capsys, argv, report, code, keys):
 def test_written_files_feed_the_readers(tmp_path, capsys, name):
     # writer -> reader chains at 33^2; each written file holds the values of
     # the library call that made it, bit for bit
-    p = {k: str(tmp_path / f"{k}.gf") for k in ("f", "g", "xi", "u", "h", "zf", "zh")}
+    p = {k: str(tmp_path / f"{k}.gf") for k in ("f", "g", "f2", "xi", "u", "h", "zf", "zh")}
     chains = [
         [*_SAMPLE, name, "--grid", "33,33", "--out", p["f"]],
         ["residual", "--system", "minimal", "--in", p["f"]],
@@ -844,7 +858,8 @@ def test_written_files_feed_the_readers(tmp_path, capsys, name):
         ["sl", "residual", "--in", p["h"]],
         ["sl", "detect-angle", "--in", p["h"]],
         ["twin", "verify", "--in", p["f"], "--twin", p["g"]],
-        ["twin", "backward", "--in", p["g"]],
+        ["twin", "backward", "--in", p["g"], "--out", p["f2"]],
+        ["residual", "--system", "minimal", "--in", p["f2"]],
     ]
     # every lift is unimodular to the grid's tolerance, which jorgens_gauss
     # asks of a file as verify-all's lift_hessian_det row does
@@ -856,6 +871,7 @@ def test_written_files_feed_the_readers(tmp_path, capsys, name):
     expected = {
         "f": twinsurf.make_surface(name, None, twinsurf.default_domain(name, None, 33, 33)),
         "g": twin_forward(f).g,
+        "f2": twinsurf.twin_backward(read_heightmap(p["g"])).f,
         "xi": conformal.resample_to_chart(conformal.build_chart(f), f),
         "u": twinsurf.solve_minimal(f.domain, f.components).surface,
     }

@@ -143,8 +143,8 @@ def test_null_curve_of_flat_immersion():
     assert np.abs(phi[0] - 0.5).max() < 1e-8
     assert np.abs(phi[1] + 0.5j).max() < 1e-8
     assert np.abs(phi[2]).max() < 1e-8
-    assert nc.holomorphy_residual < 1e-7
-    assert nc.nullity_residual < 1e-7
+    assert nc["holomorphy_residual"] < 1e-7
+    assert nc["nullity_residual"] < 1e-7
 
 
 def test_weierstrass_relation_on_plane_pair():
@@ -208,8 +208,8 @@ def _weierstrass_from_null_curves(pair, chart):
     return {
         "height_residual": r,
         "max_residual": r,
-        "holomorphy_residual_min_side": nf.holomorphy_residual,
-        "nullity_residual_min_side": nf.nullity_residual,
+        "holomorphy_residual_min_side": nf["holomorphy_residual"],
+        "nullity_residual_min_side": nf["nullity_residual"],
         "nullity_residual_max_side": _ref_nullity(phihat, "split"),
     }
 
@@ -398,8 +398,8 @@ def test_null_curve_kernels_match_their_reference_bit_for_bit():
                 dbar = conformal._dbar(p, Ac, Bc, dom)
                 assert same_bits(dbar, A.conj() * diff_x(p, dom.dx) + B.conj() * diff_y(p, dom.dy))
             curve = null_curve(h, chart)
-            assert same_bits(curve.holomorphy_residual, _ref_holomorphy(phi, A, B, dom))
-            assert same_bits(curve.nullity_residual, _ref_nullity(phi, "euclidean"))
+            assert same_bits(curve["holomorphy_residual"], _ref_holomorphy(phi, A, B, dom))
+            assert same_bits(curve["nullity_residual"], _ref_nullity(phi, "euclidean"))
 
 
 @pytest.mark.parametrize("name", ["plane", "catenoid", "helicoid", "scherk", "holomorphic"])

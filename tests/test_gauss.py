@@ -3,7 +3,7 @@ import pytest
 
 import twinsurf.gauss
 from twinsurf.catalog import make_surface
-from twinsurf.errors import DegenerateFit, NotUnimodular, ValidationError
+from twinsurf.errors import DegenerateFit, NotUnimodular, SignChange, ValidationError
 from twinsurf.fields import GridDomain, HeightMap, ScalarField, first_fundamental_form
 from twinsurf.gauss import (
     _live_tiles,
@@ -16,7 +16,7 @@ from twinsurf.gauss import (
 )
 from twinsurf.slag import sl_lift
 
-from conftest import random_heightmap, same_bits, surface
+from conftest import jorgens_trace_case, random_heightmap, same_bits, surface
 
 
 def gauss_map_alt(f: HeightMap) -> np.ndarray:
@@ -87,6 +87,14 @@ def test_jorgens_rejects_non_unimodular(square_domain):
     X, _ = square_domain.meshgrid()
     with pytest.raises(NotUnimodular):
         jorgens_gauss(ScalarField(square_domain, X * X))
+
+
+@pytest.mark.parametrize("potential", ["zero", "cubic"])
+def test_jorgens_refuses_a_trace_that_vanishes_or_changes_sign(potential):
+    F, nodes = jorgens_trace_case(potential)
+    with pytest.raises(SignChange) as err:
+        jorgens_gauss(F)
+    assert np.array_equal(err.value.nodes, nodes)
 
 
 def test_hyperplane_fit_degenerate_direction(square_domain):

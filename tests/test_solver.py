@@ -122,6 +122,39 @@ def test_maximal_rejects_non_spacelike_boundary():
         solve_maximal(dom, [2.0 * X])  # gradient norm 2 everywhere
 
 
+def _damped(a, monkeypatch):
+    # g = a cos(3x) cos(y) on [-1, 1]^2 at 17^2: the solver's metric
+    # evaluations, one for the initial guess and one per trial step
+    dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 17, 17)
+    X, Y = dom.meshgrid()
+    evals = []
+
+    def counted(*args):
+        evals.append(args)
+        return first_fundamental_form(*args)
+
+    monkeypatch.setattr(twinsurf.solver, "first_fundamental_form", counted)
+    return lambda: solve_maximal(dom, [a * np.cos(3 * X) * np.cos(Y)]), evals
+
+
+@pytest.mark.parametrize("a, steps, halvings", [(0.5, 14, 1), (0.52, 15, 3)])
+def test_maximal_steps_halve_to_stay_spacelike(a, steps, halvings, monkeypatch):
+    # a full step would leave the spacelike region: each halving takes one
+    # more trial, and the mixing restarts after it
+    solve, evals = _damped(a, monkeypatch)
+    result = solve()
+    assert result.outer_iterations == steps
+    assert len(evals) == 1 + steps + halvings
+    assert first_fundamental_form(result.surface.gradients, "split").mask.all()
+
+
+def test_maximal_step_that_no_halving_keeps_spacelike_is_unreachable(monkeypatch):
+    solve, evals = _damped(0.56, monkeypatch)
+    with pytest.raises(SpacelikeUnreachable, match="could not keep the iterate spacelike"):
+        solve()
+    assert len(evals) == 457
+
+
 def test_boundary_shape_validated():
     dom = GridDomain.from_bounds(-1.0, -1.0, 1.0, 1.0, 33, 33)
     with pytest.raises(ValidationError):
